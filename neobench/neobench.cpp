@@ -6,11 +6,10 @@
 // result.
 //
 //   neobench --workload train|serve-hot|serve-cold --seed N --seconds S
-//            [--trace 0|1] [--setup-reps K] [--requests N]
-//            [--trace-out PATH] [--tmp-dir DIR]
+//            [--trace 0|1] [--requests N] [--trace-out PATH] [--tmp-dir DIR]
 //
 // train       bootstrap 3 Neos from the PostgreSQL-style expert, then 12
-//             Neo::RunEpisode calls each; the whole pass runs --setup-reps
+//             Neo::RunEpisode calls each; the whole pass runs kSetupReps
 //             times (fixed schedule: --seconds does not change it).
 // serve-hot   ServingCore with 1 worker and 1 closed-loop client cycling the
 //             132 JOB queries after a warm pass; learn=false, no store.
@@ -45,6 +44,7 @@
 #include "src/nn/matrix.h"
 #include "src/serve/serving_core.h"
 #include "src/store/experience_store.h"
+#include "src/util/rng.h"
 
 #ifndef NEOBENCH_BUILD_TYPE
 #define NEOBENCH_BUILD_TYPE "unknown"
@@ -59,6 +59,9 @@ using bench::NeoRun;
 constexpr int kEpisodes = 12;     // DefaultNeoConfig's quick-mode schedule.
 constexpr int kNeoSeeds = 3;      // train: plan quality is a median of 3 seeds.
 constexpr int kEvalEpisodes = 3;  // ... each the median of its last 3 episodes.
+// Set-up runs this many times per process and setup_s is the median; on
+// train the schedule repeats with it. NOTES.md has the measurements.
+constexpr int kSetupReps = 3;
 // The system under test is the same on every run: one IMDb-like database, the
 // 3 Neo seeds train learns with (fig10's 2000 + 131 k) and the serving model
 // (train's first Neo). The workload seed picks what is sent to it: the
@@ -74,14 +77,6 @@ const Clock::time_point kProcessStart = Clock::now();
 
 double NowMs() {
   return std::chrono::duration<double, std::milli>(Clock::now() - kProcessStart).count();
-}
-
-/// splitmix64: derives independent sub-seeds from the workload seed.
-uint64_t Derive(uint64_t seed, uint64_t k) {
-  uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (k + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
 }
 
 double Percentile(std::vector<double> v, double p) {
@@ -119,7 +114,6 @@ struct Args {
   uint64_t seed = 1;
   double seconds = 10.0;
   bool trace = false;
-  int setup_reps = 3;
   int64_t requests = 0;  ///< > 0: serve exactly this many instead of timing.
   std::string trace_out;
   std::string tmp_dir = ".";
@@ -280,6 +274,11 @@ void AddSetupMetrics(const std::vector<SetupTimes>& reps, Report* r) {
   r->layers.push_back({"setup.bootstrap_s", median_of(&SetupTimes::bootstrap_ms)});
   r->layers.push_back({"setup.pretrain_s", median_of(&SetupTimes::pretrain_ms)});
   r->layers.push_back({"setup.prepare_s", median_of(&SetupTimes::prepare_ms)});
+  std::string each;
+  for (const SetupTimes& s : reps) {
+    each += (each.empty() ? "" : " ") + std::to_string(s.total_ms / 1000.0);
+  }
+  r->info.push_back({"setup_s_each", each});
 }
 
 // ---------------------------------------------------------------------------
@@ -292,14 +291,6 @@ struct TrainWorld {
   /// workload seed: plan quality is judged on these.
   std::vector<const query::Query*> heldout;
 };
-
-/// Seeded Fisher-Yates shuffle on splitmix64 draws.
-template <typename T>
-void Shuffle(std::vector<T>* v, uint64_t seed) {
-  for (size_t i = v->size(); i > 1; --i) {
-    std::swap((*v)[i - 1], (*v)[Derive(seed, i) % i]);
-  }
-}
 
 /// What one set-up + schedule of the train workload measured.
 struct TrainPass {
@@ -322,7 +313,7 @@ TrainPass RunTrainSchedule(TrainWorld& world, bool last, Tracer* tr, Report* r) 
   TrainPass pass;
   double nn_ms = 0.0, search_ms = 0.0, samples = 0.0, trace_cost_ms = 0.0;
   std::vector<double> search_per_query_ms, final_loss, ratios;
-  size_t states = 0;
+  size_t states = 0, memo_hits = 0, memo_misses = 0, oracle = 0;
   const double phase0 = NowMs();
   for (const auto& run : world.runs) {
     core::Neo& neo = *run->neo;
@@ -361,6 +352,10 @@ TrainPass RunTrainSchedule(TrainWorld& world, bool last, Tracer* tr, Report* r) 
       }
     }
     if (!last) continue;
+    // Engine counters are read before the expert's plans run on this engine.
+    memo_hits += run->engine->latency_cache_hits();
+    memo_misses += run->engine->latency_cache_misses();
+    oracle += run->engine->oracle().CacheSize();
     const double expert_total = run->OptimizerTotal(run->expert.optimizer.get(), test);
     r->checks.Op(FinitePositive(expert_total), "expert test latency not finite/positive");
     ratios.push_back(Percentile(evals, 50) / expert_total);
@@ -373,13 +368,6 @@ TrainPass RunTrainSchedule(TrainWorld& world, bool last, Tracer* tr, Report* r) 
   }
   if (!last) return pass;
   const double phase_ms = NowMs() - phase0;
-
-  size_t memo_hits = 0, memo_misses = 0, oracle = 0;
-  for (const auto& run : world.runs) {
-    memo_hits += run->engine->latency_cache_hits();
-    memo_misses += run->engine->latency_cache_misses();
-    oracle += run->engine->oracle().CacheSize();
-  }
   memo_hits -= memo_hits0;
   memo_misses -= memo_misses0;
 
@@ -414,11 +402,11 @@ Report RunTrain(const Args& args, Tracer* tr) {
   Report r;
   std::vector<SetupTimes> setups;
   std::vector<TrainPass> passes;
-  // The whole workload (set-up, then the schedule) runs setup_reps times on
+  // The whole workload (set-up, then the schedule) runs kSetupReps times on
   // identical inputs and the medians are reported; only the last pass is
   // evaluated and traced.
-  for (int rep = 0; rep < args.setup_reps; ++rep) {
-    const bool last = rep + 1 == args.setup_reps;
+  for (int rep = 0; rep < kSetupReps; ++rep) {
+    const bool last = rep + 1 == kSetupReps;
     Tracer off(false);
     Tracer* ptr = last ? tr : &off;
     SetupTimes t;
@@ -432,7 +420,8 @@ Report RunTrain(const Args& args, Tracer* tr) {
         world.heldout.push_back(&q);
       }
     }
-    Shuffle(&world.heldout, Derive(args.seed, 2));
+    util::Rng pick = util::Rng(args.seed).Fork(2);
+    pick.Shuffle(world.heldout);
     world.heldout.resize(std::min(world.heldout.size(), world.env->split.test.size()));
     for (int k = 0; k < kNeoSeeds; ++k) {
       world.runs.push_back(
@@ -511,11 +500,12 @@ struct ClientLog {
 /// `count` distinct JOB queries with fresh literals, none of them in the
 /// workload the model was trained on.
 void MakeColdStream(const Env& env, uint64_t seed, size_t count, ServeWorld* w) {
+  const util::Rng literals(seed);
   std::unordered_set<uint64_t> seen;
   for (const query::Query& q : env.workload.queries()) seen.insert(q.fingerprint);
   for (uint64_t i = 0; w->stream.size() < count && i < count; ++i) {
     w->stream_sets.push_back(
-        query::MakeJobWorkload(env.ds.schema, *env.ds.db, Derive(seed, 1000 + i)));
+        query::MakeJobWorkload(env.ds.schema, *env.ds.db, literals.Fork(1000 + i).Next()));
     for (const query::Query& q : w->stream_sets.back().queries()) {
       if (w->stream.size() < count && seen.insert(q.fingerprint).second) {
         w->stream.push_back(&q);
@@ -564,7 +554,8 @@ std::unique_ptr<ServeWorld> SetupServe(const Args& args, bool cold, size_t strea
   } else {
     sopt.workers = 1;
     for (const query::Query& q : w->env->workload.queries()) w->stream.push_back(&q);
-    Shuffle(&w->stream, Derive(args.seed, 1));  // The seed orders the rotation.
+    util::Rng order = util::Rng(args.seed).Fork(1);  // The seed orders the rotation.
+    order.Shuffle(w->stream);
     w->core = std::make_unique<serve::ServingCore>(w->run->neo.get(), sopt);
     for (const query::Query* q : w->stream) w->core->ServeSync(*q, /*learn=*/false);
   }
@@ -636,7 +627,7 @@ Report RunServe(const Args& args, bool cold, Tracer* tr) {
                                           : 0;
   std::vector<SetupTimes> setups;
   std::unique_ptr<ServeWorld> world;
-  for (int rep = 0; rep < args.setup_reps; ++rep) {
+  for (int rep = 0; rep < kSetupReps; ++rep) {
     DropWorld(&world);
     SetupTimes t;
     world = SetupServe(args, cold, static_cast<size_t>(limit), &t, tr);
@@ -684,6 +675,7 @@ Report RunServe(const Args& args, bool cold, Tracer* tr) {
   const serve::ServingStats s1 = core.stats();
   const size_t memo_hits = eng.latency_cache_hits() - memo_hits0;
   const size_t memo_misses = eng.latency_cache_misses() - memo_misses0;
+  const size_t oracle_subsets = eng.oracle().CacheSize();
 
   ClientLog all;
   for (ClientLog& l : logs) {
@@ -795,6 +787,7 @@ Report RunServe(const Args& args, bool cold, Tracer* tr) {
   r.layers.push_back({"serve.post_search_ms_p50", Percentile(post_ms, 50)});
   r.layers.push_back({"serve.post_search_ms_p99", Percentile(post_ms, 99)});
   r.layers.push_back({"serve.handoff_ms_p50", Percentile(handoff_ms, 50)});
+  r.layers.push_back({"serve.handoff_ms_p99", Percentile(handoff_ms, 99)});
   r.layers.push_back({"serve.score_cache_evictions",
                       static_cast<double>(s1.score_cache.evictions -
                                           s0.score_cache.evictions)});
@@ -805,7 +798,7 @@ Report RunServe(const Args& args, bool cold, Tracer* tr) {
                             static_cast<double>(memo_hits + memo_misses))});
   r.layers.push_back({"engine.memo_hits", static_cast<double>(memo_hits)});
   r.layers.push_back({"engine.memo_misses", static_cast<double>(memo_misses)});
-  r.layers.push_back({"engine.oracle_subsets", static_cast<double>(eng.oracle().CacheSize())});
+  r.layers.push_back({"engine.oracle_subsets", static_cast<double>(oracle_subsets)});
   r.layers.push_back({"experience.states",
                       static_cast<double>(w.run->neo->experience().NumStates())});
   if (w.store) {
@@ -874,8 +867,6 @@ bool ParseArgs(int argc, char** argv, Args* a) {
       a->seconds = std::atof(v);
     } else if (k == "--trace") {
       a->trace = std::atoi(v) != 0;
-    } else if (k == "--setup-reps") {
-      a->setup_reps = std::max(1, std::atoi(v));
     } else if (k == "--requests") {
       a->requests = std::atoll(v);
     } else if (k == "--trace-out") {
@@ -898,7 +889,7 @@ int main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, &args)) {
     std::fprintf(stderr,
                  "usage: neobench --workload train|serve-hot|serve-cold --seed N"
-                 " --seconds S [--trace 0|1] [--setup-reps K] [--requests N]"
+                 " --seconds S [--trace 0|1] [--requests N]"
                  " [--trace-out PATH] [--tmp-dir DIR]\n");
     return 2;
   }

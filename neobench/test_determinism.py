@@ -34,7 +34,7 @@ EXTRA = {"train": [], "serve-hot": ["--requests", "3000"]}
 
 def traced_run(binary, workload, seed):
     cmd = [binary, "--workload", workload, "--seed", str(seed), "--seconds", "10",
-           "--trace", "1", "--setup-reps", "1"] + EXTRA[workload]
+           "--trace", "1"] + EXTRA[workload]
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True,
                           timeout=run.RUN_TIMEOUT_S)
     report = json.loads(proc.stdout.strip().splitlines()[-1])
