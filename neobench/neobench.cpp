@@ -15,12 +15,16 @@
 //             132 JOB queries after a warm pass; learn=false, no store.
 // serve-cold  ServingCore with 2 workers, 2 closed-loop clients, no
 //             coalescing, learn=true, a durable ExperienceStore, and a stream
-//             of distinct never-seen JOB queries (fresh literals).
+//             of distinct never-seen JOB queries (fresh literals), the first
+//             kColdWarmup of them served during set-up.
 //
 // Only public entry points are used (bench/common.h's Env/NeoRun, core::Neo,
 // serve::ServingCore, store::ExperienceStore, engine::ExecutionEngine), so the
 // benchmark measures src/ from outside.
 #include <sys/resource.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include <algorithm>
 #include <atomic>
@@ -69,8 +73,15 @@ constexpr int kSetupReps = 3;
 // serve-cold literal stream. NOTES.md has the measurements behind this.
 constexpr uint64_t kDataSeed = 42;
 // serve-*: plan quality covers this many requests from the start of the
-// stream (the expert side costs ~12 ms a query on serve-cold).
+// timed phase (the expert side costs ~12 ms a query on serve-cold).
 constexpr int64_t kQualityRequests = 2000;
+// serve-cold serves this many fresh queries as part of set-up, so the timed
+// phase starts past the start-up transient of the caches and the store (the
+// first 500 requests of a cold stream had a p99 1.7x that of the rest).
+constexpr int64_t kColdWarmup = 500;
+// serve-cold's latency_p99_ms is the median of the p99s of consecutive
+// blocks of this many requests (10 samples beyond each block's p99).
+constexpr size_t kP99Block = 1000;
 
 using Clock = std::chrono::steady_clock;
 const Clock::time_point kProcessStart = Clock::now();
@@ -441,17 +452,20 @@ Report RunTrain(const Args& args, Tracer* tr) {
   r.e2e.push_back({"train_s", median_of([](const TrainPass& p) { return p.train_ms / 1000.0; })});
   // A request of the learning loop is one training query planned, executed
   // and learned from, with its episode's retrain spread over the episode's
-  // queries; its latency is sampled once per episode (36 per pass, so p99
-  // is the slowest episode).
+  // queries; its latency is sampled once per episode. Every pass runs the
+  // same 36 episodes, so each episode counts at its median over the passes
+  // and the percentiles are taken over those 36 (p99 is the slowest).
   r.e2e.push_back({"qps", median_of([](const TrainPass& p) {
                      return p.queries / (p.train_ms / 1000.0);
                    })});
-  r.e2e.push_back({"latency_p50_ms", median_of([](const TrainPass& p) {
-                     return Percentile(p.per_query_ms, 50);
-                   })});
-  r.e2e.push_back({"latency_p99_ms", median_of([](const TrainPass& p) {
-                     return Percentile(p.per_query_ms, 99);
-                   })});
+  std::vector<double> episode_ms;
+  for (size_t e = 0; e < passes.front().per_query_ms.size(); ++e) {
+    std::vector<double> v;
+    for (const TrainPass& p : passes) v.push_back(p.per_query_ms[e]);
+    episode_ms.push_back(Percentile(v, 50));
+  }
+  r.e2e.push_back({"latency_p50_ms", Percentile(episode_ms, 50)});
+  r.e2e.push_back({"latency_p99_ms", Percentile(episode_ms, 99)});
   return r;
 }
 
@@ -491,7 +505,8 @@ struct RequestRecord {
 
 /// What one closed-loop client observed.
 struct ClientLog {
-  std::vector<double> latency_ms;  ///< Submit -> future ready.
+  /// (position in the request stream, Submit -> future ready).
+  std::vector<std::pair<int64_t, double>> latency_ms;
   std::vector<RequestRecord> records;
   double trace_cost_ms = 0.0;
   Checks checks;
@@ -515,78 +530,35 @@ void MakeColdStream(const Env& env, uint64_t seed, size_t count, ServeWorld* w) 
 }
 
 /// Stops the world's core, frees everything and deletes its store directory.
+/// The freed memory goes back to the system, so peak_rss_mb measures the
+/// world that is timed, not whether the allocator kept an earlier set-up's
+/// memory (with serve-cold's warm-up it did in about half the runs, +9%).
 void DropWorld(std::unique_ptr<ServeWorld>* world) {
   if (*world == nullptr) return;
   const std::string dir = (*world)->store_dir;
   world->reset();
   if (!dir.empty()) std::filesystem::remove_all(dir);
-}
-
-std::unique_ptr<ServeWorld> SetupServe(const Args& args, bool cold, size_t stream_len,
-                                       SetupTimes* t, Tracer* tr) {
-  const double t0 = NowMs();
-  const int root = tr->Add("setup", t0, t0);
-  auto w = std::make_unique<ServeWorld>();
-  w->env = MakeEnv(kDataSeed, t, tr, root);
-  w->run = MakeBootstrapped(*w->env, NeoSeed(0), t, tr, root);
-  // The serving model: train's schedule for its first Neo seed.
-  double p0 = NowMs();
-  for (int e = 0; e < kEpisodes; ++e) w->run->neo->RunEpisode(w->env->split.train);
-  double p1 = NowMs();
-  t->pretrain_ms += p1 - p0;
-  tr->Add("setup.pretrain", p0, p1, root);
-
-  serve::ServingOptions sopt;
-  sopt.search = w->run->neo->config().search;
-  if (cold) {
-    sopt.workers = 2;
-    sopt.coalesce = false;
-    MakeColdStream(*w->env, args.seed, stream_len, w.get());
-    w->store_dir = args.tmp_dir + "/neobench-store";
-    std::filesystem::remove_all(w->store_dir);
-    store::StoreOptions stopt;
-    stopt.dir = w->store_dir;
-    w->store = std::make_unique<store::ExperienceStore>(stopt);
-    const util::Status s = w->store->Open();
-    NEO_CHECK_MSG(s.ok(), "cannot open the experience store");
-    sopt.store = w->store.get();
-    w->core = std::make_unique<serve::ServingCore>(w->run->neo.get(), sopt);
-  } else {
-    sopt.workers = 1;
-    for (const query::Query& q : w->env->workload.queries()) w->stream.push_back(&q);
-    util::Rng order = util::Rng(args.seed).Fork(1);  // The seed orders the rotation.
-    order.Shuffle(w->stream);
-    w->core = std::make_unique<serve::ServingCore>(w->run->neo.get(), sopt);
-    for (const query::Query* q : w->stream) w->core->ServeSync(*q, /*learn=*/false);
-  }
-  const double p2 = NowMs();
-  t->prepare_ms += p2 - p1;
-  tr->Add("setup.prepare", p1, p2, root);
-  t->total_ms = p2 - t0;
-  tr->End(root, p2);
-  return w;
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
 }
 
 /// Closed-loop client: takes the next request index from `next` until the
-/// stream ends, the deadline passes or `limit` requests were sent. A `spin`
-/// client polls its future instead of sleeping on it, so the latency it sees
-/// does not include its own wake-up.
+/// stream ends, index `end` (if > 0) is reached, or else the deadline passes.
+/// It sleeps on each future, so it takes no processor from the workers.
 void Client(serve::ServingCore* core, const std::vector<const query::Query*>& stream,
-            bool wrap, bool learn, bool spin, std::atomic<int64_t>* next, int64_t limit,
+            bool wrap, bool learn, std::atomic<int64_t>* next, int64_t end,
             double deadline_ms, bool trace, ClientLog* log) {
   for (;;) {
-    if (limit <= 0 && NowMs() >= deadline_ms) break;
+    if (end <= 0 && NowMs() >= deadline_ms) break;
     const int64_t i = next->fetch_add(1);
-    if (limit > 0 && i >= limit) break;
+    if (end > 0 && i >= end) break;
     if (!wrap && static_cast<size_t>(i) >= stream.size()) break;
     const query::Query& q = *stream[static_cast<size_t>(i) % stream.size()];
     const double t0 = NowMs();
-    std::future<serve::ServeResult> fut = core->Submit(q, learn);
-    while (spin && fut.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-    }
-    const serve::ServeResult res = fut.get();
+    const serve::ServeResult res = core->Submit(q, learn).get();
     const double t1 = NowMs();
-    log->latency_ms.push_back(t1 - t0);
+    log->latency_ms.emplace_back(i, t1 - t0);
     const bool ok = res.status.ok() &&
                     (res.served_from_store || res.search.plan.IsComplete()) &&
                     FinitePositive(res.latency_ms);
@@ -616,21 +588,136 @@ void Client(serve::ServingCore* core, const std::vector<const query::Query*>& st
   }
 }
 
+/// Serves the stream from request `first` with the workload's closed-loop
+/// clients, up to request `end` (if > 0) or else until `deadline_ms`.
+/// serve-hot: one client on this thread. serve-cold: two clients that learn.
+/// Returns what the clients observed, merged.
+ClientLog ServeClosedLoop(serve::ServingCore* core,
+                          const std::vector<const query::Query*>& stream, bool cold,
+                          int64_t first, int64_t end, double deadline_ms, bool trace) {
+  std::atomic<int64_t> next{first};
+  std::vector<ClientLog> logs(cold ? 2 : 1);
+  if (!cold) {
+    Client(core, stream, /*wrap=*/true, /*learn=*/false, &next, end, deadline_ms, trace,
+           &logs[0]);
+  } else {
+    std::vector<std::thread> threads;
+    for (ClientLog& log : logs) {
+      threads.emplace_back(Client, core, std::cref(stream), /*wrap=*/false, /*learn=*/true,
+                           &next, end, deadline_ms, trace, &log);
+    }
+    for (std::thread& th : threads) th.join();
+  }
+  ClientLog all;
+  for (ClientLog& l : logs) {
+    all.latency_ms.insert(all.latency_ms.end(), l.latency_ms.begin(), l.latency_ms.end());
+    all.records.insert(all.records.end(), l.records.begin(), l.records.end());
+    all.trace_cost_ms += l.trace_cost_ms;
+    all.checks.Merge(l.checks);
+  }
+  return all;
+}
+
+/// serve-hot's latency_p99_ms. The rotation serves each query ~180 times;
+/// every request counts at its query's median latency, and the p99 is taken
+/// over those. A query that got slower moves it; a host stall that hits a
+/// few serves of a query does not.
+double QueryMedianP99(const std::vector<std::pair<int64_t, double>>& latency,
+                      size_t rotation) {
+  std::vector<std::vector<double>> by_query(rotation);
+  for (const auto& [i, ms] : latency) by_query[static_cast<size_t>(i) % rotation].push_back(ms);
+  std::vector<double> median(rotation);
+  for (size_t q = 0; q < rotation; ++q) median[q] = Percentile(by_query[q], 50);
+  std::vector<double> v;
+  for (const auto& [i, ms] : latency) v.push_back(median[static_cast<size_t>(i) % rotation]);
+  return Percentile(v, 99);
+}
+
+/// serve-cold's latency_p99_ms. Each query is served once, so the requests
+/// are cut, in stream order, into blocks of kP99Block and the median of the
+/// blocks' p99s is reported: a burst of host noise moves only the blocks it
+/// falls in. With fewer requests than one block, the p99 of all of them.
+double BlockMedianP99(std::vector<std::pair<int64_t, double>> latency) {
+  std::sort(latency.begin(), latency.end());
+  std::vector<double> p99s, block;
+  for (const auto& [i, ms] : latency) {
+    block.push_back(ms);
+    if (block.size() < kP99Block) continue;
+    p99s.push_back(Percentile(block, 99));
+    block.clear();
+  }
+  if (p99s.empty()) return Percentile(block, 99);
+  return Percentile(p99s, 50);
+}
+
+std::unique_ptr<ServeWorld> SetupServe(const Args& args, bool cold, size_t stream_len,
+                                       SetupTimes* t, Checks* checks, Tracer* tr) {
+  const double t0 = NowMs();
+  const int root = tr->Add("setup", t0, t0);
+  auto w = std::make_unique<ServeWorld>();
+  w->env = MakeEnv(kDataSeed, t, tr, root);
+  w->run = MakeBootstrapped(*w->env, NeoSeed(0), t, tr, root);
+  // The serving model: train's schedule for its first Neo seed.
+  double p0 = NowMs();
+  for (int e = 0; e < kEpisodes; ++e) w->run->neo->RunEpisode(w->env->split.train);
+  double p1 = NowMs();
+  t->pretrain_ms += p1 - p0;
+  tr->Add("setup.pretrain", p0, p1, root);
+
+  serve::ServingOptions sopt;
+  sopt.search = w->run->neo->config().search;
+  if (cold) {
+    sopt.workers = 2;
+    sopt.coalesce = false;
+    MakeColdStream(*w->env, args.seed, stream_len, w.get());
+    w->store_dir = args.tmp_dir + "/neobench-store";
+    std::filesystem::remove_all(w->store_dir);
+    store::StoreOptions stopt;
+    stopt.dir = w->store_dir;
+    w->store = std::make_unique<store::ExperienceStore>(stopt);
+    const util::Status s = w->store->Open();
+    NEO_CHECK_MSG(s.ok(), "cannot open the experience store");
+    sopt.store = w->store.get();
+    w->core = std::make_unique<serve::ServingCore>(w->run->neo.get(), sopt);
+    // Warm-up: the head of the stream, served as the timed phase serves.
+    checks->Merge(ServeClosedLoop(w->core.get(), w->stream, /*cold=*/true, 0, kColdWarmup,
+                                  0.0, /*trace=*/false)
+                      .checks);
+    w->core->Drain();
+  } else {
+    sopt.workers = 1;
+    for (const query::Query& q : w->env->workload.queries()) w->stream.push_back(&q);
+    util::Rng order = util::Rng(args.seed).Fork(1);  // The seed orders the rotation.
+    order.Shuffle(w->stream);
+    w->core = std::make_unique<serve::ServingCore>(w->run->neo.get(), sopt);
+    for (const query::Query* q : w->stream) w->core->ServeSync(*q, /*learn=*/false);
+  }
+  const double p2 = NowMs();
+  t->prepare_ms += p2 - p1;
+  tr->Add("setup.prepare", p1, p2, root);
+  t->total_ms = p2 - t0;
+  tr->End(root, p2);
+  return w;
+}
+
 Report RunServe(const Args& args, bool cold, Tracer* tr) {
   Report r;
   // serve-hot serves for --seconds. serve-cold serves a fixed stream of 400
-  // requests per --seconds (about that many seconds today): every request
-  // adds state, so a fixed amount of work keeps peak_rss_mb comparable
-  // between runs and between versions of different speed.
+  // requests per --seconds (about that many seconds today), after the
+  // kColdWarmup requests of set-up: every request adds state, so a fixed
+  // amount of work keeps peak_rss_mb comparable between runs and between
+  // versions of different speed.
   const int64_t limit = args.requests > 0 ? args.requests
                         : cold            ? static_cast<int64_t>(400.0 * args.seconds)
                                           : 0;
+  const int64_t first = cold ? kColdWarmup : 0;  // First request of the timed phase.
+  const int64_t end = limit > 0 ? first + limit : 0;
   std::vector<SetupTimes> setups;
   std::unique_ptr<ServeWorld> world;
   for (int rep = 0; rep < kSetupReps; ++rep) {
     DropWorld(&world);
     SetupTimes t;
-    world = SetupServe(args, cold, static_cast<size_t>(limit), &t, tr);
+    world = SetupServe(args, cold, static_cast<size_t>(end), &t, &r.checks, tr);
     setups.push_back(t);
   }
   AddSetupMetrics(setups, &r);
@@ -650,24 +737,9 @@ Report RunServe(const Args& args, bool cold, Tracer* tr) {
   const double wchar0 = WrittenBytes();
 
   const int clients = cold ? 2 : 1;
-  std::vector<ClientLog> logs(static_cast<size_t>(clients));
-  std::atomic<int64_t> next{0};
   const double phase0 = NowMs();
-  const double deadline = phase0 + args.seconds * 1000.0;
-  if (clients == 1) {
-    // serve-hot: one worker and one client leave two hardware threads idle,
-    // so the client can poll.
-    Client(&core, w.stream, /*wrap=*/true, /*learn=*/false, /*spin=*/true, &next, limit,
-           deadline, tr->on(), &logs[0]);
-  } else {
-    std::vector<std::thread> threads;
-    for (int c = 0; c < clients; ++c) {
-      threads.emplace_back(Client, &core, std::cref(w.stream), /*wrap=*/false,
-                           /*learn=*/true, /*spin=*/false, &next, limit, deadline,
-                           tr->on(), &logs[static_cast<size_t>(c)]);
-    }
-    for (std::thread& th : threads) th.join();
-  }
+  const ClientLog all = ServeClosedLoop(&core, w.stream, cold, first, end,
+                                        phase0 + args.seconds * 1000.0, tr->on());
   core.Drain();
   const double phase_ms = NowMs() - phase0;
   const double wchar = WrittenBytes() - wchar0;
@@ -677,13 +749,6 @@ Report RunServe(const Args& args, bool cold, Tracer* tr) {
   const size_t memo_misses = eng.latency_cache_misses() - memo_misses0;
   const size_t oracle_subsets = eng.oracle().CacheSize();
 
-  ClientLog all;
-  for (ClientLog& l : logs) {
-    all.latency_ms.insert(all.latency_ms.end(), l.latency_ms.begin(), l.latency_ms.end());
-    all.records.insert(all.records.end(), l.records.begin(), l.records.end());
-    all.trace_cost_ms += l.trace_cost_ms;
-    all.checks.Merge(l.checks);
-  }
   r.checks.Merge(all.checks);
   const size_t served = all.latency_ms.size();
   const uint64_t completed = s1.total_latency.count() - s0.total_latency.count();
@@ -706,14 +771,14 @@ Report RunServe(const Args& args, bool cold, Tracer* tr) {
   }
 
   // Plan quality, from the traced run: Neo's executed latency over the first
-  // kQualityRequests requests of the stream against the expert's plans for
-  // the same queries. The expert side runs after the timed phase, so it
+  // kQualityRequests requests of the timed phase against the expert's plans
+  // for the same queries. The expert side runs after the timed phase, so it
   // cannot warm the oracle for the served plans.
   double neo_total = 0.0, expert_total = 0.0;
   {
     std::unordered_map<const query::Query*, double> expert_ms;
     for (const RequestRecord& rec : all.records) {
-      if (rec.index >= kQualityRequests) continue;
+      if (rec.index >= first + kQualityRequests) continue;
       const query::Query* q = w.stream[static_cast<size_t>(rec.index) % w.stream.size()];
       auto it = expert_ms.find(q);
       if (it == expert_ms.end()) {
@@ -731,9 +796,13 @@ Report RunServe(const Args& args, bool cold, Tracer* tr) {
                 "neo_vs_expert not finite");
   }
 
+  std::vector<double> latency;
+  for (const auto& [i, ms] : all.latency_ms) latency.push_back(ms);
   r.e2e.push_back({"qps", static_cast<double>(served) / (phase_ms / 1000.0)});
-  r.e2e.push_back({"latency_p50_ms", Percentile(all.latency_ms, 50)});
-  r.e2e.push_back({"latency_p99_ms", Percentile(all.latency_ms, 99)});
+  r.e2e.push_back({"latency_p50_ms", Percentile(latency, 50)});
+  r.e2e.push_back({"latency_p99_ms", cold ? BlockMedianP99(all.latency_ms)
+                                          : QueryMedianP99(all.latency_ms, w.stream.size())});
+  r.info.push_back({"latency_p99_single_ms", std::to_string(Percentile(latency, 99))});
 
   // Per-layer metrics, from the per-request records of the traced run.
   r.layers.push_back({"quality.neo_vs_expert", neo_vs_expert});
