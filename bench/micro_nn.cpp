@@ -1,13 +1,12 @@
 // Micro-benchmarks (google-benchmark): neural network primitives. Also
-// emits BENCH_train.json — TrainBatch throughput for the per-sample loop vs
-// the packed-forest path at 1 and 8 threads — so successive PRs can track
-// the training-path perf trajectory (the inference counterpart lives in
-// micro_search's BENCH_search.json).
+// emits BENCH_train.json — packed-forest TrainBatch throughput at 1 and 8
+// threads, with per-layer conv flop/byte counters and the steady-state
+// allocation probe — so the training-path perf trajectory stays tracked
+// (the inference counterpart lives in micro_search's BENCH_search.json).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,6 +71,8 @@ void BM_MatMulTransposeB(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulTransposeB)->Arg(64)->Arg(128)->Arg(256);
 
+/// The training conv forward (TreeConv::ForwardTrain, fused epilogue) on
+/// one tree; items/sec is nodes/sec.
 void BM_TreeConvForward(benchmark::State& state) {
   const int nodes = static_cast<int>(state.range(0));
   neo::util::Rng rng(2);
@@ -84,8 +85,14 @@ void BM_TreeConvForward(benchmark::State& state) {
     tree.right[static_cast<size_t>(i)] = i + 2;
   }
   const Matrix x = RandomMatrix(nodes, 53, rng);
+  const TreeGather gather = TreeGather::Build(tree);
+  TreeConv::TrainScratch scratch;
+  Matrix y;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.Forward(tree, x));
+    conv.ForwardTrain(tree, x, nullptr, nullptr, gather, &scratch,
+                      /*leaky_alpha=*/0.01f, &y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * nodes);
 }
@@ -198,9 +205,7 @@ void BM_ValueNetPredictLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_ValueNetPredictLoop)->Arg(8)->Arg(32)->Arg(128);
 
-/// Training fixture: `batch` samples with mixed tree shapes. `packed`
-/// selects the packed-forest path vs the per-sample loop; `threads` the
-/// GEMM row-partitioning degree.
+/// Training fixture: `batch` samples with mixed tree shapes.
 struct TrainFixture {
   ValueNetwork net;
   std::vector<PlanSample> samples;
@@ -244,16 +249,6 @@ void BM_ValueNetTrainBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ValueNetTrainBatch);
 
-void BM_ValueNetTrainBatchPerSample(benchmark::State& state) {
-  TrainFixture f(32);
-  f.net.SetBatchedTraining(false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.net.TrainBatch(f.ptrs, f.targets));
-  }
-  state.SetItemsProcessed(state.iterations() * 32);
-}
-BENCHMARK(BM_ValueNetTrainBatchPerSample);
-
 // ---- BENCH_train.json ------------------------------------------------------
 
 struct TrainThroughput {
@@ -269,18 +264,13 @@ struct TrainThroughput {
 
 /// Steps a fresh default-width network (paper-shaped 64/32/16 conv stack)
 /// `steps` times on a batch-64 set and reports samples/sec. All arms train
-/// on identical data from identical initial weights. `sparse` selects the
-/// sparse (skip absent children) vs dense (zero-padded) training conv;
-/// `packed` the packed-forest vs per-sample path.
-TrainThroughput MeasureTrainThroughput(bool packed, bool sparse, int threads,
-                                       int steps) {
+/// on identical data from identical initial weights; `threads` is the GEMM
+/// row-partitioning degree.
+TrainThroughput MeasureTrainThroughput(int threads, int steps) {
   ValueNetConfig cfg;
   cfg.query_dim = 66;
   cfg.plan_dim = 21;  // Default channel widths (64/32/16) from ValueNetConfig.
   ValueNetwork net(cfg);
-  net.SetBatchedTraining(packed);
-  const bool prev_sparse = SparseTrainingConv();
-  SetSparseTrainingConv(sparse);
   ComputeThreadsScope scope(threads);
 
   neo::util::Rng rng(5);
@@ -306,7 +296,7 @@ TrainThroughput MeasureTrainThroughput(bool packed, bool sparse, int threads,
   out.final_loss = net.TrainBatch(ptrs, targets);  // Buffers now at capacity.
   // Steady-state alloc probe: TrainBatch brackets its own work in an
   // AllocRegionScope, so RegionAllocs() counts exactly the step's heap
-  // traffic. The packed path must be zero once warm.
+  // traffic. It must be zero once warm.
   neo::util::ArmAllocCounter(true);
   neo::util::ResetRegionAllocs();
   out.final_loss = net.TrainBatch(ptrs, targets);
@@ -332,7 +322,6 @@ TrainThroughput MeasureTrainThroughput(bool packed, bool sparse, int threads,
                                   : cfg.tree_channels[li - 1]);
     out.conv_out.push_back(cfg.tree_channels[li]);
   }
-  SetSparseTrainingConv(prev_sparse);
   return out;
 }
 
@@ -378,29 +367,12 @@ void WriteTrainJson(const std::string& path, int steps) {
   // unknown — treat that as single too).
   const unsigned hw = std::thread::hardware_concurrency();
   const bool thread_arms_skipped = hw <= 1;
-  const TrainThroughput per_sample =
-      MeasureTrainThroughput(false, true, 1, steps);
-  const TrainThroughput dense_train =
-      MeasureTrainThroughput(true, false, 1, steps);
-  const TrainThroughput sparse_train =
-      MeasureTrainThroughput(true, true, 1, steps);
+  const TrainThroughput sparse_train = MeasureTrainThroughput(1, steps);
   const TrainThroughput sparse_t8 = thread_arms_skipped
                                         ? TrainThroughput{}
-                                        : MeasureTrainThroughput(true, true, 8, steps);
-  const double speedup_packing =
-      sparse_train.samples_per_sec / per_sample.samples_per_sec;
-  const double speedup_sparse =
-      sparse_train.samples_per_sec / dense_train.samples_per_sec;
+                                        : MeasureTrainThroughput(8, steps);
   const double speedup_threads =
       thread_arms_skipped ? 0.0 : sparse_t8.samples_per_sec / sparse_train.samples_per_sec;
-  // The two packed arms must see the same loss trajectory bitwise (the
-  // sparse skip is an exact no-op); nn_test asserts it, the bench records it.
-  const bool first_loss_bit_identical =
-      std::memcmp(&dense_train.first_loss, &sparse_train.first_loss,
-                  sizeof(float)) == 0;
-  const bool final_loss_bit_identical =
-      std::memcmp(&dense_train.final_loss, &sparse_train.final_loss,
-                  sizeof(float)) == 0;
 
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
@@ -417,50 +389,36 @@ void WriteTrainJson(const std::string& path, int steps) {
                "  \"thread_arms_skipped\": %s,\n",
                steps, hw, KernelArchString(),
                thread_arms_skipped ? "true" : "false");
-  PrintTrainArm(out, "per_sample", per_sample, ",");
-  PrintTrainArm(out, "dense_train", dense_train, ",");
   PrintTrainArm(out, "sparse_train", sparse_train, ",");
   if (!thread_arms_skipped) {
     PrintTrainArm(out, "sparse_train_threads8", sparse_t8, ",");
   }
-  PrintConvLayers(out, "conv_layers_dense", dense_train, ",");
   PrintConvLayers(out, "conv_layers", sparse_train, ",");
-  // Zero-alloc gate for the default (packed sparse) training path. When the
-  // alloc counter is compiled out (sanitizer builds) the gate is vacuous.
+  // Zero-alloc gate for the training path. When the alloc counter is
+  // compiled out (sanitizer builds) the gate is vacuous.
   const bool counter_active = neo::util::AllocCounterActive();
   const bool zero_alloc = !counter_active || sparse_train.steady_allocs == 0;
   std::fprintf(out, "  \"alloc_counter_active\": %s,\n",
                counter_active ? "true" : "false");
   std::fprintf(out, "  \"steady_state_heap_allocs\": %llu,\n",
                static_cast<unsigned long long>(sparse_train.steady_allocs));
-  std::fprintf(out, "  \"steady_state_zero_alloc\": %s,\n",
+  std::fprintf(out, "  \"steady_state_zero_alloc\": %s",
                zero_alloc ? "true" : "false");
-  std::fprintf(out, "  \"first_loss_bit_identical\": %s,\n",
-               first_loss_bit_identical ? "true" : "false");
-  std::fprintf(out, "  \"final_loss_bit_identical\": %s,\n",
-               final_loss_bit_identical ? "true" : "false");
-  std::fprintf(out, "  \"speedup_from_packing\": %.2f,\n", speedup_packing);
-  std::fprintf(out, "  \"speedup_sparse_vs_dense\": %.2f", speedup_sparse);
   if (!thread_arms_skipped) {
     std::fprintf(out, ",\n  \"speedup_from_threads\": %.2f\n}\n", speedup_threads);
   } else {
     std::fprintf(out, "\n}\n");
   }
   std::fclose(out);
-  std::printf("TrainBatch throughput (batch 64): per-sample %.0f, dense %.0f,"
-              " sparse %.0f samples/s; steady-state allocs/step %llu"
-              " (%.2fx sparse-vs-dense, %.2fx packing;"
-              " loss bit-identical first=%d final=%d",
-              per_sample.samples_per_sec, dense_train.samples_per_sec,
+  std::printf("TrainBatch throughput (batch 64): %.0f samples/s;"
+              " steady-state allocs/step %llu",
               sparse_train.samples_per_sec,
-              static_cast<unsigned long long>(sparse_train.steady_allocs),
-              speedup_sparse, speedup_packing,
-              first_loss_bit_identical ? 1 : 0, final_loss_bit_identical ? 1 : 0);
+              static_cast<unsigned long long>(sparse_train.steady_allocs));
   if (thread_arms_skipped) {
-    std::printf("; thread arms skipped, hardware_threads=%u) -> %s\n", hw,
+    std::printf(" (thread arms skipped, hardware_threads=%u) -> %s\n", hw,
                 path.c_str());
   } else {
-    std::printf("; sparse@8t %.0f, %.2fx threads) -> %s\n",
+    std::printf(" (@8t %.0f, %.2fx threads) -> %s\n",
                 sparse_t8.samples_per_sec, speedup_threads, path.c_str());
   }
 }

@@ -1,7 +1,8 @@
 // Micro-benchmarks: plan search (children enumeration, full best-first
-// search, featurization throughput), plus a direct batched-vs-unbatched
-// scoring-throughput comparison whose result is written to BENCH_search.json
-// so successive PRs can track the inference-path perf trajectory.
+// search, featurization throughput), plus a cold-search scoring-throughput
+// measurement (incremental search, with speculation, at 1 and 8 kernel
+// threads) written to BENCH_search.json so the inference-path perf
+// trajectory stays tracked.
 //
 // The google-benchmark suite runs after the JSON measurement; pass any
 // benchmark flags (e.g. --benchmark_filter) as usual.
@@ -126,7 +127,6 @@ void BM_BestFirstSearchCold(benchmark::State& state) {
   const query::Query& q = f.wl.query(60);
   core::SearchOptions opt;
   opt.max_expansions = 40;
-  opt.batched = state.range(0) != 0;
   int64_t evals = 0;
   for (auto _ : state) {
     state.PauseTiming();
@@ -136,9 +136,8 @@ void BM_BestFirstSearchCold(benchmark::State& state) {
     evals += static_cast<int64_t>(r.evaluations);
   }
   state.SetItemsProcessed(evals);
-  state.SetLabel(opt.batched ? "batched" : "per-candidate");
 }
-BENCHMARK(BM_BestFirstSearchCold)->Arg(1)->Arg(0);
+BENCHMARK(BM_BestFirstSearchCold);
 
 /// Cold greedy descent: a fresh Neo per iteration so the score cache never
 /// carries over from earlier benchmarks (the shared-fixture Neo would serve
@@ -168,29 +167,21 @@ struct ThroughputResult {
 };
 
 /// Repeatedly runs a cold best-first search (fresh network => empty cache,
-/// construction untimed) and reports plans scored per second. With
-/// `reference_kernels`, GEMMs route through the naive triple loops — combined
-/// with `batched = false` this reconstructs the seed per-candidate path.
-/// `threads` row-partitions the scoring GEMMs over the pool; `speculation`
-/// expands that many heap states per scoring round; `incremental` turns on
-/// the activation cache (reuse subtree conv rows across parent/child plans).
-ThroughputResult MeasureSearchThroughput(bool batched, bool reference_kernels,
-                                         int reps, int threads = 1,
-                                         int speculation = 1,
-                                         bool incremental = false) {
+/// construction untimed) and reports plans scored per second. `threads`
+/// row-partitions the scoring GEMMs over the pool; `speculation` expands
+/// that many heap states per scoring round.
+ThroughputResult MeasureSearchThroughput(int reps, int threads,
+                                         int speculation) {
   Fixture& f = Fixture::Get();
   const query::Query& q = f.wl.query(60);
   core::SearchOptions opt;
   opt.max_expansions = 40;
-  opt.batched = batched;
   opt.threads = threads;
   opt.speculation = speculation;
-  opt.incremental = incremental;
 
   // Default ValueNetConfig channel widths (the paper-shaped 64/32/16 conv
   // stack), not the narrower widths the google-benchmark fixture uses.
   core::NeoConfig cfg;
-  nn::SetUseReferenceKernels(reference_kernels);
   ThroughputResult out;
   double total_s = 0.0;
   for (int rep = 0; rep < reps + 1; ++rep) {
@@ -205,7 +196,6 @@ ThroughputResult MeasureSearchThroughput(bool batched, bool reference_kernels,
     out.rows_recomputed += r.rows_recomputed;
     out.rows_reused += r.rows_reused;
   }
-  nn::SetUseReferenceKernels(false);
   out.plans_per_sec = static_cast<double>(out.evaluations) / total_s;
   out.wall_ms_mean = total_s * 1000.0 / reps;
   return out;
@@ -221,25 +211,15 @@ void PrintArm(std::FILE* out, const char* name, const ThroughputResult& r,
 }
 
 void WriteSearchJson(const std::string& path, int reps) {
-  // Seven arms: the seed path (per-candidate scoring, naive GEMMs), the
-  // blocked kernels alone (per-candidate), the full batched pipeline, the
-  // incremental pipeline (batched + activation cache, alone and with
-  // speculation 8), and the speculative batched pipeline (8 states per
-  // round) at 1 and 8 kernel threads. The two speculative arms differ only
-  // in SearchOptions::threads (same kernels, same expansions), so their
-  // ratio is the pure thread-pool scaling of the scoring path on this
-  // machine; batched vs. incremental differ only in
-  // SearchOptions::incremental, so their ratio is the pure win from reusing
-  // subtree conv activations across parent/child plans.
-  const ThroughputResult seed = MeasureSearchThroughput(false, true, reps);
-  const ThroughputResult unbatched = MeasureSearchThroughput(false, false, reps);
-  const ThroughputResult batched = MeasureSearchThroughput(true, false, reps);
-  const ThroughputResult incremental = MeasureSearchThroughput(
-      true, false, reps, /*threads=*/1, /*speculation=*/1, /*incremental=*/true);
-  const ThroughputResult inc_spec8 = MeasureSearchThroughput(
-      true, false, reps, /*threads=*/1, /*speculation=*/8, /*incremental=*/true);
-  const ThroughputResult spec_t1 =
-      MeasureSearchThroughput(true, false, reps, /*threads=*/1, /*speculation=*/8);
+  // Three arms of the one search path (batched, incremental scoring): one
+  // heap state per round, and 8 states per round (speculation) at 1 and 8
+  // kernel threads. The two speculative arms differ only in
+  // SearchOptions::threads (same kernels, same expansions), so their ratio
+  // is the pure thread-pool scaling of the scoring path on this machine.
+  const ThroughputResult incremental =
+      MeasureSearchThroughput(reps, /*threads=*/1, /*speculation=*/1);
+  const ThroughputResult inc_spec8 =
+      MeasureSearchThroughput(reps, /*threads=*/1, /*speculation=*/8);
   // On a single-hardware-thread machine the "threads 8" arm would re-measure
   // the serial path (the pool runs every chunk inline) and record a
   // misleading ~1.0x thread speedup; skip it and flag the skip.
@@ -248,13 +228,10 @@ void WriteSearchJson(const std::string& path, int reps) {
   const ThroughputResult spec_t8 =
       thread_arms_skipped
           ? ThroughputResult{}
-          : MeasureSearchThroughput(true, false, reps, /*threads=*/8,
-                                    /*speculation=*/8);
-  const double speedup_vs_seed = batched.plans_per_sec / seed.plans_per_sec;
-  const double speedup_batching = batched.plans_per_sec / unbatched.plans_per_sec;
-  const double speedup_incremental = incremental.plans_per_sec / batched.plans_per_sec;
+          : MeasureSearchThroughput(reps, /*threads=*/8, /*speculation=*/8);
   const double speedup_threads =
-      thread_arms_skipped ? 0.0 : spec_t8.plans_per_sec / spec_t1.plans_per_sec;
+      thread_arms_skipped ? 0.0
+                          : spec_t8.plans_per_sec / inc_spec8.plans_per_sec;
 
   Fixture& f = Fixture::Get();
   const query::Query& q = f.wl.query(60);
@@ -274,14 +251,10 @@ void WriteSearchJson(const std::string& path, int reps) {
                "  \"thread_arms_skipped\": %s,\n",
                q.num_relations(), reps, hw, nn::KernelArchString(),
                thread_arms_skipped ? "true" : "false");
-  PrintArm(out, "seed_path", seed, ",");
-  PrintArm(out, "unbatched", unbatched, ",");
-  PrintArm(out, "batched", batched, ",");
   PrintArm(out, "incremental", incremental, ",");
   PrintArm(out, "incremental_spec8", inc_spec8, ",");
-  PrintArm(out, "batched_spec8_threads1", spec_t1, ",");
   if (!thread_arms_skipped) {
-    PrintArm(out, "batched_spec8_threads8", spec_t8, ",");
+    PrintArm(out, "incremental_spec8_threads8", spec_t8, ",");
   }
 
   // Conv-flop reuse of the incremental arm, per layer: a node hit saves its
@@ -318,14 +291,9 @@ void WriteSearchJson(const std::string& path, int reps) {
                    flops_per_row * static_cast<double>(rows_reused) * 1e-9);
       cin = cout;
     }
-    std::fprintf(out, "]},\n");
+    std::fprintf(out, "]}");
   }
 
-  std::fprintf(out,
-               "  \"speedup_vs_seed\": %.2f,\n"
-               "  \"speedup_from_batching\": %.2f,\n"
-               "  \"speedup_from_incremental\": %.2f",
-               speedup_vs_seed, speedup_batching, speedup_incremental);
   if (!thread_arms_skipped) {
     std::fprintf(out, ",\n  \"speedup_from_threads\": %.2f\n}\n", speedup_threads);
   } else {
@@ -333,22 +301,16 @@ void WriteSearchJson(const std::string& path, int reps) {
   }
   std::fclose(out);
   if (thread_arms_skipped) {
-    std::printf("search scoring throughput: seed %.0f, unbatched %.0f, batched"
-                " %.0f, incremental %.0f plans/s (%.2fx vs seed, %.2fx from"
-                " activation reuse); thread arms skipped (hardware_threads=%u)"
+    std::printf("search scoring throughput: incremental %.0f plans/s, spec8"
+                " %.0f plans/s; thread arms skipped (hardware_threads=%u)"
                 " -> %s\n",
-                seed.plans_per_sec, unbatched.plans_per_sec,
-                batched.plans_per_sec, incremental.plans_per_sec,
-                speedup_vs_seed, speedup_incremental, hw, path.c_str());
-  } else {
-    std::printf("search scoring throughput: seed %.0f, unbatched %.0f, batched"
-                " %.0f, incremental %.0f plans/s (%.2fx vs seed, %.2fx from"
-                " activation reuse); spec8 %0.f -> %.0f plans/s (%.2fx from 8"
-                " threads) -> %s\n",
-                seed.plans_per_sec, unbatched.plans_per_sec, batched.plans_per_sec,
-                incremental.plans_per_sec, speedup_vs_seed, speedup_incremental,
-                spec_t1.plans_per_sec, spec_t8.plans_per_sec, speedup_threads,
+                incremental.plans_per_sec, inc_spec8.plans_per_sec, hw,
                 path.c_str());
+  } else {
+    std::printf("search scoring throughput: incremental %.0f plans/s; spec8"
+                " %.0f -> %.0f plans/s (%.2fx from 8 threads) -> %s\n",
+                incremental.plans_per_sec, inc_spec8.plans_per_sec,
+                spec_t8.plans_per_sec, speedup_threads, path.c_str());
   }
 }
 

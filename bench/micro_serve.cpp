@@ -1,13 +1,13 @@
 // Serving-core micro-benchmarks + the BENCH_serve.json concurrency report.
 //
 // The JSON measurement drives a ServingCore over a JOB subset with closed-loop
-// clients and reports, per arm (clients x coalescing):
+// clients and reports, per arm (client count):
 //   qps, p50/p95/p99 request latency (from the serving histograms), and the
-//   coalescer / shared-cache counters — so the scaling curve and the batch-
-//   merge rate are both visible. Two acceptance probes ride along:
+//   shared-cache counters — so the scaling curve and the cache hit rates are
+//   both visible. Two acceptance probes ride along:
 //   single_client_bit_identical - a one-worker serving loop replays the exact
 //               latencies of the inline plan+execute+learn loop on a twin Neo
-//               (the RCU snapshot, shared caches, and coalescer must all be
+//               (the RCU snapshot and shared caches must both be
 //               bit-transparent), and
 //   retrain_overlap - background RetrainAndPublish cycles run while a client
 //               hammers the core; serving must keep completing during them.
@@ -139,12 +139,10 @@ BENCHMARK(BM_ServeSyncHot);
 
 struct ArmResult {
   int clients = 0;
-  bool coalesced = false;
   int workers = 0;
   uint64_t requests = 0;
   double qps = 0.0;  ///< Median over reps of the measured serving phase.
   double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0;
-  serve::BatchCoalescer::Stats coalescer;
   util::ShardedLruStats score_cache;
   util::ShardedLruStats activation_cache;
   util::ShardedLruStats leaf_cache;
@@ -153,7 +151,7 @@ struct ArmResult {
 
 /// One serving arm: `clients` closed-loop threads issue `requests` total
 /// requests per rep against a fresh core; qps is the median rep.
-ArmResult RunArm(int clients, bool coalesced, int requests, int reps) {
+ArmResult RunArm(int clients, int requests, int reps) {
   Fixture& f = Fixture::Get();
   const core::NeoConfig cfg = Fixture::Config();
   Rig rig = MakeRig(cfg);
@@ -161,7 +159,6 @@ ArmResult RunArm(int clients, bool coalesced, int requests, int reps) {
 
   serve::ServingOptions sopt;
   sopt.workers = std::min(clients, 8);
-  sopt.coalesce = coalesced;
   sopt.search = cfg.search;
   serve::ServingCore core(rig.neo.get(), sopt);
   core.PublishWeights();
@@ -191,14 +188,12 @@ ArmResult RunArm(int clients, bool coalesced, int requests, int reps) {
   const serve::ServingStats stats = core.stats();
   ArmResult r;
   r.clients = clients;
-  r.coalesced = coalesced;
   r.workers = sopt.workers;
   r.requests = stats.requests;
   r.qps = rep_qps[rep_qps.size() / 2];
   r.p50_ms = stats.total_latency.Percentile(50);
   r.p95_ms = stats.total_latency.Percentile(95);
   r.p99_ms = stats.total_latency.Percentile(99);
-  r.coalescer = stats.coalescer;
   r.score_cache = stats.score_cache;
   r.activation_cache = stats.activation_cache;
   r.leaf_cache = stats.leaf_cache;
@@ -206,9 +201,8 @@ ArmResult RunArm(int clients, bool coalesced, int requests, int reps) {
   return r;
 }
 
-/// Steady-state allocation probe over the real scoring path: a warmed direct
-/// PlanSearch (no coalescer — the gather/merge machinery inherently
-/// allocates) alternating over a few queries so every round does full NN
+/// Steady-state allocation probe over the real scoring path: a warmed
+/// PlanSearch alternating over a few queries so every round does full NN
 /// work (the per-query score cache re-salts on each switch) while all
 /// buffers sit at capacity. RegionAllocs() counts mallocs inside ScoreAll's
 /// probe+forward region only.
@@ -489,62 +483,42 @@ OverloadArm MeasureOverload() {
 
 void AppendArmJson(std::FILE* out, const ArmResult& r, bool last) {
   std::fprintf(out,
-               "    {\"clients\": %d, \"coalesced\": %s, \"workers\": %d,"
+               "    {\"clients\": %d, \"workers\": %d,"
                " \"requests\": %llu, \"qps\": %.2f,"
                " \"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f,"
-               " \"merged_groups\": %llu, \"merged_requests\": %llu,"
-               " \"direct_calls\": %llu,"
                " \"score_cache_hits\": %llu, \"score_cache_misses\": %llu,"
                " \"activation_cache_hits\": %llu,"
-               " \"leaf_tier_hits\": %llu, \"leaf_cache_hits\": %llu,"
-               " \"coalescer_window_us\": %d}%s\n",
-               r.clients, r.coalesced ? "true" : "false", r.workers,
+               " \"leaf_tier_hits\": %llu, \"leaf_cache_hits\": %llu}%s\n",
+               r.clients, r.workers,
                static_cast<unsigned long long>(r.requests), r.qps, r.p50_ms,
                r.p95_ms, r.p99_ms,
-               static_cast<unsigned long long>(r.coalescer.merged_groups),
-               static_cast<unsigned long long>(r.coalescer.merged_requests),
-               static_cast<unsigned long long>(r.coalescer.direct_calls),
                static_cast<unsigned long long>(r.score_cache.hits),
                static_cast<unsigned long long>(r.score_cache.misses),
                static_cast<unsigned long long>(r.activation_cache.hits),
                static_cast<unsigned long long>(r.leaf_tier_hits),
                static_cast<unsigned long long>(r.leaf_cache.hits),
-               r.coalescer.last_window_us, last ? "" : ",");
+               last ? "" : ",");
 }
 
 void WriteServeJson(const std::string& path, int reps) {
-  if (nn::UseReferenceKernels()) {
-    std::fprintf(stderr,
-                 "micro_serve: reference kernels active; serving requires fast"
-                 " kernels, skipping %s\n",
-                 path.c_str());
-    return;
-  }
   Fixture& f = Fixture::Get();
   constexpr int kRequestsPerArm = 256;
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
   std::vector<ArmResult> arms;
   for (const int clients : {1, 2, 4, 8, 16, 32, 64}) {
-    arms.push_back(RunArm(clients, /*coalesced=*/true, kRequestsPerArm, reps));
-  }
-  for (const int clients : {1, 8, 32}) {
-    arms.push_back(RunArm(clients, /*coalesced=*/false, kRequestsPerArm, reps));
+    arms.push_back(RunArm(clients, kRequestsPerArm, reps));
   }
 
   double qps_1 = 0.0, qps_multi_best = 0.0;
-  double qps_coal8 = 0.0, qps_uncoal8 = 0.0;
   for (const ArmResult& a : arms) {
-    if (a.coalesced && a.clients == 1) qps_1 = a.qps;
-    if (a.coalesced && a.clients > 1) qps_multi_best = std::max(qps_multi_best, a.qps);
-    if (a.clients == 8) (a.coalesced ? qps_coal8 : qps_uncoal8) = a.qps;
+    if (a.clients == 1) qps_1 = a.qps;
+    if (a.clients > 1) qps_multi_best = std::max(qps_multi_best, a.qps);
   }
   // On a multi-core host concurrent clients must not lose throughput vs one
   // client (10% noise floor); a single hardware thread cannot scale and is
   // reported as such rather than failed.
   const bool qps_scaling_ok = hw <= 1 || qps_multi_best >= qps_1 * 0.9;
-  const double coalesce_speedup =
-      qps_uncoal8 > 0.0 ? qps_coal8 / qps_uncoal8 : 0.0;
 
   const bool bit_identical = SingleClientBitIdentical();
   const RetrainOverlap overlap = MeasureRetrainOverlap();
@@ -575,7 +549,6 @@ void WriteServeJson(const std::string& path, int reps) {
                "  ],\n"
                "  \"single_client_bit_identical\": %s,\n"
                "  \"qps_scaling_ok\": %s,\n"
-               "  \"coalesce_speedup_8clients\": %.3f,\n"
                "  \"alloc_counter_active\": %s,\n"
                "  \"steady_state_heap_allocs\": %llu,\n"
                "  \"steady_state_zero_alloc\": %s,\n"
@@ -604,7 +577,7 @@ void WriteServeJson(const std::string& path, int reps) {
                " \"queue_depth_hwm\": %zu, \"no_admission_hwm\": %zu}\n"
                "}\n",
                bit_identical ? "true" : "false", qps_scaling_ok ? "true" : "false",
-               coalesce_speedup, steady.counter_active ? "true" : "false",
+               steady.counter_active ? "true" : "false",
                static_cast<unsigned long long>(steady.heap_allocs),
                zero_alloc ? "true" : "false", steady.slab_peak_bytes,
                overlap.retrains,
@@ -641,14 +614,14 @@ void WriteServeJson(const std::string& path, int reps) {
 
   std::printf(
       "serving: 1-client %.0f qps; best multi-client %.0f qps (%u hw threads,"
-      " scaling ok: %s); coalesce speedup @8 clients %.2fx;"
+      " scaling ok: %s);"
       " single-client bit-identical: %s; steady-state allocs %llu"
       " (slab peak %zu B); %llu serves overlapped %d retrains"
       " (generation %llu); store arm: %llu types, %llu pinned serves at"
       " %.0f qps; overload: %llu/%llu served under a 10x burst (hwm %zu/cap"
       " %zu vs %zu unbounded, served-wait max %.1f ms vs %.0f ms deadline,"
       " bound %s, %llu abandoned) -> %s\n",
-      qps_1, qps_multi_best, hw, qps_scaling_ok ? "yes" : "NO", coalesce_speedup,
+      qps_1, qps_multi_best, hw, qps_scaling_ok ? "yes" : "NO",
       bit_identical ? "yes" : "NO",
       static_cast<unsigned long long>(steady.heap_allocs), steady.slab_peak_bytes,
       static_cast<unsigned long long>(overlap.serves_during_retrain),

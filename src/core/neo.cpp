@@ -243,13 +243,8 @@ EpisodeStats Neo::RunEpisode(const std::vector<const query::Query*>& queries) {
   rng_.Shuffle(order);
   util::Stopwatch search_watch;
   double search_ms = 0.0;
-  // Reference-kernel mode (bench seed-path reconstruction) routes inference
-  // through the dense forward, which mutates shared layer caches and is
-  // single-thread only — force serial planning rather than race.
-  const int planners = nn::UseReferenceKernels()
-                           ? 1
-                           : std::min<int>(config_.threads,
-                                           static_cast<int>(order.size()));
+  const int planners =
+      std::min<int>(config_.threads, static_cast<int>(order.size()));
   if (planners <= 1) {
     for (const query::Query* q : order) {
       search_watch.Restart();

@@ -42,11 +42,11 @@ const plan::PlanNode* FirstUnspecified(const plan::PlanNode& node) {
 /// recomputes in its first expansion rounds.
 constexpr int kLeafTierMaxNodes = 3;
 
-/// Kernel mode/ISA bits folded into every shared-cache salt; the low tag bit
-/// keeps any salt from colliding with a raw fingerprint.
+/// Kernel dispatch arm folded into every shared-cache salt (bits 2+; bit 1
+/// is unused); the low tag bit keeps any salt from colliding with a raw
+/// fingerprint.
 uint64_t KernelModeBits() {
-  return (static_cast<uint64_t>(nn::ActiveKernelIsa()) << 2) |
-         (nn::UseReferenceKernels() ? 2u : 0u) | 1u;
+  return (static_cast<uint64_t>(nn::ActiveKernelIsa()) << 2) | 1u;
 }
 
 }  // namespace
@@ -144,7 +144,6 @@ void PlanSearch::SyncCache(const query::Query& query, const SearchOptions& optio
                              : 0;
   if (cache_valid_ && cache_query_fp_ == query.fingerprint &&
       cache_version_ == net_->version() &&
-      cache_reference_mode_ == nn::UseReferenceKernels() &&
       cache_kernel_isa_ == nn::ActiveKernelIsa() &&
       cache_encoding_epoch_ == featurizer_->encoding_epoch() &&
       (shared_ != nullptr || (cache_cap_ == cap && act_cache_cap_ == act_cap))) {
@@ -153,7 +152,7 @@ void PlanSearch::SyncCache(const query::Query& query, const SearchOptions& optio
   if (shared_ == nullptr) {
     // A changed cap also rebuilds: re-capping a live LRU is not worth the
     // complexity for an option that changes between searches, not within one.
-    // The activation cache shares the validity triple (its entries depend on
+    // The activation cache shares the validity tuple (its entries depend on
     // the query embedding and the weights exactly like scores do).
     score_cache_.Clear(cap);
     activation_cache_.Clear(act_cap);
@@ -162,7 +161,7 @@ void PlanSearch::SyncCache(const query::Query& query, const SearchOptions& optio
   } else {
     // Shared mode: the global maps are never cleared; staleness is handled
     // by re-salting, so entries from other tuples are simply never probed.
-    // The mode bits get a low tag bit so a (fp, version) pair can never
+    // The kernel bits carry a low tag bit so a (fp, version) pair can never
     // produce the same salt as a raw fingerprint.
     salt_ = util::Mix64(util::HashCombine(
         util::HashCombine(
@@ -174,7 +173,6 @@ void PlanSearch::SyncCache(const query::Query& query, const SearchOptions& optio
   }
   cache_query_fp_ = query.fingerprint;
   cache_version_ = net_->version();
-  cache_reference_mode_ = nn::UseReferenceKernels();
   cache_kernel_isa_ = nn::ActiveKernelIsa();
   cache_encoding_epoch_ = featurizer_->encoding_epoch();
   cache_valid_ = true;
@@ -256,154 +254,134 @@ void PlanSearch::ScoreAll(const query::Query& query,
   }
   if (misses.empty()) return;
 
-  if (options.batched) {
-    result->evaluations += misses.size();
-    featurizer_->EncodePlanBatch(query, misses, &batch_scratch_);
+  result->evaluations += misses.size();
+  featurizer_->EncodePlanBatch(query, misses, &batch_scratch_);
 
-    // Incremental tree-conv inference: probe the activation cache per packed
-    // node row, serve hits, and hand the network a store slab for the dirty
-    // rows. Probing only touches (Find splices, never reallocates), and all
-    // inserts happen after the forward pass, so the cached pointers the
-    // network reads stay valid throughout.
-    const bool use_act = options.incremental && !nn::UseReferenceKernels();
-    const nn::ActivationReuse* reuse = nullptr;
-    const size_t entry_floats = static_cast<size_t>(net_->TotalConvChannels());
-    const bool leaf_tier = use_act && shared_ != nullptr && leaf_tier_enabled_;
-    {
-      // NN-eval region: the probe loops, slab writes, and the batched forward
-      // are the steady-state hot section. With a warmed search instance the
-      // whole block performs zero heap allocations (the slab arena resets to
-      // one high-water block; every network buffer is capacity-reused) —
-      // benches assert this via util::RegionAllocs. Cache population below
-      // stays OUTSIDE the region: it is proportional to newly discovered
-      // subtrees, not NN work, and vanishes as the caches warm.
-      util::AllocRegionScope alloc_region;
-      if (use_act) {
-        const size_t n_rows = batch_scratch_.node_fp.size();
-        reuse_scratch_.cached.assign(n_rows, nullptr);
-        reuse_scratch_.store.assign(n_rows, nullptr);
-        slab_arena_.Reset();
-        size_t n_dirty = 0;
-        if (shared_ != nullptr) {
-          // Shared mode sizes the slab for EVERY row: hits are copied out of
-          // the global map under the shard lock into this search's private
-          // slab (a pointer into the map could be evicted out from under the
-          // forward pass by a concurrent search), and dirty rows are computed
-          // into their own slots for the post-forward inserts.
-          if (leaf_tier) {
-            // Packed-forest subtree sizes for the leaf-tier gate: pre-order
-            // packing puts children at higher indices, so a descending scan
-            // sees every child before its parent.
-            subtree_size_scratch_.assign(n_rows, 1);
-            for (size_t i = n_rows; i-- > 0;) {
-              const int l = batch_scratch_.forest.left[i];
-              const int r = batch_scratch_.forest.right[i];
-              if (l >= 0) subtree_size_scratch_[i] += subtree_size_scratch_[static_cast<size_t>(l)];
-              if (r >= 0) subtree_size_scratch_[i] += subtree_size_scratch_[static_cast<size_t>(r)];
-            }
-          }
-          float* slab = slab_arena_.AllocateArray<float>(n_rows * entry_floats);
-          for (size_t i = 0; i < n_rows; ++i) {
-            float* slot = slab + i * entry_floats;
-            const uint64_t fp = batch_scratch_.node_fp[i];
-            bool hit = shared_->activations.Visit(
-                util::HashCombine(fp, salt_), [slot](const std::vector<float>& v) {
-                  std::copy(v.begin(), v.end(), slot);
-                });
-            if (!hit && leaf_tier &&
-                subtree_size_scratch_[i] <= kLeafTierMaxNodes) {
-              // Cross-request tier: rows another search (same embedding bits,
-              // weights, kernel mode, generation) already computed.
-              hit = shared_->leaf_activations.Visit(
-                  util::HashCombine(fp, leaf_salt_),
-                  [slot](const std::vector<float>& v) {
-                    std::copy(v.begin(), v.end(), slot);
-                  });
-              if (hit) ++result->leaf_tier_hits;
-            }
-            if (hit) {
-              reuse_scratch_.cached[i] = slot;
-              ++result->activation_hits;
-            } else {
-              reuse_scratch_.store[i] = slot;
-              ++n_dirty;
-            }
-          }
-        } else {
-          for (size_t i = 0; i < n_rows; ++i) {
-            if (std::vector<float>* hit = activation_cache_.Find(batch_scratch_.node_fp[i])) {
-              reuse_scratch_.cached[i] = hit->data();
-              ++result->activation_hits;
-            } else {
-              ++n_dirty;
-            }
-          }
-          float* slab = slab_arena_.AllocateArray<float>(n_dirty * entry_floats);
-          size_t slot = 0;
-          for (size_t i = 0; i < n_rows; ++i) {
-            if (reuse_scratch_.cached[i] == nullptr) {
-              reuse_scratch_.store[i] = slab + (slot++) * entry_floats;
-            }
-          }
+  // Incremental tree-conv inference: probe the activation cache per packed
+  // node row, serve hits, and hand the network a store slab for the dirty
+  // rows. Probing only touches (Find splices, never reallocates), and all
+  // inserts happen after the forward pass, so the cached pointers the
+  // network reads stay valid throughout.
+  const size_t entry_floats = static_cast<size_t>(net_->TotalConvChannels());
+  const bool leaf_tier = shared_ != nullptr && leaf_tier_enabled_;
+  {
+    // NN-eval region: the probe loops, slab writes, and the batched forward
+    // are the steady-state hot section. With a warmed search instance the
+    // whole block performs zero heap allocations (the slab arena resets to
+    // one high-water block; every network buffer is capacity-reused) —
+    // benches assert this via util::RegionAllocs. Cache population below
+    // stays OUTSIDE the region: it is proportional to newly discovered
+    // subtrees, not NN work, and vanishes as the caches warm.
+    util::AllocRegionScope alloc_region;
+    const size_t n_rows = batch_scratch_.node_fp.size();
+    reuse_scratch_.cached.assign(n_rows, nullptr);
+    reuse_scratch_.store.assign(n_rows, nullptr);
+    slab_arena_.Reset();
+    size_t n_dirty = 0;
+    if (shared_ != nullptr) {
+      // Shared mode sizes the slab for EVERY row: hits are copied out of
+      // the global map under the shard lock into this search's private
+      // slab (a pointer into the map could be evicted out from under the
+      // forward pass by a concurrent search), and dirty rows are computed
+      // into their own slots for the post-forward inserts.
+      if (leaf_tier) {
+        // Packed-forest subtree sizes for the leaf-tier gate: pre-order
+        // packing puts children at higher indices, so a descending scan
+        // sees every child before its parent.
+        subtree_size_scratch_.assign(n_rows, 1);
+        for (size_t i = n_rows; i-- > 0;) {
+          const int l = batch_scratch_.forest.left[i];
+          const int r = batch_scratch_.forest.right[i];
+          if (l >= 0) subtree_size_scratch_[i] += subtree_size_scratch_[static_cast<size_t>(l)];
+          if (r >= 0) subtree_size_scratch_[i] += subtree_size_scratch_[static_cast<size_t>(r)];
         }
-        const size_t layers = net_->config().tree_channels.size();
-        result->rows_recomputed += n_dirty * layers;
-        result->rows_reused += (n_rows - n_dirty) * layers;
-        reuse = &reuse_scratch_;
       }
-
-      if (scorer_ != nullptr) {
-        predicted_scratch_ = scorer_->ScoreBatch(net_, query_embedding,
-                                                 batch_scratch_, reuse, &net_ctx_);
-      } else {
-        net_->PredictBatchInto(query_embedding, batch_scratch_, &net_ctx_, reuse,
-                               &predicted_scratch_);
-      }
-    }
-    const std::vector<float>& predicted = predicted_scratch_;
-
-    if (use_act) {
-      // Populate the cache from the slab. Duplicate fingerprints within one
-      // batch (sibling candidates share almost every subtree) insert once.
-      // Shared-mode concurrent inserts of one fingerprint are idempotent:
-      // the salt pins (query, version, kernel mode, generation), so both
-      // writers computed bitwise-identical rows.
-      act_seen_scratch_.Clear();
-      for (size_t i = 0; i < batch_scratch_.node_fp.size(); ++i) {
-        const float* src = reuse_scratch_.store[i];
-        if (src == nullptr) continue;
+      float* slab = slab_arena_.AllocateArray<float>(n_rows * entry_floats);
+      for (size_t i = 0; i < n_rows; ++i) {
+        float* slot = slab + i * entry_floats;
         const uint64_t fp = batch_scratch_.node_fp[i];
-        if (!act_seen_scratch_.Insert(fp)) continue;
-        if (shared_ != nullptr) {
-          shared_->activations.Insert(util::HashCombine(fp, salt_),
-                                      std::vector<float>(src, src + entry_floats));
-          if (leaf_tier && subtree_size_scratch_[i] <= kLeafTierMaxNodes) {
-            shared_->leaf_activations.Insert(
-                util::HashCombine(fp, leaf_salt_),
-                std::vector<float>(src, src + entry_floats));
-          }
+        bool hit = shared_->activations.Visit(
+            util::HashCombine(fp, salt_), [slot](const std::vector<float>& v) {
+              std::copy(v.begin(), v.end(), slot);
+            });
+        if (!hit && leaf_tier &&
+            subtree_size_scratch_[i] <= kLeafTierMaxNodes) {
+          // Cross-request tier: rows another search (same embedding bits,
+          // weights, kernel arm, generation) already computed.
+          hit = shared_->leaf_activations.Visit(
+              util::HashCombine(fp, leaf_salt_),
+              [slot](const std::vector<float>& v) {
+                std::copy(v.begin(), v.end(), slot);
+              });
+          if (hit) ++result->leaf_tier_hits;
+        }
+        if (hit) {
+          reuse_scratch_.cached[i] = slot;
+          ++result->activation_hits;
         } else {
-          activation_cache_.Insert(fp, std::vector<float>(src, src + entry_floats));
+          reuse_scratch_.store[i] = slot;
+          ++n_dirty;
+        }
+      }
+    } else {
+      for (size_t i = 0; i < n_rows; ++i) {
+        if (std::vector<float>* hit = activation_cache_.Find(batch_scratch_.node_fp[i])) {
+          reuse_scratch_.cached[i] = hit->data();
+          ++result->activation_hits;
+        } else {
+          ++n_dirty;
+        }
+      }
+      float* slab = slab_arena_.AllocateArray<float>(n_dirty * entry_floats);
+      size_t slot = 0;
+      for (size_t i = 0; i < n_rows; ++i) {
+        if (reuse_scratch_.cached[i] == nullptr) {
+          reuse_scratch_.store[i] = slab + (slot++) * entry_floats;
         }
       }
     }
+    const size_t layers = net_->config().tree_channels.size();
+    result->rows_recomputed += n_dirty * layers;
+    result->rows_reused += (n_rows - n_dirty) * layers;
 
-    for (size_t m = 0; m < misses.size(); ++m) {
-      scores[miss_idx[m]] = predicted[m];
-      if (shared_ != nullptr) {
-        if (shared_->scores.Insert(util::HashCombine(miss_hash[m], salt_),
-                                   predicted[m])) {
-          ++result->cache_evictions;
-        }
-      } else if (score_cache_.Insert(miss_hash[m], predicted[m])) {
+    net_->PredictBatchInto(query_embedding, batch_scratch_, &net_ctx_,
+                           &reuse_scratch_, &predicted_scratch_);
+  }
+  const std::vector<float>& predicted = predicted_scratch_;
+
+  // Populate the cache from the slab. Duplicate fingerprints within one
+  // batch (sibling candidates share almost every subtree) insert once.
+  // Shared-mode concurrent inserts of one fingerprint are idempotent: the
+  // salt pins (query, version, kernel arm, generation), so both writers
+  // computed bitwise-identical rows.
+  act_seen_scratch_.Clear();
+  for (size_t i = 0; i < batch_scratch_.node_fp.size(); ++i) {
+    const float* src = reuse_scratch_.store[i];
+    if (src == nullptr) continue;
+    const uint64_t fp = batch_scratch_.node_fp[i];
+    if (!act_seen_scratch_.Insert(fp)) continue;
+    if (shared_ != nullptr) {
+      shared_->activations.Insert(util::HashCombine(fp, salt_),
+                                  std::vector<float>(src, src + entry_floats));
+      if (leaf_tier && subtree_size_scratch_[i] <= kLeafTierMaxNodes) {
+        shared_->leaf_activations.Insert(
+            util::HashCombine(fp, leaf_salt_),
+            std::vector<float>(src, src + entry_floats));
+      }
+    } else {
+      activation_cache_.Insert(fp, std::vector<float>(src, src + entry_floats));
+    }
+  }
+
+  for (size_t m = 0; m < misses.size(); ++m) {
+    scores[miss_idx[m]] = predicted[m];
+    if (shared_ != nullptr) {
+      if (shared_->scores.Insert(util::HashCombine(miss_hash[m], salt_),
+                                 predicted[m])) {
         ++result->cache_evictions;
       }
-    }
-  } else {
-    // Per-candidate fallback, reusing the hashes from the miss scan.
-    for (size_t m = 0; m < misses.size(); ++m) {
-      scores[miss_idx[m]] =
-          ScoreUncached(query, query_embedding, *misses[m], miss_hash[m], result);
+    } else if (score_cache_.Insert(miss_hash[m], predicted[m])) {
+      ++result->cache_evictions;
     }
   }
 }
@@ -417,10 +395,13 @@ SearchResult PlanSearch::FindPlan(const query::Query& query,
   // bit-identically (see the parallelism model in search.h).
   nn::ComputeThreadsScope compute_scope(options.threads);
   const nn::Matrix query_vec = featurizer_->EncodeQuery(query);
-  const nn::Matrix embed = net_->EmbedQuery(query_vec);
+  // Embeds through this instance's own pipeline scratch: concurrent searches
+  // on one network never share a buffer.
+  net_->EmbedQueryInto(query_vec, &embed_scratch_, &embed_);
+  const nn::Matrix& embed = embed_;
 
   // Shared leaf-tier salt for this search: the embedding's BIT PATTERN (the
-  // activations' true query dependency) plus (version, kernel mode,
+  // activations' true query dependency) plus (version, kernel arm,
   // generation). Gated on a fingerprint-pure featurizer — with a cardinality
   // channel, node features depend on the query beyond subtree_fp and rows
   // must not cross queries.

@@ -34,13 +34,16 @@
 //      rows across the pool (nn::ComputeThreads). Every output value is
 //      produced by the unchanged serial inner loop, so scores — and hence
 //      the chosen plan, expansion counts, and cache behavior — are
-//      bit-identical for any N. {threads = 1, speculation = 1} reproduces
-//      the PR-1 serial path exactly.
-//   3. Concurrent searches (Neo::RunEpisode): one PlanSearch per worker.
-//      PlanSearch holds all mutable state (score cache, activation cache,
-//      scratch, the network inference context), so distinct instances may run
-//      FindPlan concurrently against one shared ValueNetwork/Featurizer as
-//      long as no training runs at the same time.
+//      bit-identical for any N. {threads = 1, speculation = 1} is the
+//      classic serial best-first search.
+//   3. Concurrent searches (Neo::RunEpisode, ServingCore workers): one
+//      PlanSearch per worker. PlanSearch holds all mutable state (score
+//      cache, activation cache, scratch, the query-embedding and network
+//      inference contexts), and network inference writes only that scratch
+//      (plus a once-per-version, mutex-guarded weight-split refresh), so
+//      distinct instances may run FindPlan concurrently against one shared
+//      ValueNetwork/Featurizer as long as no training runs at the same
+//      time.
 //
 // Activation cache (incremental tree-conv inference)
 // --------------------------------------------------
@@ -56,15 +59,14 @@
 // gather/GEMM/scatter and are inserted afterwards.
 //
 // Keying/invalidation model: entries are valid only for the (query
-// fingerprint, network version, reference-kernel mode, kernel dispatch arm)
-// tuple tracked by SyncCache — the same discipline as the score cache — because activations
-// depend on the query embedding (layer 0's shared-suffix projection) and the
-// weights. Any mismatch drops the whole cache; SearchOptions::
-// activation_cache_cap bounds its footprint (one entry holds
+// fingerprint, network version, kernel dispatch arm, encoding epoch) tuple
+// tracked by SyncCache — the same discipline as the score cache — because
+// activations depend on the query embedding (layer 0's shared-suffix
+// projection) and the weights. Any mismatch drops the whole cache;
+// SearchOptions::activation_cache_cap bounds its footprint (one entry holds
 // ValueNetwork::TotalConvChannels() floats). Row values are bit-identical to
 // the full pass (MatMul rows are position-independent), so the incremental
-// path changes no search outcome at any thread count; SearchOptions::
-// incremental = false disables it (bench baseline arms).
+// path changes no search outcome at any thread count.
 //
 // ---- Memory model (zero-alloc steady state) --------------------------------
 // Every per-round buffer of FindPlan/ScoreAll is instance-owned and capacity-
@@ -90,31 +92,15 @@
 
 namespace neo::core {
 
-/// Scoring indirection for PlanSearch's batched forward passes. The default
-/// (no scorer installed) calls net->PredictBatch directly; the serving core
-/// installs a cross-query coalescer here so concurrent searches' small
-/// candidate batches merge into one PredictBatchMulti GEMM. The contract is
-/// strict bit-transparency: ScoreBatch must return exactly what
-/// net->PredictBatch(query_embedding, batch, ctx, reuse) would, and must
-/// honor `reuse` (serve cached rows, fill store rows) before returning.
-class BatchScorer {
- public:
-  virtual ~BatchScorer() = default;
-  virtual std::vector<float> ScoreBatch(nn::ValueNetwork* net,
-                                        const nn::Matrix& query_embedding,
-                                        const nn::PlanBatch& batch,
-                                        const nn::ActivationReuse* reuse,
-                                        nn::ValueNetwork::InferenceContext* ctx) = 0;
-};
-
 /// Process-global promotion of PlanSearch's per-instance score/activation
 /// caches: sharded, mutex-per-shard LRUs shared by every concurrent search of
 /// a serving core. Entries are keyed by HashCombine(local key, salt) where
-/// the salt folds in (query fingerprint, net version, kernel mode/ISA, RCU
-/// weight generation) — so searches of different queries, different weight
-/// snapshots, or different standby nets of the SAME version can coexist in
-/// one map without ever serving each other stale values, and invalidation is
-/// free (stale entries simply stop being probed and age out of the LRU).
+/// the salt folds in (query fingerprint, net version, kernel dispatch arm,
+/// RCU weight generation, encoding epoch) — so searches of different
+/// queries, different weight snapshots, or different standby nets of the
+/// SAME version can coexist in one map without ever serving each other stale
+/// values, and invalidation is free (stale entries simply stop being probed
+/// and age out of the LRU).
 /// Activation values are copied out under the shard lock into the probing
 /// search's private slab, so eviction never invalidates rows mid-forward.
 struct SharedSearchCaches {
@@ -131,8 +117,8 @@ struct SharedSearchCaches {
   /// expansion rounds. Keyed by HashCombine(subtree_fp, leaf salt) where the
   /// leaf salt folds in the BIT PATTERN of the query embedding (activations'
   /// true query dependency: layer 0 adds the embedding's suffix projection to
-  /// every row) plus (net version, kernel mode/ISA, RCU generation), instead
-  /// of the query fingerprint — so any two requests whose embeddings coincide
+  /// every row) plus (net version, kernel arm, RCU generation), instead of
+  /// the query fingerprint — so any two requests whose embeddings coincide
   /// bitwise (the same query re-served, under any request or search instance)
   /// share these rows. Only valid when node features are a pure function of
   /// the subtree fingerprint (FeaturizerConfig::card_channel == kNone; query-
@@ -146,17 +132,11 @@ struct SearchOptions {
   int max_expansions = 60;      ///< Heap pops before giving up (<=0: unlimited).
   double time_cutoff_ms = 0.0;  ///< Wall-clock cutoff (0 = disabled).
   bool early_stop = true;       ///< Stop when heap top >= best complete score.
-  bool batched = true;          ///< Score each round's children in one pass.
   int speculation = 1;          ///< Heap states expanded per scoring round.
   int threads = 1;              ///< Kernel row-partitioning degree (pool).
   /// Max entries in the per-query score cache (<= 0: unbounded). Evicted
   /// plans are simply re-scored on the next encounter.
   int score_cache_cap = 64 * 1024;
-  /// Incremental tree-conv inference: reuse per-node conv activations across
-  /// the parent/child plans of one search (see the activation-cache notes at
-  /// the top of this header). Bit-identical to the full pass; off reverts
-  /// batched scoring to recomputing every node row.
-  bool incremental = true;
   /// Max node entries in the activation cache (<= 0: unbounded). An evicted
   /// node's rows are simply recomputed on the next encounter.
   int activation_cache_cap = 64 * 1024;
@@ -208,12 +188,6 @@ class PlanSearch {
   /// from the start state == Q-learning-style planning, §4.2).
   SearchResult GreedyPlan(const query::Query& query);
 
-  /// Routes subsequent batched scoring through `scorer` (nullptr restores
-  /// the direct PredictBatch path). The scorer must outlive every FindPlan
-  /// that runs under it. Purely an indirection — scores are bit-identical
-  /// either way (see BatchScorer).
-  void SetBatchScorer(BatchScorer* scorer) { scorer_ = scorer; }
-
   /// Switches this search onto process-global caches (nullptr reverts to the
   /// private per-instance LRUs). `generation` is the RCU weight-snapshot
   /// generation folded into the cache salt; it must change whenever the
@@ -239,37 +213,37 @@ class PlanSearch {
               const plan::PartialPlan& plan, const SearchOptions& options,
               SearchResult* result);
 
-  /// Forward pass + cache insert for a plan whose hash is already known to
-  /// miss the cache. Shared by Score() and ScoreAll()'s per-candidate path.
+  /// Single-plan forward pass + cache insert for a plan whose hash is
+  /// already known to miss the cache (the initial state's score).
   float ScoreUncached(const query::Query& query, const nn::Matrix& query_embedding,
                       const plan::PartialPlan& plan, uint64_t hash,
                       SearchResult* result);
 
   /// Scores `plans` into `out` (resized; capacity-reused), serving cached
-  /// entries and batching the misses into one PredictBatch call (or per-plan
-  /// passes when `options.batched` is false). `hashes`, when non-null,
-  /// supplies plans[i].Hash() values the caller already computed (Hash()
-  /// allocates and sorts, so it is worth reusing).
+  /// entries and batching the misses into one incremental PredictBatch call
+  /// (activation-cache hits served, dirty rows computed). `hashes`, when
+  /// non-null, supplies plans[i].Hash() values the caller already computed
+  /// (Hash() allocates and sorts, so it is worth reusing).
   void ScoreAll(const query::Query& query, const nn::Matrix& query_embedding,
                 const std::vector<plan::PartialPlan>& plans,
                 const std::vector<uint64_t>* hashes, const SearchOptions& options,
                 SearchResult* result, std::vector<float>* out);
 
   /// Drops the score + activation caches unless they match (query, network
-  /// version).
+  /// version, kernel dispatch arm, encoding epoch).
   void SyncCache(const query::Query& query, const SearchOptions& options);
 
   const featurize::Featurizer* featurizer_;
   nn::ValueNetwork* net_;
 
   /// Per-query score cache (plan hash -> predicted cost); valid only for
-  /// (cache_query_fp_, cache_version_, cache_reference_mode_,
-  /// cache_kernel_isa_) and cleared on any mismatch. Keyed by
+  /// (cache_query_fp_, cache_version_, cache_kernel_isa_,
+  /// cache_encoding_epoch_) and cleared on any mismatch. Keyed by
   /// Query::fingerprint (content hash), not Query::id, so distinct queries
   /// that share an id (or the -1 default) never read each other's scores; the
-  /// reference-kernel mode and the GEMM dispatch arm are part of the key so
-  /// bench/test arms on one instance never mix kernel paths (arms differ by
-  /// accumulation-order ulps, and within-arm bit-identity is the contract).
+  /// GEMM dispatch arm is part of the key so bench/test arms on one instance
+  /// never mix kernel paths (arms differ by accumulation-order ulps, and
+  /// within-arm bit-identity is the contract).
   util::LruMap<uint64_t, float> score_cache_;
   /// Per-query activation cache (PlanNode::subtree_fp -> concatenated
   /// per-layer post-activation rows); same validity tuple as score_cache_
@@ -279,7 +253,6 @@ class PlanSearch {
   uint64_t cache_query_fp_ = 0;
   size_t cache_cap_ = 0;
   size_t act_cache_cap_ = 0;
-  bool cache_reference_mode_ = false;
   nn::KernelIsa cache_kernel_isa_ = nn::KernelIsa::kPortable;
   /// Featurizer::encoding_epoch() at cache build: the experience store's
   /// cardinality corrections change plan encodings, so the epoch joins the
@@ -287,25 +260,27 @@ class PlanSearch {
   uint64_t cache_encoding_epoch_ = 0;
   bool cache_valid_ = false;
 
-  /// Serving-mode seams (both null outside a serving core): the batched-
-  /// scoring indirection and the process-global cache pair, plus the salt
-  /// mixing (query fp, net version, kernel mode, weight generation) into
-  /// every shared-cache key. SyncCache recomputes the salt on any tuple
-  /// change; in shared mode the private LRUs above go unused.
-  BatchScorer* scorer_ = nullptr;
+  /// Serving-mode seam (null outside a serving core): the process-global
+  /// cache pair, plus the salt mixing (query fp, net version, kernel arm,
+  /// weight generation, encoding epoch) into every shared-cache key.
+  /// SyncCache recomputes the salt on any tuple change; in shared mode the
+  /// private LRUs above go unused.
   SharedSearchCaches* shared_ = nullptr;
   uint64_t shared_generation_ = 0;
   uint64_t salt_ = 0;
   /// Shared leaf-tier salt for the current FindPlan: Mix64 over (query
-  /// embedding bit-pattern hash, net version, kernel mode/ISA, generation).
-  /// Recomputed per FindPlan after EmbedQuery; leaf_tier_enabled_ gates the
-  /// tier on shared mode + a fingerprint-pure featurizer (card_channel ==
-  /// kNone).
+  /// embedding bit-pattern hash, net version, kernel arm, generation).
+  /// Recomputed per FindPlan after EmbedQueryInto; leaf_tier_enabled_ gates
+  /// the tier on shared mode + a fingerprint-pure featurizer (card_channel
+  /// == kNone).
   uint64_t leaf_salt_ = 0;
   bool leaf_tier_enabled_ = false;
 
   /// Per-instance network scratch, so concurrent PlanSearch workers never
-  /// share inference buffers.
+  /// share inference buffers: the query-stack pipeline scratch and
+  /// embedding output, and the conv/head inference context.
+  nn::PipelineScratch embed_scratch_;
+  nn::Matrix embed_;
   nn::ValueNetwork::InferenceContext net_ctx_;
 
   /// Scratch reused across expansions (children, batch encoding buffers, and

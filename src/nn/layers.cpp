@@ -14,41 +14,43 @@ Linear::Linear(int in_dim, int out_dim, util::Rng& rng) {
 
 Matrix Linear::Forward(const Matrix& x) {
   last_input_ = x;
-  return Apply(x, /*use_packed=*/false);
+  return Apply(x, /*use_packed=*/false, &gemm_scratch_);
 }
 
 Matrix Linear::ForwardInference(const Matrix& x) const {
-  return Apply(x, packed_fresh_);
+  return Apply(x, packed_fresh_, /*scratch=*/nullptr);
 }
 
 void Linear::ForwardInto(const Matrix& x, Matrix* y) {
   last_input_ = x;  // Copy-assign: reuses capacity once warm.
-  ApplyInto(x, /*use_packed=*/false, y);
+  ApplyInto(x, /*use_packed=*/false, &gemm_scratch_, y);
 }
 
 void Linear::ForwardInferenceInto(const Matrix& x, Matrix* y) const {
-  ApplyInto(x, packed_fresh_, y);
+  ApplyInto(x, packed_fresh_, /*scratch=*/nullptr, y);
 }
 
-Matrix Linear::Apply(const Matrix& x, bool use_packed) const {
+Matrix Linear::Apply(const Matrix& x, bool use_packed,
+                     GemmScratch* scratch) const {
   Matrix y;
-  ApplyInto(x, use_packed, &y);
+  ApplyInto(x, use_packed, scratch, &y);
   return y;
 }
 
-void Linear::GemmInto(const Matrix& x, Matrix* y) const {
+void Linear::GemmInto(const Matrix& x, GemmScratch* scratch, Matrix* y) const {
   if (packed_fresh_) {
     MatMulPackedInto(x, packed_weight_, y);
   } else {
-    MatMulInto(x, weight_.value, y, &gemm_scratch_);
+    MatMulInto(x, weight_.value, y, scratch);
   }
 }
 
-void Linear::ApplyInto(const Matrix& x, bool use_packed, Matrix* y) const {
+void Linear::ApplyInto(const Matrix& x, bool use_packed, GemmScratch* scratch,
+                       Matrix* y) const {
   if (use_packed) {
     MatMulPackedInto(x, packed_weight_, y);
   } else {
-    MatMulInto(x, weight_.value, y, &gemm_scratch_);
+    MatMulInto(x, weight_.value, y, scratch);
   }
   const float* b = bias_.value.Row(0);
   const int cols = y->cols();
@@ -74,7 +76,7 @@ Matrix Linear::Backward(const Matrix& grad_out) {
 void Linear::BackwardInto(const Matrix& grad_out, Matrix* grad_in) {
   // Training implies an imminent weight update: invalidate the packed copy so
   // ForwardInference cannot silently multiply stale weights (same discipline
-  // as TreeConv::Backward and its split blocks).
+  // as TreeConv::BackwardTrain and its split blocks).
   packed_fresh_ = false;
   // dW += x^T g (scatter-added in place — no product temporary); db +=
   // sum_rows(g) ; dx = g W^T.
@@ -326,7 +328,7 @@ void Sequential::ForwardInferenceInto(const Matrix& x, PipelineScratch* scratch,
       const auto* ln = static_cast<const LayerNorm*>(layers_[i + 1].get());
       const auto* relu = static_cast<const LeakyReLU*>(layers_[i + 2].get());
       Matrix& t = scratch->fused;
-      lin->GemmInto(*cur, &t);
+      lin->GemmInto(*cur, &scratch->gemm, &t);
       const int n = t.rows(), d = t.cols();
       out->Reshape(n, d);
       const float* lb = lin->bias_row();
@@ -365,10 +367,6 @@ void Sequential::RefreshInferenceWeights() {
 
 void Sequential::InvalidateInferenceWeights() {
   for (auto& layer : layers_) layer->InvalidateInferenceWeights();
-}
-
-void Sequential::ReleaseTrainingScratch() {
-  for (auto& layer : layers_) layer->ReleaseTrainingScratch();
 }
 
 size_t Sequential::TrainingScratchBytes() const {

@@ -30,9 +30,10 @@ class Layer {
   /// x: (batch x in_dim) -> (batch x out_dim).
   virtual Matrix Forward(const Matrix& x) = 0;
 
-  /// Same math as Forward but caches nothing, so it is const and safe to
-  /// call concurrently from many threads (provided no concurrent training
-  /// mutates the parameters). Cannot be followed by Backward.
+  /// Same math as Forward but caches nothing and writes no layer state, so
+  /// it is const and safe to call concurrently from many threads (provided
+  /// no concurrent training mutates the parameters). Cannot be followed by
+  /// Backward.
   virtual Matrix ForwardInference(const Matrix& x) const = 0;
 
   /// grad_out: (batch x out_dim) -> grad_in (batch x in_dim); accumulates
@@ -68,15 +69,9 @@ class Layer {
   /// without the pre-packed fast path.
   virtual void InvalidateInferenceWeights() {}
 
-  /// Drops batch-sized activations cached by Forward for Backward (e.g.
-  /// Linear's last input). ValueNetwork calls this after every optimizer
-  /// step so training scratch never outlives the minibatch that produced
-  /// it; the next Forward simply re-caches. Layers without such caches
-  /// no-op.
-  virtual void ReleaseTrainingScratch() {}
-
-  /// Bytes of training scratch currently held (for the peak-scratch
-  /// accounting ValueNetwork reports).
+  /// Bytes of training scratch currently held (batch-sized activations
+  /// cached by Forward for Backward), for the peak-scratch accounting
+  /// ValueNetwork reports.
   virtual size_t TrainingScratchBytes() const { return 0; }
 };
 
@@ -97,7 +92,6 @@ class Linear : public Layer {
   }
   void RefreshInferenceWeights() override;
   void InvalidateInferenceWeights() override { packed_fresh_ = false; }
-  void ReleaseTrainingScratch() override { last_input_ = Matrix(); }
   size_t TrainingScratchBytes() const override {
     return last_input_.Size() * sizeof(float);
   }
@@ -106,16 +100,19 @@ class Linear : public Layer {
   int in_dim() const { return weight_.value.rows(); }
   int out_dim() const { return weight_.value.cols(); }
 
-  /// The bare GEMM (no bias), packed copy when fresh. Building block for the
-  /// fused (Linear, LayerNorm, LeakyReLU) inference pass in Sequential.
-  void GemmInto(const Matrix& x, Matrix* y) const;
+  /// The bare GEMM (no bias), packed copy when fresh, else the live weights
+  /// through the caller's `scratch` pack buffer. Building block for the fused
+  /// (Linear, LayerNorm, LeakyReLU) inference pass in Sequential.
+  void GemmInto(const Matrix& x, GemmScratch* scratch, Matrix* y) const;
   const float* bias_row() const { return bias_.value.Row(0); }
 
  private:
   /// y = x W + b. `use_packed` selects the pre-packed weight copy (bit-
   /// identical to the live weight; see PackedB) — only valid while fresh.
-  Matrix Apply(const Matrix& x, bool use_packed) const;
-  void ApplyInto(const Matrix& x, bool use_packed, Matrix* y) const;
+  /// Unpacked GEMMs pack through `scratch` (nullptr: a call-local buffer).
+  Matrix Apply(const Matrix& x, bool use_packed, GemmScratch* scratch) const;
+  void ApplyInto(const Matrix& x, bool use_packed, GemmScratch* scratch,
+                 Matrix* y) const;
 
   Param weight_;  ///< (in x out)
   Param bias_;    ///< (1 x out)
@@ -125,11 +122,12 @@ class Linear : public Layer {
   PackedB packed_weight_;
   bool packed_fresh_ = false;
   Matrix last_input_;
-  /// Cross-call GEMM pack/staging buffers (growth-only): the unpacked-weight
-  /// GEMMs (training forward/backward) reuse them so steady-state steps make
-  /// no heap allocations. Mutable because inference-const paths share them;
-  /// Linear is not const-thread-safe anyway (see ValueNetwork's contexts).
-  mutable GemmScratch gemm_scratch_;
+  /// Cross-call GEMM pack/staging buffers (growth-only) for the training
+  /// forward/backward, so steady-state steps make no heap allocations. The
+  /// const inference paths never touch it: they pack through caller-owned
+  /// scratch (PipelineScratch::gemm), which keeps concurrent inference on
+  /// one network race-free.
+  GemmScratch gemm_scratch_;
 };
 
 /// Leaky rectified linear unit (paper §6.1 uses the leaky variant).
@@ -143,7 +141,6 @@ class LeakyReLU : public Layer {
   void ForwardInto(const Matrix& x, Matrix* y) override;
   void ForwardInferenceInto(const Matrix& x, Matrix* y) const override;
   void BackwardInto(const Matrix& grad_out, Matrix* grad_in) override;
-  void ReleaseTrainingScratch() override { last_input_ = Matrix(); }
   size_t TrainingScratchBytes() const override {
     return last_input_.Size() * sizeof(float);
   }
@@ -173,13 +170,6 @@ class LayerNorm : public Layer {
     out->push_back(&gain_);
     out->push_back(&bias_);
   }
-  void ReleaseTrainingScratch() override {
-    last_norm_ = Matrix();
-    last_inv_std_.clear();
-    last_inv_std_.shrink_to_fit();
-    dxhat_scratch_.clear();
-    dxhat_scratch_.shrink_to_fit();
-  }
   size_t TrainingScratchBytes() const override {
     return last_norm_.Size() * sizeof(float) +
            (last_inv_std_.size() + dxhat_scratch_.size()) * sizeof(float);
@@ -198,19 +188,16 @@ class LayerNorm : public Layer {
   std::vector<float> dxhat_scratch_;  ///< Backward row buffer (hoisted alloc).
 };
 
-/// Ping-pong buffers threading activations through a Sequential's layers
-/// plus the fused-triple GEMM staging buffer. Caller-owned and capacity-
-/// reused: after one warm pass, pipeline forwards allocate nothing. Not
-/// thread-safe — one per caller (concurrent inference passes each bring
-/// their own).
+/// Ping-pong buffers threading activations through a Sequential's layers,
+/// the fused-triple GEMM staging buffer, and the pack buffer for GEMMs
+/// against unpacked weights. Caller-owned and capacity-reused: after one
+/// warm pass, pipeline forwards allocate nothing. Not thread-safe — one per
+/// caller (concurrent inference passes each bring their own).
 struct PipelineScratch {
   Matrix a;
   Matrix b;
   Matrix fused;
-
-  size_t Bytes() const {
-    return (a.Size() + b.Size() + fused.Size()) * sizeof(float);
-  }
+  GemmScratch gemm;
 };
 
 /// Layer pipeline.
@@ -227,7 +214,6 @@ class Sequential : public Layer {
   void CollectParams(std::vector<Param*>* out) override;
   void RefreshInferenceWeights() override;
   void InvalidateInferenceWeights() override;
-  void ReleaseTrainingScratch() override;
   size_t TrainingScratchBytes() const override;
 
   /// Pipeline Into-forms: bit-identical to the Matrix-returning passes,

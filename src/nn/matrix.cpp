@@ -48,16 +48,13 @@ constexpr int64_t kMinParallelMadds = 1 << 16;
 
 inline int MinInt(int a, int b) { return a < b ? a : b; }
 
-bool g_use_reference_kernels = false;
-
 thread_local int g_compute_threads = 1;
 
 // ---- Kernel dispatch state -------------------------------------------------
 
 // -1 = not yet initialized; otherwise a KernelIsa value. Atomic (relaxed)
 // so concurrent searches can read it while a bench/test thread switches arms
-// without a data race; the arm itself is process-wide configuration like
-// g_use_reference_kernels.
+// without a data race; the arm itself is process-wide configuration.
 std::atomic<int> g_kernel_isa{-1};
 std::once_flag g_kernel_isa_once;
 
@@ -119,9 +116,6 @@ const detail::SimdGemmKernels* ActiveSimdKernels() {
 }
 
 }  // namespace
-
-void SetUseReferenceKernels(bool use) { g_use_reference_kernels = use; }
-bool UseReferenceKernels() { return g_use_reference_kernels; }
 
 const char* KernelIsaName(KernelIsa isa) {
   switch (isa) {
@@ -260,10 +254,9 @@ void MatMulRows(const float* __restrict adata, const int* __restrict arows,
 /// strategy: orow[j] becomes a SINGLE ascending-k chain seeded from the
 /// existing orow[j] — deliberately not the 4-interleaved-chain structure of
 /// MatMulRowChunk. With one chain, a zero a entry contributes an exact no-op
-/// at its own position, so inserting zero rows into the reduction (the dense
-/// training fallback's padding) cannot move any product between chains or
-/// change any output bit. The jj lanes stay independent, so the loop still
-/// vectorizes across the chunk width.
+/// at its own position, so inserting zero rows into the reduction cannot move
+/// any product between chains or change any output bit. The jj lanes stay
+/// independent, so the loop still vectorizes across the chunk width.
 template <bool kFullWidth>
 inline void MatMulAccRowChunk(const float* __restrict arow,
                               const float* __restrict bdata,
@@ -432,9 +425,7 @@ float* PreparePack(GemmScratch* scratch, std::vector<float>* local, int k,
 }
 
 /// Shared body of MatMul and MatMulBlock: out = a * b for a raw row-major
-/// (k x m) right-hand side, written into the Reshape'd `out`. Reference-
-/// kernel routing happens in the callers (the naive kernels take Matrix
-/// operands).
+/// (k x m) right-hand side, written into the Reshape'd `out`.
 void MatMulImplInto(const Matrix& a, const int* arows, int nrows,
                     const float* bdata, int k, int m, Matrix* out,
                     GemmScratch* scratch) {
@@ -457,18 +448,9 @@ void MatMulImplInto(const Matrix& a, const int* arows, int nrows,
   });
 }
 
-/// Wraps a raw (rows x cols) block in a Matrix for the reference kernels
-/// (bench/test-only path; the copy is irrelevant there).
-Matrix BlockToMatrix(const float* b, int rows, int cols) {
-  Matrix m(rows, cols);
-  std::copy(b, b + static_cast<size_t>(rows) * cols, m.data());
-  return m;
-}
-
 }  // namespace
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
-  if (g_use_reference_kernels) return MatMulNaive(a, b);
   NEO_CHECK(a.cols() == b.rows());
   Matrix out;
   MatMulImplInto(a, nullptr, 0, b.data(), b.rows(), b.cols(), &out, nullptr);
@@ -477,18 +459,11 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
 
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
                 GemmScratch* scratch) {
-  if (g_use_reference_kernels) {
-    *out = MatMulNaive(a, b);
-    return;
-  }
   NEO_CHECK(a.cols() == b.rows());
   MatMulImplInto(a, nullptr, 0, b.data(), b.rows(), b.cols(), out, scratch);
 }
 
 Matrix MatMulBlock(const Matrix& a, const float* b, int k, int m) {
-  if (g_use_reference_kernels) {
-    return MatMulNaive(a, BlockToMatrix(b, k, m));
-  }
   Matrix out;
   MatMulImplInto(a, nullptr, 0, b, k, m, &out, nullptr);
   return out;
@@ -496,39 +471,16 @@ Matrix MatMulBlock(const Matrix& a, const float* b, int k, int m) {
 
 void MatMulBlockInto(const Matrix& a, const float* b, int k, int m,
                      Matrix* out, GemmScratch* scratch) {
-  if (g_use_reference_kernels) {
-    *out = MatMulNaive(a, BlockToMatrix(b, k, m));
-    return;
-  }
   MatMulImplInto(a, nullptr, 0, b, k, m, out, scratch);
 }
-
-namespace {
-
-/// Materializes a row gather for the reference/naive fallbacks (bench/test
-/// paths; values — and hence results — match the zero-copy kernels).
-Matrix GatherRows(const Matrix& a, const int* rows, int nrows) {
-  Matrix g(nrows, a.cols());
-  for (int r = 0; r < nrows; ++r) {
-    std::copy(a.Row(rows[r]), a.Row(rows[r]) + a.cols(), g.Row(r));
-  }
-  return g;
-}
-
-}  // namespace
 
 void MatMulGatherBlockInto(const Matrix& a, const int* rows, int nrows,
                            const float* b, int k, int m, Matrix* out,
                            GemmScratch* scratch) {
-  if (g_use_reference_kernels) {
-    *out = MatMulNaive(GatherRows(a, rows, nrows), BlockToMatrix(b, k, m));
-    return;
-  }
   MatMulImplInto(a, rows, nrows, b, k, m, out, scratch);
 }
 
 Matrix MatMulPacked(const Matrix& a, const PackedB& b) {
-  if (g_use_reference_kernels) return MatMulNaive(a, b.unpacked());
   NEO_CHECK(a.cols() == b.rows());
   Matrix out(a.rows(), b.cols());
   const int n = a.rows(), k = a.cols(), m = b.cols();
@@ -549,10 +501,6 @@ Matrix MatMulPacked(const Matrix& a, const PackedB& b) {
 }
 
 void MatMulPackedInto(const Matrix& a, const PackedB& b, Matrix* out) {
-  if (g_use_reference_kernels) {
-    *out = MatMulNaive(a, b.unpacked());
-    return;
-  }
   NEO_CHECK(a.cols() == b.rows());
   const int n = a.rows(), k = a.cols(), m = b.cols();
   out->Reshape(n, m);
@@ -609,7 +557,6 @@ void MatMulTransposeBImplInto(const Matrix& a, const int* arows, int nrows,
 }  // namespace
 
 Matrix MatMulTransposeB(const Matrix& a, const Matrix& b) {
-  if (g_use_reference_kernels) return MatMulTransposeBNaive(a, b);
   NEO_CHECK(a.cols() == b.cols());
   Matrix out;
   MatMulTransposeBImplInto(a, nullptr, 0, b.data(), b.rows(), &out, nullptr);
@@ -618,18 +565,11 @@ Matrix MatMulTransposeB(const Matrix& a, const Matrix& b) {
 
 void MatMulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* out,
                           GemmScratch* scratch) {
-  if (g_use_reference_kernels) {
-    *out = MatMulTransposeBNaive(a, b);
-    return;
-  }
   NEO_CHECK(a.cols() == b.cols());
   MatMulTransposeBImplInto(a, nullptr, 0, b.data(), b.rows(), out, scratch);
 }
 
 Matrix MatMulTransposeBBlock(const Matrix& a, const float* b, int m) {
-  if (g_use_reference_kernels) {
-    return MatMulTransposeBNaive(a, BlockToMatrix(b, m, a.cols()));
-  }
   Matrix out;
   MatMulTransposeBImplInto(a, nullptr, 0, b, m, &out, nullptr);
   return out;
@@ -637,26 +577,16 @@ Matrix MatMulTransposeBBlock(const Matrix& a, const float* b, int m) {
 
 void MatMulTransposeBBlockInto(const Matrix& a, const float* b, int m,
                                Matrix* out, GemmScratch* scratch) {
-  if (g_use_reference_kernels) {
-    *out = MatMulTransposeBNaive(a, BlockToMatrix(b, m, a.cols()));
-    return;
-  }
   MatMulTransposeBImplInto(a, nullptr, 0, b, m, out, scratch);
 }
 
 void MatMulGatherTransposeBBlockInto(const Matrix& a, const int* rows,
                                      int nrows, const float* b, int m,
                                      Matrix* out, GemmScratch* scratch) {
-  if (g_use_reference_kernels) {
-    *out = MatMulTransposeBNaive(GatherRows(a, rows, nrows),
-                                 BlockToMatrix(b, m, a.cols()));
-    return;
-  }
   MatMulTransposeBImplInto(a, rows, nrows, b, m, out, scratch);
 }
 
 Matrix MatMulTransposeA(const Matrix& a, const Matrix& b) {
-  if (g_use_reference_kernels) return MatMulTransposeANaive(a, b);
   NEO_CHECK(a.rows() == b.rows());
   const int n = a.rows(), k = a.cols(), m = b.cols();
   // Narrow outputs starve the rank-1-update kernel (each input row touches
@@ -665,10 +595,9 @@ Matrix MatMulTransposeA(const Matrix& a, const Matrix& b) {
   // faster there. Under the SIMD arms the row kernel wins across the whole
   // backward m range, so those arms transpose for any backward-sized m,
   // while the portable arm keeps the m <= 48 condition it was tuned with
-  // (wide outputs + short inputs — the per-sample training path — keep the
-  // update kernel, which also skips the concat matrix's structural zeros).
-  // The branch is a fixed function of (shape, arm), so within-arm results
-  // stay deterministic for any thread count.
+  // (wide outputs + short inputs keep the update kernel, which also skips
+  // zero inputs). The branch is a fixed function of (shape, arm), so
+  // within-arm results stay deterministic for any thread count.
   const detail::SimdGemmKernels* simd = ActiveSimdKernels();
   const int m_transpose_max = simd != nullptr ? 160 : 48;
   if (n >= 64 && m <= m_transpose_max) {
@@ -722,13 +651,12 @@ void MatMulTransposeAIntoImpl(const Matrix& a, const int* arows,
   const float* adata = a.data();
   const float* bdata = b.data();
   // Strategy choice is a function of (k, m, arm) ONLY — unlike
-  // MatMulTransposeA, n (the reduction length) must not participate, because
-  // the sparse and dense training conv call this with different n for the
-  // same logical gradient and both must take the same summation path (see
-  // matrix.h). Both strategies sum ascending input rows with exact-no-op
-  // zero rows: the transposed-GEMM path seeds a single per-element chain
-  // from `out` (gemm_acc_rows / MatMulAccRows), the rank-1 path accumulates
-  // row-by-row with an explicit zero skip / no-op fma.
+  // MatMulTransposeA, n (the reduction length) does not participate, so a
+  // gradient block's summation path never depends on how many rows the
+  // caller gathers (see matrix.h). Both strategies sum ascending input rows
+  // with exact-no-op zero rows: the transposed-GEMM path seeds a single
+  // per-element chain from `out` (gemm_acc_rows / MatMulAccRows), the rank-1
+  // path accumulates row-by-row with an explicit zero skip / no-op fma.
   //
   // Under the SIMD arms a SMALL output block (k*m floats within easy L1
   // reach — every tree-conv weight-gradient block qualifies) skips the
@@ -785,10 +713,6 @@ void MatMulTransposeAIntoImpl(const Matrix& a, const int* arows,
 
 void MatMulTransposeAInto(const Matrix& a, const Matrix& b, float* out,
                           GemmScratch* scratch) {
-  if (g_use_reference_kernels) {
-    MatMulTransposeAIntoNaive(a, b, out);
-    return;
-  }
   NEO_CHECK(a.rows() == b.rows());
   MatMulTransposeAIntoImpl(a, nullptr, b, nullptr, a.rows(), out, scratch);
 }
@@ -796,11 +720,6 @@ void MatMulTransposeAInto(const Matrix& a, const Matrix& b, float* out,
 void MatMulGatherTransposeAInto(const Matrix& a, const int* arows,
                                 const Matrix& b, const int* brows, int nrows,
                                 float* out, GemmScratch* scratch) {
-  if (g_use_reference_kernels) {
-    MatMulTransposeAIntoNaive(GatherRows(a, arows, nrows),
-                              GatherRows(b, brows, nrows), out);
-    return;
-  }
   MatMulTransposeAIntoImpl(a, arows, b, brows, nrows, out, scratch);
 }
 

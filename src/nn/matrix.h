@@ -119,7 +119,7 @@ Matrix MatMul(const Matrix& a, const Matrix& b);
 struct GemmScratch;
 
 /// MatMul into a caller-owned output (Reshape'd, fully overwritten).
-/// Bit-identical to MatMul under every arm, including reference mode.
+/// Bit-identical to MatMul under every arm.
 /// `scratch` reuses the B-panel pack buffer across calls (zero-alloc steady
 /// state); results are bit-identical with or without it.
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
@@ -179,9 +179,8 @@ void MatMulTransposeBBlockInto(const Matrix& a, const float* b, int m,
 /// (k, m) ALONE — never from n — and every strategy sums ascending input
 /// rows with exact-no-op zero rows (single fma chains / explicit zero skip).
 /// Appending or interleaving all-zero rows of `a` (with arbitrary matching
-/// `b` rows) therefore cannot change a single output bit, which is what
-/// keeps the sparse (present-children-only) and dense (zero-padded) training
-/// conv gradients bit-identical under every dispatch arm and thread count.
+/// `b` rows) therefore cannot change a single output bit, under every
+/// dispatch arm and thread count.
 void MatMulTransposeAInto(const Matrix& a, const Matrix& b, float* out,
                           GemmScratch* scratch = nullptr);
 
@@ -209,8 +208,9 @@ void MatMulGatherTransposeAInto(const Matrix& a, const int* arows,
                                 const Matrix& b, const int* brows, int nrows,
                                 float* out, GemmScratch* scratch = nullptr);
 
-/// Reference triple-loop kernels. Used by tests to validate the blocked
-/// kernels on non-tile-multiple shapes and by benches as the baseline.
+/// Naive triple-loop kernels (matrix_reference.cpp): test oracles for the
+/// blocked kernels on non-tile-multiple shapes, and micro_nn's naive GEMM
+/// baseline. No production path calls them.
 Matrix MatMulNaive(const Matrix& a, const Matrix& b);
 Matrix MatMulTransposeBNaive(const Matrix& a, const Matrix& b);
 Matrix MatMulTransposeANaive(const Matrix& a, const Matrix& b);
@@ -316,7 +316,7 @@ class KernelIsaScope {
 };
 
 /// A right-hand-side matrix pre-packed into the SIMD arms' shared panel
-/// layout (plus a plain copy for the portable/reference paths). Pack once
+/// layout (plus a plain copy for the portable arm). Pack once
 /// per weight update, multiply many times: MatMulPacked(a, pb) is bit-
 /// identical to MatMul(a, pb.unpacked()) under every dispatch arm, it just
 /// skips the per-call pack.
@@ -361,19 +361,12 @@ const char* KernelArchString();
 /// only the hot NN TUs see the NEO_NATIVE_ARCH define.
 const char* PortableArmCodegen();
 
-/// When true, MatMul / MatMulTransposeA / MatMulTransposeB route through the
-/// reference kernels, and ValueNetwork inference reverts to the dense
-/// augment-and-concat forward. Bench-only: lets perf comparisons reconstruct
-/// the pre-optimization ("seed") inference path at runtime.
-void SetUseReferenceKernels(bool use);
-bool UseReferenceKernels();
-
 /// Thread-LOCAL parallelism degree for the optimized kernels and the NN's
 /// elementwise hot loops (1 = serial, the default). Work is partitioned over
 /// *output* rows/elements only — every output value is still computed by the
 /// unchanged serial inner loop — so results are bit-identical at any setting.
 /// Being thread-local, concurrent searches can each carry their own degree
-/// without racing on a global. Reference kernels always run serial.
+/// without racing on a global. The naive kernels always run serial.
 void SetComputeThreads(int n);
 int ComputeThreads();
 

@@ -1,13 +1,13 @@
-// Reference triple-loop GEMM kernels, in their own translation unit kept at
-// the build's default -O2 (no vectorization override): benches use them to
-// reconstruct the seed inference path faithfully, and tests use them as the
-// ground truth for the blocked kernels.
+// Naive triple-loop GEMM kernels, in their own translation unit kept at the
+// build's default -O2 (no vectorization override). They are test oracles —
+// the ground truth the blocked kernels are checked against — and micro_nn's
+// naive GEMM baseline. No library path calls them, and no switch routes
+// production GEMMs through them.
 //
 // Not to be confused with the "portable" kernel dispatch arm
 // (NEO_FORCE_PORTABLE / KernelIsa::kPortable): that arm is the register-
 // blocked -O3 kernel in matrix.cpp — the fallback when no SIMD arm fits the
-// CPU — while these naive loops exist only for seed-path benches and
-// ground-truth tests (SetUseReferenceKernels).
+// CPU.
 #include "src/nn/matrix.h"
 
 namespace neo::nn {
@@ -21,7 +21,7 @@ Matrix MatMulNaive(const Matrix& a, const Matrix& b) {
     float* orow = out.Row(i);
     for (int p = 0; p < k; ++p) {
       const float av = arow[p];
-      if (av == 0.0f) continue;  // Seed kernel's sparse skip (one-hot inputs).
+      if (av == 0.0f) continue;  // Sparse skip (one-hot inputs).
       const float* brow = b.Row(p);
       for (int j = 0; j < m; ++j) orow[j] += av * brow[j];
     }
@@ -55,7 +55,7 @@ Matrix MatMulTransposeANaive(const Matrix& a, const Matrix& b) {
     const float* brow = b.Row(r);
     for (int i = 0; i < k; ++i) {
       const float av = arow[i];
-      if (av == 0.0f) continue;  // Seed kernel's sparse skip.
+      if (av == 0.0f) continue;  // Sparse skip.
       float* orow = out.Row(i);
       for (int j = 0; j < m; ++j) orow[j] += av * brow[j];
     }

@@ -79,9 +79,8 @@ struct SimdGemmKernels {
   /// each output element's FMA chain FROM the existing o value instead of
   /// zero, then chaining over k ascending exactly like gemm_rows. Because
   /// every k step is fma(a_p, b_p, acc) with a single rounding, a zero a
-  /// entry is an exact no-op — which is what makes the sparse training conv's
-  /// weight-gradient blocks bit-identical to the dense (zero-row-padded)
-  /// fallback (see MatMulTransposeAInto in matrix.h).
+  /// entry is an exact no-op (see MatMulTransposeAInto's contract in
+  /// matrix.h).
   void (*gemm_acc_rows)(const float* a, const int* arows, const float* packed_b,
                         float* o, int64_t r0, int64_t r1, int k, int m);
 

@@ -1,24 +1,10 @@
 #include "src/nn/tree_conv.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
-
-
 
 namespace neo::nn {
 
 namespace {
-
-bool DefaultSparseTraining() {
-  const char* e = std::getenv("NEO_DENSE_TRAINING");
-  return !(e != nullptr && e[0] != '\0' && std::strcmp(e, "0") != 0);
-}
-
-bool& SparseTrainingFlag() {
-  static bool sparse = DefaultSparseTraining();
-  return sparse;
-}
 
 /// Gathers the present `child` rows (of every node, or of the `rows` subset
 /// when given) into `gather`, recording each gathered row's parent node in
@@ -58,9 +44,6 @@ int GatherSide(const std::vector<int>& child, const Matrix& x, int top,
 
 }  // namespace
 
-void SetSparseTrainingConv(bool sparse) { SparseTrainingFlag() = sparse; }
-bool SparseTrainingConv() { return SparseTrainingFlag(); }
-
 TreeGather TreeGather::Build(const TreeStructure& tree) {
   TreeGather g;
   BuildInto(tree, &g);
@@ -96,125 +79,10 @@ TreeConv::TreeConv(int in_channels, int out_channels, util::Rng& rng,
   bias_.grad = Matrix(1, out_channels);
 }
 
-Matrix TreeConv::Forward(const TreeStructure& tree, const Matrix& x,
-                         const TreeGather* gather, TrainScratch* scratch) {
-  const int n = x.rows();
-  const int cin = in_channels_;
-  const int cout = weight_.value.cols();
-  NEO_CHECK(x.cols() == cin);
-  NEO_CHECK(static_cast<size_t>(n) == tree.NumNodes());
-
-  if (UseReferenceKernels()) {
-    // Seed-path reconstruction (benches): dense (node, left, right) concat
-    // through one big GEMM, cached for the matching reference Backward.
-    last_concat_ = Matrix(n, 3 * cin);
-    ParallelRows(n, /*min_parallel=*/256, [&](int64_t r0, int64_t r1) {
-      for (int64_t i = r0; i < r1; ++i) {
-        float* dst = last_concat_.Row(static_cast<int>(i));
-        const float* self = x.Row(static_cast<int>(i));
-        for (int c = 0; c < cin; ++c) dst[c] = self[c];
-        const int l = tree.left[static_cast<size_t>(i)];
-        if (l >= 0) {
-          const float* lv = x.Row(l);
-          for (int c = 0; c < cin; ++c) dst[cin + c] = lv[c];
-        }
-        const int r = tree.right[static_cast<size_t>(i)];
-        if (r >= 0) {
-          const float* rv = x.Row(r);
-          for (int c = 0; c < cin; ++c) dst[2 * cin + c] = rv[c];
-        }
-      }
-    });
-    Matrix y = MatMul(last_concat_, weight_.value);
-    const float* b = bias_.value.Row(0);
-    ParallelRows(n, /*min_parallel=*/256, [&](int64_t r0, int64_t r1) {
-      for (int64_t i = r0; i < r1; ++i) {
-        float* row = y.Row(static_cast<int>(i));
-        for (int c = 0; c < y.cols(); ++c) row[c] += b[c];
-      }
-    });
-    return y;
-  }
-
-  TreeGather local;
-  if (gather == nullptr) {
-    local = TreeGather::Build(tree);
-    gather = &local;
-  }
-  TrainScratch local_scratch;
-  if (scratch == nullptr) scratch = &local_scratch;
-  const bool sparse = SparseTrainingConv();
-
-  // Self block + bias. The bias is added here — before the child scatters —
-  // in both modes, so the per-element op sequence is mode-independent.
-  Matrix y = MatMulBlock(x, weight_.value.Row(0), cin, cout);
-  const float* b = bias_.value.Row(0);
-  ParallelRows(n, /*min_parallel=*/256, [&](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      float* row = y.Row(static_cast<int>(i));
-      for (int c = 0; c < cout; ++c) row[c] += b[c];
-    }
-  });
-  train_stats_.forward_madds +=
-      static_cast<uint64_t>(n) * static_cast<uint64_t>(cin) * cout;
-
-  // Child blocks: gather, one block GEMM, scatter-add. Each parent appears
-  // once per side, so the scatter partitions race-free over gather rows.
-  // Sparse mode never materializes the gather: the GEMM reads the present
-  // children's rows through the index list (bit-identical to gathering
-  // first). The dense fallback builds the zero-padded gather explicitly —
-  // that padding IS its cost model.
-  auto add_side = [&](const SideGather& side, int blk) {
-    const int present = static_cast<int>(side.parent.size());
-    const int rows = sparse ? present : n;
-    if (rows == 0) return;
-    Matrix& contrib = scratch->lcontrib;
-    if (sparse) {
-      MatMulGatherBlockInto(x, side.child.data(), present,
-                            weight_.value.Row(blk * cin), cin, cout, &contrib,
-                            &scratch->gemm);
-    } else {
-      Matrix& g = scratch->gather;
-      g.Reshape(n, cin);
-      // Row i is node i's child features or stays zero (the reshape may
-      // retain junk, so zero explicitly before the copies).
-      g.Zero();
-      ParallelRows(present, /*min_parallel=*/256, [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          std::copy(x.Row(side.child[static_cast<size_t>(r)]),
-                    x.Row(side.child[static_cast<size_t>(r)]) + cin,
-                    g.Row(side.parent[static_cast<size_t>(r)]));
-        }
-      });
-      MatMulBlockInto(g, weight_.value.Row(blk * cin), cin, cout, &contrib,
-                      &scratch->gemm);
-    }
-    ParallelRows(rows, /*min_parallel=*/256, [&](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        float* dst = y.Row(sparse ? side.parent[static_cast<size_t>(r)]
-                                  : static_cast<int>(r));
-        const float* src = contrib.Row(static_cast<int>(r));
-        for (int c = 0; c < cout; ++c) dst[c] += src[c];
-      }
-    });
-    train_stats_.forward_madds +=
-        static_cast<uint64_t>(rows) * static_cast<uint64_t>(cin) * cout;
-    train_stats_.gather_bytes +=
-        static_cast<uint64_t>(rows) * (cin + cout) * sizeof(float);
-    if (sparse) train_stats_.rows_skipped += static_cast<uint64_t>(n - present);
-  };
-  add_side(gather->left, 1);
-  add_side(gather->right, 2);
-  return y;
-}
-
 void TreeConv::ForwardTrain(const TreeStructure& tree, const Matrix& x,
                             const Matrix* suffixes, const int* node_seg,
                             const TreeGather& gather, TrainScratch* scratch,
                             float leaky_alpha, Matrix* y) {
-  NEO_CHECK_MSG(!UseReferenceKernels(),
-                "ForwardTrain is the fast path; reference mode keeps the seed "
-                "concat Forward");
   const int n = x.rows();
   const int s = shared_suffix_dim_;
   const int top = in_channels_ - s;
@@ -224,7 +92,6 @@ void TreeConv::ForwardTrain(const TreeStructure& tree, const Matrix& x,
   NEO_CHECK((s > 0) == (suffixes != nullptr));
   NEO_CHECK(static_cast<size_t>(n) == tree.NumNodes());
   NEO_CHECK(scratch != nullptr);
-  const bool sparse = SparseTrainingConv();
 
   // Suffix projections: one (B x cout) GEMM per block per FOREST — the
   // row-constant query-embedding suffix never spatially replicates into the
@@ -245,38 +112,23 @@ void TreeConv::ForwardTrain(const TreeStructure& tree, const Matrix& x,
   train_stats_.forward_madds +=
       static_cast<uint64_t>(n) * static_cast<uint64_t>(top) * cout;
 
-  // Side top-block GEMMs; both sides' contributions live at once so the
-  // epilogue can apply them in one pass.
+  // Side top-block GEMMs over the present children only, reading the child
+  // rows through the gather index list (no materialized gather). Both sides'
+  // contributions live at once so the epilogue can apply them in one pass.
   auto side_contrib = [&](const SideGather& side, int blk, Matrix* contrib) {
     const int present = static_cast<int>(side.parent.size());
-    const int rows = sparse ? present : n;
-    if (rows == 0) {
+    if (present == 0) {
       contrib->Reshape(0, cout);
       return;
     }
-    if (sparse) {
-      MatMulGatherBlockInto(x, side.child.data(), present,
-                            weight_.value.Row(blk * cin), top, cout, contrib,
-                            &scratch->gemm);
-    } else {
-      Matrix& g = scratch->gather;
-      g.Reshape(n, top);
-      g.Zero();
-      ParallelRows(present, /*min_parallel=*/256, [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          std::copy(x.Row(side.child[static_cast<size_t>(r)]),
-                    x.Row(side.child[static_cast<size_t>(r)]) + top,
-                    g.Row(side.parent[static_cast<size_t>(r)]));
-        }
-      });
-      MatMulBlockInto(g, weight_.value.Row(blk * cin), top, cout, contrib,
-                      &scratch->gemm);
-    }
+    MatMulGatherBlockInto(x, side.child.data(), present,
+                          weight_.value.Row(blk * cin), top, cout, contrib,
+                          &scratch->gemm);
     train_stats_.forward_madds +=
-        static_cast<uint64_t>(rows) * static_cast<uint64_t>(top) * cout;
+        static_cast<uint64_t>(present) * static_cast<uint64_t>(top) * cout;
     train_stats_.gather_bytes +=
-        static_cast<uint64_t>(rows) * (top + cout) * sizeof(float);
-    if (sparse) train_stats_.rows_skipped += static_cast<uint64_t>(n - present);
+        static_cast<uint64_t>(present) * (top + cout) * sizeof(float);
+    train_stats_.rows_skipped += static_cast<uint64_t>(n - present);
   };
   side_contrib(gather.left, 1, &scratch->lcontrib);
   side_contrib(gather.right, 2, &scratch->rcontrib);
@@ -284,10 +136,9 @@ void TreeConv::ForwardTrain(const TreeStructure& tree, const Matrix& x,
   // Fused epilogue: bias + suffix projections + side contributions +
   // activation in ONE pass — each post-activation row is written exactly
   // once. Per-element op order is a fixed function of the node's child
-  // presence alone (never of the gather-row count), which is what keeps
-  // sparse and dense training bit-identical. Sparse contributions are
+  // presence alone (never of the gather-row count). Side contributions are
   // indexed by an ascending cursor into the parent list (re-seeded per
-  // chunk), dense ones by the node index itself — same values either way.
+  // chunk).
   const float* b = bias_.value.Row(0);
   const int* lpar = gather.left.parent.data();
   const int* rpar = gather.right.parent.data();
@@ -302,13 +153,9 @@ void TreeConv::ForwardTrain(const TreeStructure& tree, const Matrix& x,
       const bool has_l = has_lc && lc < lsz && lpar[lc] == static_cast<int>(i);
       const bool has_r = has_rc && rc < rsz && rpar[rc] == static_cast<int>(i);
       const float* lrow =
-          has_l ? scratch->lcontrib.Row(sparse ? static_cast<int>(lc)
-                                               : static_cast<int>(i))
-                : nullptr;
+          has_l ? scratch->lcontrib.Row(static_cast<int>(lc)) : nullptr;
       const float* rrow =
-          has_r ? scratch->rcontrib.Row(sparse ? static_cast<int>(rc)
-                                               : static_cast<int>(i))
-                : nullptr;
+          has_r ? scratch->rcontrib.Row(static_cast<int>(rc)) : nullptr;
       if (has_l) ++lc;
       if (has_r) ++rc;
       const int seg = node_seg != nullptr ? node_seg[i] : 0;
@@ -354,15 +201,6 @@ void TreeConv::RefreshInferenceWeights() {
     }
   }
   split_fresh_ = true;
-}
-
-Matrix TreeConv::ForwardInference(const TreeStructure& tree, const Matrix& x,
-                                  const Matrix* shared_suffix,
-                                  Scratch* scratch) const {
-  Matrix y;
-  ForwardInferenceInto(tree, x, shared_suffix, scratch, /*leaky_alpha=*/-1.0f,
-                       &y);
-  return y;
 }
 
 void TreeConv::ForwardInferenceInto(const TreeStructure& tree, const Matrix& x,
@@ -511,299 +349,13 @@ void TreeConv::ForwardInferenceRows(const TreeStructure& tree, const Matrix& x,
   }
 }
 
-Matrix TreeConv::ForwardInferenceMulti(const TreeStructure& tree,
-                                       const Matrix& x, const Matrix& suffixes,
-                                       const std::vector<int>& node_seg,
-                                       Scratch* scratch) const {
-  Matrix y;
-  ForwardInferenceMultiInto(tree, x, suffixes, node_seg, scratch,
-                            /*leaky_alpha=*/-1.0f, &y);
-  return y;
-}
-
-void TreeConv::ForwardInferenceMultiInto(const TreeStructure& tree,
-                                         const Matrix& x,
-                                         const Matrix& suffixes,
-                                         const std::vector<int>& node_seg,
-                                         Scratch* scratch, float leaky_alpha,
-                                         Matrix* y) const {
-  const int n = x.rows();
-  const int s = shared_suffix_dim_;
-  const int top = in_channels_ - s;
-  NEO_CHECK(x.cols() == top);
-  NEO_CHECK((s > 0) == (suffixes.rows() > 0));
-  NEO_CHECK(static_cast<size_t>(n) == tree.NumNodes());
-  NEO_CHECK(node_seg.size() == static_cast<size_t>(n));
-  NEO_CHECK(split_fresh_);
-  Scratch local;
-  if (scratch == nullptr) scratch = &local;
-
-  // All K queries' suffix projections in one GEMM per block; row k is
-  // bitwise the single-query projection of query k.
-  if (s > 0) {
-    NEO_CHECK(suffixes.cols() == s);
-    MatMulPackedInto(suffixes, w_self_suffix_, &scratch->suffix_self);
-    MatMulPackedInto(suffixes, w_left_suffix_, &scratch->suffix_left);
-    MatMulPackedInto(suffixes, w_right_suffix_, &scratch->suffix_right);
-  }
-
-  MatMulPackedInto(x, w_self_, y);
-  const int cout = y->cols();
-
-  const int nl = GatherSide(tree.left, x, top, nullptr, &scratch->gather,
-                            &scratch->lparent);
-  if (nl > 0) MatMulPackedInto(scratch->gather, w_left_, &scratch->lcontrib);
-  const int nr = GatherSide(tree.right, x, top, nullptr, &scratch->gather,
-                            &scratch->rparent);
-  if (nr > 0) MatMulPackedInto(scratch->gather, w_right_, &scratch->rcontrib);
-
-  // Fused epilogue; per row the suffix projections are read through the
-  // node's segment, in the exact op order of the single-query path — so each
-  // output row is bit-identical to ForwardInference with its query alone.
-  const float* b = bias_.value.Row(0);
-  size_t lc = 0, rc = 0;
-  for (int i = 0; i < n; ++i) {
-    const bool has_l = lc < scratch->lparent.size() && scratch->lparent[lc] == i;
-    const bool has_r = rc < scratch->rparent.size() && scratch->rparent[rc] == i;
-    const float* lrow =
-        has_l ? scratch->lcontrib.Row(static_cast<int>(lc)) : nullptr;
-    const float* rrow =
-        has_r ? scratch->rcontrib.Row(static_cast<int>(rc)) : nullptr;
-    if (has_l) ++lc;
-    if (has_r) ++rc;
-    const int seg = node_seg[static_cast<size_t>(i)];
-    const float* sps = s > 0 ? scratch->suffix_self.Row(seg) : nullptr;
-    const float* spl = s > 0 ? scratch->suffix_left.Row(seg) : nullptr;
-    const float* spr = s > 0 ? scratch->suffix_right.Row(seg) : nullptr;
-    float* row = y->Row(i);
-    for (int c = 0; c < cout; ++c) {
-      float v = row[c] + b[c];
-      if (sps != nullptr) v += sps[c];
-      if (lrow != nullptr) {
-        v += lrow[c];
-        if (spl != nullptr) v += spl[c];
-      }
-      if (rrow != nullptr) {
-        v += rrow[c];
-        if (spr != nullptr) v += spr[c];
-      }
-      if (leaky_alpha >= 0.0f && v < 0.0f) v *= leaky_alpha;
-      row[c] = v;
-    }
-  }
-}
-
-void TreeConv::ForwardInferenceRowsMulti(const TreeStructure& tree,
-                                         const Matrix& x,
-                                         const std::vector<int>& rows,
-                                         const Matrix& suffixes,
-                                         const std::vector<int>& node_seg,
-                                         Scratch* scratch, Matrix* y,
-                                         float leaky_alpha) const {
-  const int s = shared_suffix_dim_;
-  const int top = in_channels_ - s;
-  const int cout = weight_.value.cols();
-  NEO_CHECK(x.cols() == top);
-  NEO_CHECK((s > 0) == (suffixes.rows() > 0));
-  NEO_CHECK(static_cast<size_t>(x.rows()) == tree.NumNodes());
-  NEO_CHECK(node_seg.size() == static_cast<size_t>(x.rows()));
-  NEO_CHECK(y->rows() == x.rows() && y->cols() == cout);
-  NEO_CHECK(split_fresh_);
-  if (rows.empty()) return;
-  Scratch local;
-  if (scratch == nullptr) scratch = &local;
-  const int d = static_cast<int>(rows.size());
-
-  if (s > 0) {
-    NEO_CHECK(suffixes.cols() == s);
-    MatMulPackedInto(suffixes, w_self_suffix_, &scratch->suffix_self);
-    MatMulPackedInto(suffixes, w_left_suffix_, &scratch->suffix_left);
-    MatMulPackedInto(suffixes, w_right_suffix_, &scratch->suffix_right);
-  }
-
-  scratch->gather.Reshape(d, top);
-  for (int r = 0; r < d; ++r) {
-    std::copy(x.Row(rows[static_cast<size_t>(r)]),
-              x.Row(rows[static_cast<size_t>(r)]) + top, scratch->gather.Row(r));
-  }
-  MatMulPackedInto(scratch->gather, w_self_, &scratch->self);
-
-  const int nl = GatherSide(tree.left, x, top, &rows, &scratch->gather,
-                            &scratch->lparent);
-  if (nl > 0) MatMulPackedInto(scratch->gather, w_left_, &scratch->lcontrib);
-  const int nr = GatherSide(tree.right, x, top, &rows, &scratch->gather,
-                            &scratch->rparent);
-  if (nr > 0) MatMulPackedInto(scratch->gather, w_right_, &scratch->rcontrib);
-
-  const float* b = bias_.value.Row(0);
-  size_t lc = 0, rc = 0;
-  for (int r = 0; r < d; ++r) {
-    const int node = rows[static_cast<size_t>(r)];
-    const bool has_l =
-        lc < scratch->lparent.size() && scratch->lparent[lc] == node;
-    const bool has_r =
-        rc < scratch->rparent.size() && scratch->rparent[rc] == node;
-    const float* lrow =
-        has_l ? scratch->lcontrib.Row(static_cast<int>(lc)) : nullptr;
-    const float* rrow =
-        has_r ? scratch->rcontrib.Row(static_cast<int>(rc)) : nullptr;
-    if (has_l) ++lc;
-    if (has_r) ++rc;
-    const int seg = node_seg[static_cast<size_t>(node)];
-    const float* sps = s > 0 ? scratch->suffix_self.Row(seg) : nullptr;
-    const float* spl = s > 0 ? scratch->suffix_left.Row(seg) : nullptr;
-    const float* spr = s > 0 ? scratch->suffix_right.Row(seg) : nullptr;
-    float* dst = y->Row(node);
-    const float* src = scratch->self.Row(r);
-    for (int c = 0; c < cout; ++c) {
-      float v = src[c] + b[c];
-      if (sps != nullptr) v += sps[c];
-      if (lrow != nullptr) {
-        v += lrow[c];
-        if (spl != nullptr) v += spl[c];
-      }
-      if (rrow != nullptr) {
-        v += rrow[c];
-        if (spr != nullptr) v += spr[c];
-      }
-      if (leaky_alpha >= 0.0f && v < 0.0f) v *= leaky_alpha;
-      dst[c] = v;
-    }
-  }
-}
-
-Matrix TreeConv::Backward(const TreeStructure& tree, const Matrix& x,
-                          const Matrix& grad_out, const TreeGather* gather,
-                          TrainScratch* scratch) {
-  // Training implies an imminent weight update: invalidate the inference
-  // split so ForwardInference cannot silently use stale weights.
-  split_fresh_ = false;
-  const int n = grad_out.rows();
-  const int cin = in_channels_;
-  const int cout = grad_out.cols();
-  NEO_CHECK(cout == weight_.value.cols());
-  NEO_CHECK(x.rows() == n && x.cols() == cin);
-
-  // Bias gradient: serial ascending-row reduction (fixed order, cheap).
-  for (int i = 0; i < n; ++i) {
-    const float* g = grad_out.Row(i);
-    float* b = bias_.grad.Row(0);
-    for (int c = 0; c < cout; ++c) b[c] += g[c];
-  }
-
-  if (UseReferenceKernels()) {
-    // Seed-path reconstruction: dense concat round-trip (uses the concat
-    // cached by the matching reference Forward).
-    NEO_CHECK(last_concat_.rows() == n);
-    weight_.grad.Add(MatMulTransposeA(last_concat_, grad_out));
-    const Matrix grad_concat = MatMulTransposeB(grad_out, weight_.value);
-    Matrix grad_in(n, cin);
-    for (int i = 0; i < n; ++i) {
-      const float* g = grad_concat.Row(i);
-      float* self = grad_in.Row(i);
-      for (int c = 0; c < cin; ++c) self[c] += g[c];
-      const int l = tree.left[static_cast<size_t>(i)];
-      if (l >= 0) {
-        float* lv = grad_in.Row(l);
-        for (int c = 0; c < cin; ++c) lv[c] += g[cin + c];
-      }
-      const int r = tree.right[static_cast<size_t>(i)];
-      if (r >= 0) {
-        float* rv = grad_in.Row(r);
-        for (int c = 0; c < cin; ++c) rv[c] += g[2 * cin + c];
-      }
-    }
-    return grad_in;
-  }
-
-  TreeGather local;
-  if (gather == nullptr) {
-    local = TreeGather::Build(tree);
-    gather = &local;
-  }
-  TrainScratch local_scratch;
-  if (scratch == nullptr) scratch = &local_scratch;
-  const bool sparse = SparseTrainingConv();
-
-  // Self block: dW_p += x^T g, scatter-added straight into the gradient's
-  // first cin rows; dx = g W_p^T seeds grad_in (every node has a self term).
-  MatMulTransposeAInto(x, grad_out, weight_.grad.Row(0), &scratch->gemm);
-  Matrix grad_in;
-  MatMulTransposeBBlockInto(grad_out, weight_.value.Row(0), cin, &grad_in,
-                            &scratch->gemm);
-  train_stats_.backward_madds +=
-      2ULL * static_cast<uint64_t>(n) * static_cast<uint64_t>(cin) * cout;
-
-  // Child blocks. Per side: accumulate dW_blk += x[children]^T g[parents] in
-  // place, then scatter g[parents] W_blk^T to the child rows of grad_in.
-  // Sparse mode reads both gathers through index lists (zero-copy); the
-  // dense fallback materializes the zero-padded child gather and spans all
-  // rows. Each node is at most one parent's child, so no grad_in row is
-  // touched twice per side and the scatter partitions race-free.
-  auto side_backward = [&](const SideGather& side, int blk) {
-    const int present = static_cast<int>(side.parent.size());
-    const int rows = sparse ? present : n;
-    if (rows == 0) return;
-    Matrix& contrib = scratch->lcontrib;
-    if (sparse) {
-      // dW_blk += x[child]^T grad_out[parent]; zero rows the dense mode
-      // carries are exact no-ops in every MatMulTransposeAInto strategy, so
-      // both modes produce identical bits.
-      MatMulGatherTransposeAInto(x, side.child.data(), grad_out,
-                                 side.parent.data(), present,
-                                 weight_.grad.Row(blk * cin), &scratch->gemm);
-      MatMulGatherTransposeBBlockInto(grad_out, side.parent.data(), present,
-                                      weight_.value.Row(blk * cin), cin,
-                                      &contrib, &scratch->gemm);
-    } else {
-      Matrix& gx = scratch->gather;
-      gx.Reshape(n, cin);
-      gx.Zero();  // Reshape may retain junk; absent rows must be 0.
-      ParallelRows(present, /*min_parallel=*/256, [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          std::copy(x.Row(side.child[static_cast<size_t>(r)]),
-                    x.Row(side.child[static_cast<size_t>(r)]) + cin,
-                    gx.Row(side.parent[static_cast<size_t>(r)]));
-        }
-      });
-      MatMulTransposeAInto(gx, grad_out, weight_.grad.Row(blk * cin),
-                           &scratch->gemm);
-      MatMulTransposeBBlockInto(grad_out, weight_.value.Row(blk * cin), cin,
-                                &contrib, &scratch->gemm);
-    }
-
-    // dx_child += contrib, scattered to the child rows. Dense mode computes
-    // contrib for every node but scatters only present children — the same
-    // rows, values, and order as sparse mode.
-    ParallelRows(present, /*min_parallel=*/256, [&](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        const int src_row = sparse ? static_cast<int>(r)
-                                   : side.parent[static_cast<size_t>(r)];
-        float* dst = grad_in.Row(side.child[static_cast<size_t>(r)]);
-        const float* src = contrib.Row(src_row);
-        for (int c = 0; c < cin; ++c) dst[c] += src[c];
-      }
-    });
-    train_stats_.backward_madds +=
-        2ULL * static_cast<uint64_t>(rows) * static_cast<uint64_t>(cin) * cout;
-    train_stats_.gather_bytes +=
-        static_cast<uint64_t>(rows) * (cin + cout) * sizeof(float) +
-        static_cast<uint64_t>(present) * cin * sizeof(float);
-    if (sparse) train_stats_.rows_skipped += static_cast<uint64_t>(n - present);
-  };
-  side_backward(gather->left, 1);
-  side_backward(gather->right, 2);
-  return grad_in;
-}
-
 void TreeConv::BackwardTrain(const TreeStructure& tree, const Matrix& x,
                              const Matrix* suffixes, const int* node_seg,
                              const Matrix& grad_out, const TreeGather& gather,
                              TrainScratch* scratch, Matrix* grad_in,
                              Matrix* grad_suffix) {
-  NEO_CHECK_MSG(!UseReferenceKernels(),
-                "BackwardTrain is the fast path; reference mode keeps the "
-                "seed concat Backward");
+  // Training implies an imminent weight update: invalidate the inference
+  // split so the inference passes cannot silently use stale weights.
   split_fresh_ = false;
   const int n = grad_out.rows();
   const int s = shared_suffix_dim_;
@@ -812,13 +364,13 @@ void TreeConv::BackwardTrain(const TreeStructure& tree, const Matrix& x,
   const int cout = grad_out.cols();
   NEO_CHECK(cout == weight_.value.cols());
   NEO_CHECK(x.rows() == n && x.cols() == top);
+  NEO_CHECK(static_cast<size_t>(n) == tree.NumNodes());
   NEO_CHECK((s > 0) == (suffixes != nullptr));
   // Input gradients flow only through suffix-free (deeper) layers; layer 0's
   // varying channels are leaf inputs, so their gradient is never computed.
   NEO_CHECK(grad_in == nullptr || s == 0);
   NEO_CHECK(grad_suffix == nullptr || s > 0);
   NEO_CHECK(scratch != nullptr);
-  const bool sparse = SparseTrainingConv();
   const int batch = s > 0 ? suffixes->rows() : 1;
 
   // Bias gradient: serial ascending-row reduction (fixed order, cheap).
@@ -831,9 +383,7 @@ void TreeConv::BackwardTrain(const TreeStructure& tree, const Matrix& x,
   // Per-sample segment sums of grad rows over the nodes a block touches:
   // G_b[k] = sum of grad_out rows (ascending node order — forests pack
   // sample-contiguously, so this is also ascending within each sample) whose
-  // b-child is present and whose node belongs to sample k. Both training
-  // modes iterate the SAME side lists, so sparse and dense stay
-  // bit-identical by construction.
+  // b-child is present and whose node belongs to sample k.
   auto seg_sum = [&](const SideGather* side) {
     Matrix& G = scratch->seg_grad;
     G.Reshape(batch, cout);
@@ -887,57 +437,39 @@ void TreeConv::BackwardTrain(const TreeStructure& tree, const Matrix& x,
   train_stats_.backward_madds +=
       2ULL * static_cast<uint64_t>(n) * static_cast<uint64_t>(top) * cout;
 
-  // Side top blocks (see Backward's side_backward for the mode notes).
+  // Side top blocks. Per side: accumulate dW_blk += x[child]^T g[parent] in
+  // place, reading both gathers through the index lists (zero-copy), then
+  // scatter g[parent] W_blk^T to the child rows of grad_in. Each node is at
+  // most one parent's child, so no grad_in row is touched twice per side and
+  // the scatter partitions race-free.
   auto side_backward = [&](const SideGather& side, int blk) {
     const int present = static_cast<int>(side.parent.size());
-    const int rows = sparse ? present : n;
-    if (rows == 0) return;
+    if (present == 0) return;
     Matrix& contrib = scratch->lcontrib;
-    if (sparse) {
-      MatMulGatherTransposeAInto(x, side.child.data(), grad_out,
-                                 side.parent.data(), present,
-                                 weight_.grad.Row(blk * cin), &scratch->gemm);
-      if (grad_in != nullptr) {
-        MatMulGatherTransposeBBlockInto(grad_out, side.parent.data(), present,
-                                        weight_.value.Row(blk * cin), top,
-                                        &contrib, &scratch->gemm);
-      }
-    } else {
-      Matrix& gx = scratch->gather;
-      gx.Reshape(n, top);
-      gx.Zero();  // Reshape may retain junk; absent rows must be 0.
-      ParallelRows(present, /*min_parallel=*/256, [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          std::copy(x.Row(side.child[static_cast<size_t>(r)]),
-                    x.Row(side.child[static_cast<size_t>(r)]) + top,
-                    gx.Row(side.parent[static_cast<size_t>(r)]));
-        }
-      });
-      MatMulTransposeAInto(gx, grad_out, weight_.grad.Row(blk * cin),
-                           &scratch->gemm);
-      if (grad_in != nullptr) {
-        MatMulTransposeBBlockInto(grad_out, weight_.value.Row(blk * cin), top,
-                                  &contrib, &scratch->gemm);
-      }
+    MatMulGatherTransposeAInto(x, side.child.data(), grad_out,
+                               side.parent.data(), present,
+                               weight_.grad.Row(blk * cin), &scratch->gemm);
+    if (grad_in != nullptr) {
+      MatMulGatherTransposeBBlockInto(grad_out, side.parent.data(), present,
+                                      weight_.value.Row(blk * cin), top,
+                                      &contrib, &scratch->gemm);
     }
     suffix_backward(&side, blk);
     if (grad_in != nullptr) {
       ParallelRows(present, /*min_parallel=*/256, [&](int64_t r0, int64_t r1) {
         for (int64_t r = r0; r < r1; ++r) {
-          const int src_row = sparse ? static_cast<int>(r)
-                                     : side.parent[static_cast<size_t>(r)];
           float* dst = grad_in->Row(side.child[static_cast<size_t>(r)]);
-          const float* src = contrib.Row(src_row);
+          const float* src = contrib.Row(static_cast<int>(r));
           for (int c = 0; c < top; ++c) dst[c] += src[c];
         }
       });
     }
-    train_stats_.backward_madds +=
-        2ULL * static_cast<uint64_t>(rows) * static_cast<uint64_t>(top) * cout;
+    train_stats_.backward_madds += 2ULL * static_cast<uint64_t>(present) *
+                                   static_cast<uint64_t>(top) * cout;
     train_stats_.gather_bytes +=
-        static_cast<uint64_t>(rows) * (top + cout) * sizeof(float) +
+        static_cast<uint64_t>(present) * (top + cout) * sizeof(float) +
         static_cast<uint64_t>(present) * top * sizeof(float);
-    if (sparse) train_stats_.rows_skipped += static_cast<uint64_t>(n - present);
+    train_stats_.rows_skipped += static_cast<uint64_t>(n - present);
   };
   side_backward(gather.left, 1);
   side_backward(gather.right, 2);

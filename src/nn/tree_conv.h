@@ -13,45 +13,38 @@
 //
 // Block layout. The stacked (3*cin x cout) weight is three contiguous
 // (cin x cout) blocks — W_p (self), W_l (left), W_r (right), rows
-// [b*cin, (b+1)*cin). Both the training Forward/Backward and the inference
-// fast path compute per block:
+// [b*cin, (b+1)*cin). Training (ForwardTrain/BackwardTrain) and inference
+// (ForwardInferenceInto/ForwardInferenceRows) both compute per block:
 //
 //   y = x W_p + bias + gather_l(x) W_l + gather_r(x) W_r
 //
 // where gather_s(x) collects the side-s child feature rows. Nothing ever
-// materializes the (n x 3*cin) [self ; left ; right] concatenation, and in
-// sparse mode (the default) the gathers carry ONLY rows whose child exists —
-// and are never even copied: the GEMM/gradient kernels read the rows through
-// the per-forest index lists (MatMulGather* in matrix.h), so a training step
-// does one pass over the child features per block with zero gather
-// materialization. The dense fallback materializes its zero-padded gathers
-// explicitly; that padding is exactly the cost the sparse path deletes.
+// materializes the (n x 3*cin) [self ; left ; right] concatenation, and the
+// gathers carry ONLY rows whose child exists. Training never even copies
+// them: the GEMM/gradient kernels read the rows through the per-forest index
+// lists (MatMulGather* in matrix.h), so a training step does one pass over
+// the child features per block with zero gather materialization.
 //
 // Why absent-child blocks are skippable. An absent child contributes a zero
-// feature row; a zero row's products are exact no-ops in every kernel's
-// summation (single-fma-chain / explicit-zero-skip — see matrix.h's
-// MatMulTransposeAInto contract and the gemm_acc_rows notes in
-// matrix_simd.h). Leaves dominate plan forests, so skipping them cuts the
-// training conv's flops by ~1/3 and halves the gather traffic.
+// feature row (the paper's all-zero leaves); a zero row's products are exact
+// no-ops in every kernel's summation (single-fma-chain / explicit-zero-skip
+// — see matrix.h's MatMulTransposeAInto contract). Leaves dominate plan
+// forests, so skipping them cuts the training conv's flops by ~1/3 and
+// halves the gather traffic.
 //
 // Summation-order contract. Every output element of the forward and of each
 // gradient is computed in an order that is a fixed function of (k, m) within
 // its block — never of the gather-row count or of row positions. Hence
-//  (a) sparse (skip) and dense (zero-row-padded) training are BIT-IDENTICAL
-//      under every kernel dispatch arm and every thread count — the dense
-//      fallback (NEO_DENSE_TRAINING=1 / SetSparseTrainingConv(false)) is the
-//      same code minus the skip, kept as a belt-and-braces escape hatch;
-//  (b) the packed-forest and per-sample training paths share this one
-//      forward/backward, so their forward values agree bitwise too (rows are
-//      position-independent).
+//  (a) results are bit-identical under every thread count, within a kernel
+//      dispatch arm;
+//  (b) a node's forward value does not depend on which other trees share
+//      its packed forest (rows are position-independent), so a sample's
+//      prediction is the same in every minibatch that contains it.
 // Backward accumulates each weight-gradient block in place via the
 // scatter-add MatMulTransposeAInto (no (3*cin x cout) temporary, no
 // grad_concat): input gradients come from one MatMulTransposeBBlock per
 // block, scattered to child rows (each node has at most one parent, so the
 // scatter is race- and order-free).
-//
-// The dense concat path survives only under SetUseReferenceKernels(true),
-// where benches reconstruct the seed training/inference path faithfully.
 #pragma once
 
 #include <cstdint>
@@ -73,8 +66,8 @@ struct TreeStructure {
 
 /// Present-child gather list for one side of a forest: child[i] is the
 /// side-child row of node parent[i]; parent indices ascend. Built once per
-/// forest (PackPlanBatch / per-sample forward) and shared by every conv
-/// layer's forward AND backward — the structure never changes across layers.
+/// forest (PackPlanBatch) and shared by every conv layer's forward AND
+/// backward — the structure never changes across layers.
 struct SideGather {
   std::vector<int> parent;
   std::vector<int> child;
@@ -91,21 +84,13 @@ struct TreeGather {
   static void BuildInto(const TreeStructure& tree, TreeGather* out);
 };
 
-/// When true (default), the training conv gathers only present-child rows and
-/// skips absent-child work entirely; when false, it gathers a zero row per
-/// absent child (same code, same bits, dense flops). Initialized from the
-/// environment: NEO_DENSE_TRAINING=1 forces the dense fallback. Process-wide;
-/// intended for benches, the CI fallback matrix arm, and parity tests.
-void SetSparseTrainingConv(bool sparse);
-bool SparseTrainingConv();
-
 /// One tree convolution layer: out[i] = x_i W_p + x_l W_l + x_r W_r + b.
 ///
-/// `shared_suffix_dim` (s) declares that at inference time the last s input
-/// channels of every node carry the same vector (Neo's spatially-replicated
-/// query embedding): ForwardInference then takes the (n x (in-s)) varying
-/// features plus the (1 x s) suffix and projects the suffix through each
-/// weight block once per call instead of once per node.
+/// `shared_suffix_dim` (s) declares that the last s input channels of every
+/// node of a tree carry the same vector (Neo's spatially-replicated query
+/// embedding): both passes take the (n x (in-s)) varying features plus the
+/// suffix and project the suffix through each weight block once per tree
+/// (training: once per sample of the forest) instead of once per node.
 class TreeConv {
  public:
   TreeConv(int in_channels, int out_channels, util::Rng& rng,
@@ -128,13 +113,11 @@ class TreeConv {
 
   /// Reusable training-path scratch, shared across all conv layers of one
   /// step (buffers Reshape to each layer's dims without reallocating).
-  /// ValueNetwork owns one, passes it to every Forward/Backward, and by
-  /// default RETAINS it across steps (high-water reuse: the steady-state
-  /// training step performs zero heap allocations). Results are bit-identical
-  /// with or without a scratch and whether or not it is retained (every
-  /// reused element is fully overwritten).
+  /// ValueNetwork owns one, passes it to every ForwardTrain/BackwardTrain,
+  /// and retains it across steps (high-water reuse: the steady-state
+  /// training step performs zero heap allocations; every reused element is
+  /// fully overwritten).
   struct TrainScratch {
-    Matrix gather;     ///< Dense-fallback zero-padded child gather.
     Matrix lcontrib;   ///< Left-side GEMM output.
     Matrix rcontrib;   ///< Right-side GEMM output.
     Matrix proj_self, proj_left, proj_right;  ///< (B x cout) suffix projections.
@@ -142,19 +125,19 @@ class TreeConv {
     Matrix sgrad_tmp;  ///< (B x s) per-block suffix-grad staging.
     GemmScratch gemm;  ///< Pack + transpose staging for the block GEMMs.
 
-    void Release() { *this = TrainScratch(); }
     size_t Bytes() const {
-      return (gather.Size() + lcontrib.Size() + rcontrib.Size() +
-              proj_self.Size() + proj_left.Size() + proj_right.Size() +
-              seg_grad.Size() + sgrad_tmp.Size() + gemm.staging.Size() +
-              gemm.pack.size()) * sizeof(float);
+      return (lcontrib.Size() + rcontrib.Size() + proj_self.Size() +
+              proj_left.Size() + proj_right.Size() + seg_grad.Size() +
+              sgrad_tmp.Size() + gemm.staging.Size() + gemm.pack.size()) *
+             sizeof(float);
     }
   };
 
-  /// Per-layer training-path counters, accumulated across Forward/Backward
-  /// calls (training is single-threaded per network). `madds` count GEMM
-  /// multiply-adds; `gather_bytes` counts gather/scatter row traffic;
-  /// `rows_skipped` counts absent-child gather rows sparse mode avoided.
+  /// Per-layer training-path counters, accumulated across ForwardTrain/
+  /// BackwardTrain calls (training is single-threaded per network). `madds`
+  /// count GEMM multiply-adds; `gather_bytes` counts gather/scatter row
+  /// traffic; `rows_skipped` counts absent-child rows the sparse gathers
+  /// avoided.
   struct TrainStats {
     uint64_t forward_madds = 0;
     uint64_t backward_madds = 0;
@@ -162,31 +145,20 @@ class TreeConv {
     uint64_t rows_skipped = 0;
   };
 
-  /// Training forward: x (nodes x in_channels) -> (nodes x out_channels) via
-  /// the per-block gather/GEMM/scatter above. Always multiplies the LIVE
-  /// weights (no packed copy), so direct parameter pokes stay visible.
-  /// `gather`, when provided, must describe `tree` (PackPlanBatch builds it
-  /// once per forest); nullptr builds one locally. Under
-  /// SetUseReferenceKernels(true) this runs the seed dense-concat path
-  /// instead (and caches the concat for the matching Backward).
-  Matrix Forward(const TreeStructure& tree, const Matrix& x,
-                 const TreeGather* gather = nullptr,
-                 TrainScratch* scratch = nullptr);
-
-  /// Fast-path training forward with the fused epilogue and the layer-0
-  /// shared-suffix split (the training-side twin of ForwardInference's
-  /// suffix handling). `x` holds only the (in - s) varying channels;
-  /// `suffixes` is the (B x s) per-sample suffix stack (nullptr when the
-  /// layer has no suffix), projected through each weight block ONCE PER
-  /// FOREST instead of once per node; `node_seg` maps node -> sample row
-  /// (nullptr = all sample 0). Bias, both side contributions, the suffix
-  /// projections, and (when `leaky_alpha` >= 0) the leaky-ReLU are applied
-  /// in one fused pass, so each post-activation row is written exactly once.
-  /// Multiplies the LIVE weights. The per-element op order is a fixed
-  /// function of the node's (left, right) presence alone, so sparse and
-  /// dense training stay bit-identical and packed/per-sample forwards agree
-  /// bitwise. Not available under SetUseReferenceKernels (callers keep the
-  /// seed concat path there).
+  /// Training forward: x -> (nodes x out_channels) via the per-block
+  /// gather/GEMM/scatter above, with the fused epilogue and the shared-
+  /// suffix split (the training-side twin of ForwardInferenceInto's suffix
+  /// handling). `x` holds only the (in - s) varying channels; `suffixes` is
+  /// the (B x s) per-sample suffix stack (nullptr when the layer has no
+  /// suffix), projected through each weight block ONCE PER SAMPLE instead of
+  /// once per node; `node_seg` maps node -> sample row (nullptr = all sample
+  /// 0). `gather` must describe `tree` (PackPlanBatch builds it once per
+  /// forest). Bias, both side contributions, the suffix projections, and
+  /// (when `leaky_alpha` >= 0) the leaky-ReLU are applied in one fused pass,
+  /// so each post-activation row is written exactly once. Always multiplies
+  /// the LIVE weights (no packed copy), so direct parameter pokes stay
+  /// visible. The per-element op order is a fixed function of the node's
+  /// (left, right) presence alone.
   void ForwardTrain(const TreeStructure& tree, const Matrix& x,
                     const Matrix* suffixes, const int* node_seg,
                     const TreeGather& gather, TrainScratch* scratch,
@@ -206,108 +178,50 @@ class TreeConv {
                      TrainScratch* scratch, Matrix* grad_in,
                      Matrix* grad_suffix);
 
-  /// Inference-only forward that skips absent-child weight blocks:
-  /// y = x*W_p + gather(x_left)*W_l + gather(x_right)*W_r + b. Most forest
-  /// nodes are leaves, so this does roughly half the flops of Forward. With
-  /// shared_suffix_dim > 0, `x` holds only the varying (in-s) channels and
-  /// `shared_suffix` the common (1 x s) tail. Each output row depends only
-  /// on that node's (self, left, right) features, so results are identical
+  /// Inference forward into a caller-owned output, skipping absent-child
+  /// weight blocks: y = x*W_p + gather(x_left)*W_l + gather(x_right)*W_r + b.
+  /// With shared_suffix_dim > 0, `x` holds only the varying (in-s) channels
+  /// and `shared_suffix` the common (1 x s) tail. The self GEMM lands in
+  /// `y`, then ONE serial pass per row applies bias, suffix projections,
+  /// both side contributions, and (when `leaky_alpha` >= 0) the leaky-ReLU,
+  /// in the fixed per-element order bias, self suffix, left contrib, left
+  /// suffix, right contrib, right suffix, activation — so each
+  /// post-activation row is written exactly once. `leaky_alpha` < 0 skips
+  /// the activation (pre-activation output). Each output row depends only on
+  /// that node's (self, left, right) features, so results are identical
   /// whether a tree is scored alone or in a batch. Caller must
   /// RefreshInferenceWeights() after any weight update; results may differ
-  /// from Forward by accumulation-order ulps. Const and safe to call from
-  /// many threads concurrently when each passes its own `scratch` (nullptr
-  /// allocates locally).
-  Matrix ForwardInference(const TreeStructure& tree, const Matrix& x,
-                          const Matrix* shared_suffix = nullptr,
-                          Scratch* scratch = nullptr) const;
-
-  /// ForwardInference into a caller-owned output with the fused epilogue:
-  /// self GEMM lands in `y`, then ONE serial pass per row applies bias,
-  /// suffix projections, both side contributions, and (when `leaky_alpha`
-  /// >= 0) the leaky-ReLU — the post-activation row is written exactly once,
-  /// in the exact per-element op order of the unfused passes (bias, self
-  /// suffix, left contrib, left suffix, right contrib, right suffix,
-  /// activation), so results are bit-identical to running them separately
-  /// under every dispatch arm. With a warmed `scratch` the call performs
-  /// zero heap allocations. `leaky_alpha` < 0 skips the activation
-  /// (pre-activation output, the compatibility wrapper's behavior).
+  /// from ForwardTrain by accumulation-order ulps (pre-packed weights). With
+  /// a warmed `scratch` the call performs zero heap allocations. Const and
+  /// safe to call from many threads concurrently when each passes its own
+  /// `scratch` (nullptr allocates locally).
   void ForwardInferenceInto(const TreeStructure& tree, const Matrix& x,
                             const Matrix* shared_suffix, Scratch* scratch,
                             float leaky_alpha, Matrix* y) const;
 
-  /// Incremental variant of ForwardInference: computes ONLY the output rows
-  /// listed in `rows` (ascending node indices), writing them into the
+  /// Incremental variant of ForwardInferenceInto: computes ONLY the output
+  /// rows listed in `rows` (ascending node indices), writing them into the
   /// pre-sized (nodes x out_channels) `y`; all other rows of `y` must already
   /// hold their values (the caller fills them from its activation cache).
   /// `x` still spans every node — a dirty row may gather a clean child's
   /// input. Each computed row runs the exact gather/GEMM/scatter arithmetic
   /// of the full pass (MatMul rows are position-independent), so it is
-  /// bit-identical to the same row of ForwardInference. Same thread-safety
-  /// and RefreshInferenceWeights contract as ForwardInference.
+  /// bit-identical to the same row of ForwardInferenceInto. Same thread-
+  /// safety and RefreshInferenceWeights contract.
   void ForwardInferenceRows(const TreeStructure& tree, const Matrix& x,
                             const std::vector<int>& rows,
                             const Matrix* shared_suffix, Scratch* scratch,
                             Matrix* y, float leaky_alpha = -1.0f) const;
 
-  /// Multi-query variant of ForwardInference for cross-query coalescing:
-  /// the forest packs trees from K different queries, `suffixes` is the
-  /// (K x s) stack of their shared-suffix vectors, and `node_seg[i]` names
-  /// node i's query segment (children share their parent's segment, since a
-  /// tree never spans queries). The K suffix projections are computed as one
-  /// multi-row GEMM whose rows are bitwise equal to K separate (1 x s) GEMMs
-  /// (MatMul rows are position-independent), and every per-row add runs in
-  /// the exact order of the single-query path — so each output row is
-  /// BIT-IDENTICAL to the same node scored through ForwardInference with its
-  /// own query alone. Only layer 0 carries a suffix; deeper layers coalesce
-  /// through the unmodified single-suffix-free functions. When the layer has
-  /// no suffix (s == 0), pass an empty `suffixes`.
-  Matrix ForwardInferenceMulti(const TreeStructure& tree, const Matrix& x,
-                               const Matrix& suffixes,
-                               const std::vector<int>& node_seg,
-                               Scratch* scratch) const;
-
-  /// ForwardInferenceMulti into a caller-owned output with the fused
-  /// epilogue (see ForwardInferenceInto).
-  void ForwardInferenceMultiInto(const TreeStructure& tree, const Matrix& x,
-                                 const Matrix& suffixes,
-                                 const std::vector<int>& node_seg,
-                                 Scratch* scratch, float leaky_alpha,
-                                 Matrix* y) const;
-
-  /// Incremental multi-query variant (see ForwardInferenceRows): computes
-  /// only `rows`, reading each row's suffix projection via `node_seg`.
-  void ForwardInferenceRowsMulti(const TreeStructure& tree, const Matrix& x,
-                                 const std::vector<int>& rows,
-                                 const Matrix& suffixes,
-                                 const std::vector<int>& node_seg,
-                                 Scratch* scratch, Matrix* y,
-                                 float leaky_alpha = -1.0f) const;
-
-  /// Re-splits the stacked weight into the per-block copies ForwardInference
-  /// multiplies with, pre-packed into the kernel dispatch panel layout so the
-  /// hot gather/GEMM/scatter never repacks. Cheap (one copy of the weights).
+  /// Re-splits the stacked weight into the per-block copies the inference
+  /// passes multiply with, pre-packed into the kernel dispatch panel layout
+  /// so the hot gather/GEMM/scatter never repacks. Cheap (one copy of the
+  /// weights).
   void RefreshInferenceWeights();
-
-  /// Backward for a Forward over the same (tree, x, gather). Accumulates
-  /// weight/bias gradients and returns grad_in (nodes x in_channels). Holds
-  /// no cached state of its own outside reference mode — the caller passes
-  /// the forward input back in (ValueNetwork keeps the per-layer
-  /// post-activations it needs anyway, which is what dropped the per-layer
-  /// (n x 3*cin) concat cache from training's footprint).
-  Matrix Backward(const TreeStructure& tree, const Matrix& x,
-                  const Matrix& grad_out, const TreeGather* gather = nullptr,
-                  TrainScratch* scratch = nullptr);
 
   void CollectParams(std::vector<Param*>* out) {
     out->push_back(&weight_);
     out->push_back(&bias_);
-  }
-
-  /// Drops any batch-sized training scratch (the reference path's cached
-  /// concat); a no-op for the block path, which holds none.
-  void ReleaseTrainingScratch() { last_concat_ = Matrix(); }
-  size_t TrainingScratchBytes() const {
-    return last_concat_.Size() * sizeof(float);
   }
 
   const TrainStats& train_stats() const { return train_stats_; }
@@ -321,7 +235,6 @@ class TreeConv {
   int shared_suffix_dim_;
   Param weight_;  ///< (3*in x out): [e_p; e_l; e_r] stacked.
   Param bias_;    ///< (1 x out)
-  Matrix last_concat_;  ///< (nodes x 3*in); reference (seed) path only.
   TrainStats train_stats_;
   /// ((in - s) x out) varying-channel blocks of weight_, pre-packed for the
   /// active GEMM dispatch arm (MatMulPacked).
@@ -359,11 +272,6 @@ class DynamicPooling {
   /// scatter-add as Backward).
   void BackwardInto(const Matrix& grad_out, Matrix* grad_in);
 
-  /// Drops the batch-sized argmax state after a training step.
-  void ReleaseTrainingScratch() {
-    argmax_.clear();
-    argmax_.shrink_to_fit();
-  }
   size_t TrainingScratchBytes() const { return argmax_.size() * sizeof(int); }
 
  private:

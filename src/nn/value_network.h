@@ -13,20 +13,22 @@
 // ---- Memory model (zero-alloc steady state) --------------------------------
 //
 // Serving and training steady states perform no heap allocation:
-//  * Inference: every Predict*Into call threads an InferenceContext whose
-//    per-layer conv outputs, pooled matrix, head pipeline buffers, and conv
-//    scratch are capacity-reused (Matrix::Reshape never shrinks capacity).
-//    After one call at each shape high-water mark, repeated calls allocate
-//    nothing; post-activations are written exactly once per row (the
-//    bias/suffix/side/leaky-ReLU epilogue is fused into the conv scatter,
-//    and (Linear, LayerNorm, LeakyReLU) triples fuse in the FC stacks —
-//    both bit-identical to the unfused passes).
-//  * Training: TrainBatch packs the minibatch into member-owned buffers and
-//    by default RETAINS all training scratch across steps (high-water
-//    reuse); SetRetainTrainingScratch(false) restores per-step release —
-//    loss curves are bit-identical either way. The former glibc
-//    M_TRIM_THRESHOLD workaround is gone: with no steady-state frees there
-//    is nothing to trim (NEO_NO_MALLOC_TUNING is deprecated and ignored).
+//  * Inference: every Predict*Into / EmbedQueryInto call threads caller-
+//    owned scratch (an InferenceContext or a PipelineScratch) whose buffers
+//    — per-layer conv outputs, pooled matrix, head pipeline buffers, conv
+//    scratch, and GEMM pack buffers — are capacity-reused
+//    (Matrix::Reshape never shrinks capacity). After one call at each shape
+//    high-water mark, repeated calls allocate nothing; post-activations are
+//    written exactly once per row (the bias/suffix/side/leaky-ReLU epilogue
+//    is fused into the conv scatter, and (Linear, LayerNorm, LeakyReLU)
+//    triples fuse in the FC stacks). Apart from the once-per-version,
+//    mutex-guarded refresh of the packed inference weights, no inference
+//    call writes layer state, so concurrent inference on one network (each
+//    caller with its own scratch) is race-free.
+//  * Training: TrainBatch packs the minibatch into one forest held in
+//    member-owned buffers and retains all training scratch across steps
+//    (high-water reuse), so a step at or below the batch-size high-water
+//    mark allocates nothing.
 //  * Verification: TrainBatch runs inside util::AllocRegionScope (as does
 //    the search's NN-eval section); the bench harnesses report the counted
 //    allocations as steady_state_heap_allocs and CI fails if nonzero after
@@ -89,7 +91,7 @@ struct PlanBatch {
 
 /// Packs per-sample (tree, node_features) pairs into one PlanBatch (query
 /// vectors are ignored; batched prediction shares one query embedding, and
-/// batched training re-associates embeddings per tree via tree_offsets).
+/// training re-associates embeddings per tree via tree_offsets).
 PlanBatch PackPlanBatch(const PlanSample* const* samples, size_t n);
 PlanBatch PackPlanBatch(const std::vector<const PlanSample*>& samples);
 
@@ -117,15 +119,6 @@ struct ActivationReuse {
   std::vector<float*> store;
 };
 
-/// One query's scoring request inside a cross-query coalesced predict
-/// (ValueNetwork::PredictBatchMulti): the query's embedding, its packed
-/// candidate forest, and optionally that search's activation reuse spans.
-struct MultiPredictItem {
-  const Matrix* query_embedding = nullptr;  ///< (1 x embed dim)
-  const PlanBatch* batch = nullptr;         ///< Non-empty packed candidates.
-  const ActivationReuse* reuse = nullptr;   ///< Optional incremental reuse.
-};
-
 class ValueNetwork {
  public:
   /// Per-caller scratch for the inference paths. The network's inference is
@@ -145,16 +138,6 @@ class ValueNetwork {
     Matrix pooled;
     Matrix scores;
     PipelineScratch head_pipe;
-    /// Merge buffers for PredictBatchMulti (reused across coalesced calls).
-    struct MultiScratch {
-      TreeStructure forest;       ///< Concatenated multi-query forest.
-      Matrix features;            ///< Concatenated node features.
-      Matrix suffixes;            ///< (K x embed dim) stacked embeddings.
-      std::vector<int> node_seg;  ///< Node row -> query segment.
-      std::vector<int> offsets;   ///< Merged tree offsets.
-      ActivationReuse reuse;      ///< Merged reuse spans.
-    };
-    MultiScratch multi;
   };
 
   explicit ValueNetwork(const ValueNetConfig& config);
@@ -184,25 +167,6 @@ class ValueNetwork {
                         InferenceContext* ctx, const ActivationReuse* reuse,
                         std::vector<float>* out);
 
-  /// Cross-query coalesced inference: merges K queries' candidate batches
-  /// into ONE forest (layer-0 suffixes segmented per query via
-  /// TreeConv::ForwardInferenceMulti) so the whole group runs each conv layer
-  /// and the FC head as one GEMM instead of K small ones. Scores come back
-  /// concatenated in item order (items[0]'s plans first). Every per-plan
-  /// score is BIT-IDENTICAL to the same item run alone through PredictBatch:
-  /// GEMM rows are position-independent, the K suffix projections are rows of
-  /// one multi-row GEMM, and pooling/head see per-segment row sets identical
-  /// to the solo call's. n == 1 delegates to PredictBatch (including the
-  /// reference-kernel path); n > 1 requires fast kernels. Items' reuse spans
-  /// may be null per item (that item is scored all-dirty, nothing stored).
-  std::vector<float> PredictBatchMulti(const MultiPredictItem* items, size_t n,
-                                       InferenceContext* ctx = nullptr);
-
-  /// PredictBatchMulti into a caller-owned score vector (see
-  /// PredictBatchInto).
-  void PredictBatchMultiInto(const MultiPredictItem* items, size_t n,
-                             InferenceContext* ctx, std::vector<float>* out);
-
   /// Floats per node of a concatenated all-conv-layer activation entry (the
   /// ActivationReuse buffer size): sum of the conv stack's out_channels.
   int TotalConvChannels() const { return total_conv_channels_; }
@@ -211,20 +175,20 @@ class ValueNetwork {
   std::vector<float> PredictBatch(const Matrix& query_embedding,
                                   const std::vector<const PlanSample*>& samples);
 
-  /// Runs the query-level FC stack only (stateless; thread-safe).
+  /// Runs the query-level FC stack only (writes no network state;
+  /// thread-safe).
   Matrix EmbedQuery(const Matrix& query_vec) const;
 
   /// EmbedQuery into a caller-owned output through caller-owned pipeline
   /// scratch (bit-identical; zero allocations once warm; thread-safe when
-  /// each caller passes its own scratch and output).
+  /// each caller passes its own scratch and output). The search path's form.
   void EmbedQueryInto(const Matrix& query_vec, PipelineScratch* scratch,
                       Matrix* out) const;
 
   /// One SGD step over a minibatch; returns mean squared error before the
-  /// update. Default path: the whole minibatch is packed into one forest
-  /// (PackPlanBatch) and the forward/backward run as a handful of large
-  /// GEMMs whose rows partition over the thread pool; predictions (and thus
-  /// the returned loss) are bit-identical to the per-sample path and to any
+  /// update. The whole minibatch is packed into one forest (PackPlanBatch)
+  /// and the forward/backward run as a handful of large GEMMs whose rows
+  /// partition over the thread pool; the loss curve is bit-identical at any
   /// ComputeThreads() setting.
   float TrainBatch(const std::vector<const PlanSample*>& samples,
                    const std::vector<float>& targets);
@@ -233,34 +197,16 @@ class ValueNetwork {
   /// caller materializing per-minibatch vector copies.
   float TrainBatch(const PlanSample* const* samples, const float* targets, size_t n);
 
-  /// Reverts TrainBatch to the per-sample forward/backward loop (seed path;
-  /// bench baseline). Gradients match the packed path mathematically but
-  /// differ in summation order by accumulation ulps.
-  void SetBatchedTraining(bool batched) { batched_training_ = batched; }
-  bool batched_training() const { return batched_training_; }
-
   /// Increments on every optimizer step; lets caches detect staleness.
   uint64_t version() const { return version_; }
 
   /// Peak bytes of batch-sized training scratch observed across TrainBatch
-  /// calls: per-layer pre/post activations, the packed forest features, and
+  /// calls: per-layer post-activations, the packed forest features, and
   /// every layer's Backward caches, sampled at the backward's point of
-  /// maximal liveness. By default the scratch is RETAINED across steps
-  /// (high-water reuse — the steady-state training step allocates nothing);
-  /// SetRetainTrainingScratch(false) restores the per-step release, after
-  /// which current_training_scratch_bytes() is 0 between steps. Results are
-  /// bit-identical either way (every reused element is fully overwritten).
+  /// maximal liveness. The scratch is retained across steps, so this is
+  /// also what a trained network keeps resident.
   size_t peak_training_scratch_bytes() const { return peak_train_scratch_; }
   void ResetPeakTrainingScratch() { peak_train_scratch_ = 0; }
-  /// Layer-cache scratch currently held (0 after a completed TrainBatch only
-  /// when scratch retention is off).
-  size_t current_training_scratch_bytes() const;
-
-  /// When true (default), training scratch survives optimizer steps so the
-  /// steady state performs zero heap allocations; false releases it after
-  /// every step (the pre-arena behavior — memory-frugal, allocation-churny).
-  void SetRetainTrainingScratch(bool retain) { retain_training_scratch_ = retain; }
-  bool retain_training_scratch() const { return retain_training_scratch_; }
 
   /// Per-conv-layer training counters (flops, gather bytes, skipped rows)
   /// accumulated since the last reset; index = conv stack position.
@@ -318,31 +264,14 @@ class ValueNetwork {
   void DebugPoisonWeights(uint64_t key);
 
  private:
-  struct ForwardState {
-    Matrix augmented;                ///< (nodes x aug_dim)
-    /// Post-activation outputs per conv layer. Pre-activations are NOT kept:
-    /// leaky ReLU preserves sign (alpha > 0), so the backward's relu mask
-    /// tests post < 0 — one fewer batch-sized copy per layer.
-    std::vector<Matrix> conv_post;
-    TreeGather gather;               ///< Child gather lists for the tree.
-  };
-
-  /// Forward through tree conv + pooling + head. Fills `state` if training.
-  float ForwardPlan(const Matrix& query_embedding, const TreeStructure& tree,
-                    const Matrix& node_features, ForwardState* state,
-                    InferenceContext* ctx = nullptr);
-
-  /// Spatial replication: node features with the query embedding appended.
-  Matrix AugmentNodes(const Matrix& query_embedding, const Matrix& node_features) const;
-
   /// Re-splits every conv layer's inference weights if training or weight
   /// loading bumped version_ since the last inference call. Thread-safe
   /// (double-checked mutex), so concurrent searches may race to the first
   /// inference after a retrain.
   void SyncInferenceWeights();
 
-  /// Fast-inference conv stack + segmented pooling shared by PredictBatch
-  /// and the single-plan prediction path (offsets {0, n} for one tree).
+  /// Inference conv stack + segmented pooling shared by PredictBatch and the
+  /// single-plan prediction path (offsets {0, n} for one tree).
   /// `reuse`, when non-null, serves cached rows and computes only dirty ones
   /// (see ActivationReuse). Writes the pooled (N x C) matrix into `pooled`
   /// (a ctx buffer — capacity-reused); every conv layer runs the fused
@@ -355,38 +284,9 @@ class ValueNetwork {
                            InferenceContext* ctx, const ActivationReuse* reuse,
                            Matrix* pooled);
 
-  /// Multi-query mirror of InferencePooledInto: layer 0 runs the segmented-
-  /// suffix TreeConv::ForwardInference[Rows]Multi[Into]; deeper layers (no
-  /// suffix) run the unmodified single-forest functions over the merged
-  /// forest.
-  void InferencePooledMultiInto(const TreeStructure& tree,
-                                const Matrix& node_features,
-                                const Matrix& suffixes,
-                                const std::vector<int>& node_seg,
-                                const std::vector<int>& offsets,
-                                InferenceContext* ctx,
-                                const ActivationReuse* reuse, Matrix* pooled);
-
-  /// The legacy per-sample training loop (SetBatchedTraining(false)).
-  float TrainBatchPerSample(const PlanSample* const* samples, const float* targets,
-                            size_t n);
-
-  /// Packed-forest training step: one forward/backward over the whole batch.
-  float TrainBatchPacked(const PlanSample* const* samples, const float* targets,
-                         size_t n);
-
-  /// The seed-path packed step (dense augment + concat conv), kept verbatim
-  /// for SetUseReferenceKernels(true) benches.
-  float TrainBatchPackedReference(const PlanSample* const* samples,
-                                  const float* targets, size_t n);
-
-  /// In-place leaky ReLU (the inter-conv activation), row-partitioned over
-  /// the pool when ComputeThreads() > 1.
-  void ApplyLeakyReLU(Matrix* m) const;
-
-  /// Records `live_bytes` (+ the layers' own caches) into the peak-scratch
-  /// high-water mark, then releases every layer's training scratch.
-  void NoteScratchPeakAndRelease(size_t live_bytes);
+  /// Records `live_bytes` plus every layer's retained training scratch into
+  /// the peak-scratch high-water mark.
+  void NoteScratchPeak(size_t live_bytes);
 
   /// All trainable parameters in CollectParams order (query stack, conv
   /// stack, head) — the canonical ordering shared by Save/LoadWeights, the
@@ -405,11 +305,10 @@ class ValueNetwork {
   std::mutex inference_sync_mu_;
   InferenceContext default_ctx_;
   /// Shared gather/GEMM scratch for the training conv stack, reused across
-  /// layers and steps; retained by default (see SetRetainTrainingScratch).
+  /// layers and steps.
   TreeConv::TrainScratch train_scratch_;
-  /// Member-owned TrainBatchPacked buffers (capacity-reused across steps so
-  /// the steady-state training step performs zero heap allocations; released
-  /// only when scratch retention is off).
+  /// Member-owned TrainBatch buffers (capacity-reused across steps so the
+  /// steady-state training step performs zero heap allocations).
   PlanBatch train_batch_;            ///< Packed minibatch forest.
   Matrix train_query_vecs_;          ///< (B x query_dim) stacked query vecs.
   Matrix train_embeds_;              ///< (B x embed_dim) query embeddings.
@@ -424,8 +323,6 @@ class ValueNetwork {
   Matrix train_grad_embeds_;         ///< (B x embed_dim) embedding grads.
   Matrix train_grad_query_;          ///< Query-stack input gradient (unused).
   PipelineScratch train_pipe_;       ///< Query/head pipeline ping-pong bufs.
-  bool retain_training_scratch_ = true;
-  bool batched_training_ = true;
   float leaky_alpha_;
   int embed_dim_ = 0;
   int total_conv_channels_ = 0;

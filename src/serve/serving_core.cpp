@@ -13,16 +13,11 @@ namespace neo::serve {
 
 ServingCore::ServingCore(core::Neo* neo, ServingOptions options)
     : neo_(neo), options_(std::move(options)), rcu_(neo->net().config()) {
-  NEO_CHECK_MSG(!nn::UseReferenceKernels(),
-                "serving requires fast kernels (reference path is serial)");
   options_.workers = std::max(1, options_.workers);
   if (options_.shared_caches) {
     caches_ = std::make_unique<core::SharedSearchCaches>(
         options_.shared_score_cap, options_.shared_activation_cap,
         options_.cache_shards, options_.shared_leaf_cap);
-  }
-  if (options_.coalesce) {
-    coalescer_ = std::make_unique<BatchCoalescer>(options_.coalescer);
   }
   if (options_.store != nullptr) {
     // Every serve through the choke point records into the store; Decide()
@@ -373,7 +368,6 @@ ServeResult ServingCore::ServeOne(core::PlanSearch& search, const Task& task,
   // shared-cache key so entries from other snapshots are never served.
   search.Rebind(ref.net.get());
   search.SetSharedCaches(caches_.get(), ref.generation);
-  search.SetBatchScorer(coalescer_.get());
 
   const bool reduced_budget = level >= 1;
   if (reduced_budget) {
@@ -381,23 +375,8 @@ ServeResult ServingCore::ServeOne(core::PlanSearch& search, const Task& task,
     degraded_budget_serves_.fetch_add(1, std::memory_order_relaxed);
   }
   util::Stopwatch plan_watch;
-  // RAII bracket so a throwing search (crash containment) never leaves the
-  // coalescer's active count stuck.
-  struct SearchBracket {
-    BatchCoalescer* c;
-    explicit SearchBracket(BatchCoalescer* coalescer) : c(coalescer) {
-      if (c != nullptr) c->BeginSearch();
-    }
-    ~SearchBracket() {
-      if (c != nullptr) c->EndSearch();
-    }
-  };
-  core::SearchResult found;
-  {
-    SearchBracket bracket(coalescer_.get());
-    found = search.FindPlan(*task.query,
-                            reduced_budget ? degraded_search_ : options_.search);
-  }
+  core::SearchResult found = search.FindPlan(
+      *task.query, reduced_budget ? degraded_search_ : options_.search);
   out.plan_ms = plan_watch.ElapsedMs();
 
   out.latency_ms = neo_->Serve(*task.query, found.plan, task.learn);
@@ -447,7 +426,6 @@ ServingStats ServingCore::stats() const {
       degraded_pinned_serves_.load(std::memory_order_relaxed);
   s.worker_exceptions = worker_exceptions_.load(std::memory_order_relaxed);
   s.generation = rcu_.generation();
-  if (coalescer_ != nullptr) s.coalescer = coalescer_->stats();
   if (caches_ != nullptr) {
     s.score_cache = caches_->scores.TotalStats();
     s.activation_cache = caches_->activations.TotalStats();

@@ -9,13 +9,12 @@
 //        (dedicated std::thread, owns one core::PlanSearch)
 //             │ 1. ModelRcu::Acquire()      — wait-free weight snapshot
 //             │ 2. search.Rebind(snapshot)  — + shared-cache re-salt
-//             │ 3. FindPlan()               — scoring may coalesce ──┐
-//             │ 4. Neo::Serve()             — guarded execute/learn  │
-//             ▼                                                      ▼
-//        per-request ServeResult                    BatchCoalescer merges
-//        (latency histograms record)                concurrent searches'
-//                                                   candidate batches into
-//                                                   one PredictBatchMulti
+//             │ 3. FindPlan()               — scores through the shared
+//             │                               score/activation caches
+//             │ 4. Neo::Serve()             — guarded execute/learn
+//             ▼
+//        per-request ServeResult
+//        (latency histograms record)
 //
 // The pieces and why they exist:
 //
@@ -28,17 +27,20 @@
 //    — so request concurrency and kernel parallelism compose instead of
 //    competing for one abstraction.
 //
-// 2. Cross-query batch coalescing (batch_coalescer.h). Concurrent searches'
-//    small candidate batches merge into one multi-query forest per scoring
-//    round — one GEMM per layer for the group — with per-score bits
-//    IDENTICAL to uncoalesced serving (the determinism contract of
-//    PredictBatchMulti / TreeConv::ForwardInferenceMulti).
+// 2. One scoring path. Each worker's search scores its own candidate
+//    batches through the same ValueNetwork::PredictBatchInto call a
+//    standalone PlanSearch uses; requests never wait on each other's
+//    scoring rounds (concurrent searches rarely reach a round together, so
+//    waiting to merge their batches costs more than a larger GEMM saves).
+//    Network inference writes only the worker's own scratch (after the
+//    snapshot's once-per-version weight-split refresh), so N workers score
+//    one RCU snapshot concurrently without locks.
 //
 // 3. Shared score/activation caches (core::SharedSearchCaches). The
 //    per-search LRUs promote to process-global sharded maps, so repeat
 //    queries hit scores cached by ANY worker and common subtrees share conv
 //    activations across searches. Keys are salted with (query fp, net
-//    version, kernel mode, RCU generation): invalidation is free — entries
+//    version, kernel arm, RCU generation): invalidation is free — entries
 //    of dead snapshots simply stop being probed and age out.
 //
 // 4. RCU weight snapshots (model_rcu.h). Background retraining mutates only
@@ -47,11 +49,11 @@
 //    searches finish on the snapshot they acquired; retraining NEVER stalls
 //    serving and serving never reads half-written weights.
 //
-// Determinism: a single-client (workers=1, coalescing moot) serving loop is
-// bit-identical to calling FindPlan + ServeAndMaybeLearn inline on a twin
-// Neo at the same published weights; multi-client runs produce the same
-// per-request scores/plans whenever the cache/coalescing state they observe
-// is value-equal (both caches only ever store bitwise-recomputable values).
+// Determinism: a single-client (workers=1) serving loop is bit-identical to
+// calling FindPlan + ServeAndMaybeLearn inline on a twin Neo at the same
+// published weights; multi-client runs produce the same per-request
+// scores/plans whenever the cache state they observe is value-equal (both
+// caches only ever store bitwise-recomputable values).
 //
 // Ordering: guarded execution (breaker/watchdog/experience) is serialized
 // inside Neo::Serve; the order concurrent requests reach it is scheduling-
@@ -120,7 +122,6 @@
 #include <vector>
 
 #include "src/core/neo.h"
-#include "src/serve/batch_coalescer.h"
 #include "src/serve/model_rcu.h"
 #include "src/serve/overload.h"
 #include "src/store/experience_store.h"
@@ -134,8 +135,7 @@ namespace neo::serve {
 
 struct ServingOptions {
   int workers = 2;  ///< Request worker threads (clamped to >= 1).
-  bool coalesce = true;
-  BatchCoalescer::Options coalescer;
+  bool coalesce = false;  ///< Ignored; kept so existing callers compile.
   bool shared_caches = true;
   size_t shared_score_cap = 1 << 20;        ///< Entries, split across shards.
   size_t shared_activation_cap = 128 * 1024;
@@ -203,7 +203,6 @@ struct ServingStats {
   util::LatencyHistogram plan_latency;   ///< Per-request plan_ms.
   uint64_t requests = 0;
   uint64_t generation = 0;
-  BatchCoalescer::Stats coalescer;
   util::ShardedLruStats score_cache;
   util::ShardedLruStats activation_cache;
   util::ShardedLruStats leaf_cache;   ///< Cross-query leaf activation tier.
@@ -246,8 +245,7 @@ class ServingCore {
   /// `neo` must be bootstrapped (baselines/fallbacks recorded) before
   /// serving starts and must outlive this object. The constructor publishes
   /// the primary network's current weights as generation 1 and starts the
-  /// workers. Requires fast kernels (the reference-kernel path mutates
-  /// shared layer state and is single-thread only).
+  /// workers.
   ServingCore(core::Neo* neo, ServingOptions options);
   ~ServingCore();
 
@@ -316,7 +314,6 @@ class ServingCore {
   ServingOptions options_;
   ModelRcu rcu_;
   std::unique_ptr<core::SharedSearchCaches> caches_;  ///< Null if disabled.
-  std::unique_ptr<BatchCoalescer> coalescer_;         ///< Null if disabled.
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;

@@ -146,30 +146,6 @@ TEST_F(CoreFixture, GreedyModeCompletesWithoutHeapSearch) {
   EXPECT_EQ(result.expansions, 0);
 }
 
-TEST_F(CoreFixture, BatchedSearchMatchesUnbatched) {
-  // Batched child scoring (PredictBatch over a packed forest) is bit-exact
-  // with the per-candidate path, so identical SearchOptions must return the
-  // same plan with the same predicted cost. Two independent Neo instances
-  // with the same seed avoid score-cache cross-talk between the two runs.
-  engine::ExecutionEngine engine(ds_->schema, *ds_->db, EngineKind::kPostgres);
-  Neo neo_batched(featurizer_, &engine, SmallConfig());
-  Neo neo_unbatched(featurizer_, &engine, SmallConfig());
-  const Query q = ThreeWay(57);
-
-  SearchOptions batched;
-  batched.max_expansions = 40;
-  SearchOptions unbatched = batched;
-  unbatched.batched = false;
-
-  const SearchResult rb = neo_batched.search().FindPlan(q, batched);
-  const SearchResult ru = neo_unbatched.search().FindPlan(q, unbatched);
-  EXPECT_EQ(rb.plan.Hash(), ru.plan.Hash());
-  EXPECT_EQ(rb.expansions, ru.expansions);
-  EXPECT_EQ(rb.evaluations, ru.evaluations);
-  EXPECT_FLOAT_EQ(rb.predicted_cost, ru.predicted_cost);
-  EXPECT_EQ(rb.plan.ToString(ds_->schema), ru.plan.ToString(ds_->schema));
-}
-
 TEST_F(CoreFixture, SearchBitIdenticalAcrossThreadCounts) {
   // The issue's search determinism contract: SearchOptions::threads only
   // changes how GEMM rows are partitioned, never which plans are scored or
@@ -206,9 +182,7 @@ TEST_F(CoreFixture, SearchBitIdenticalAcrossThreadCounts) {
 
 TEST_F(CoreFixture, SpeculativeSearchStillFindsCompletePlans) {
   // speculation > 1 explores a wider frontier per round but must preserve
-  // search invariants: complete valid plans, and with speculation == 1 the
-  // restructured loop reproduces the classic serial search (covered by
-  // BatchedSearchMatchesUnbatched staying green).
+  // search invariants: complete valid plans.
   engine::ExecutionEngine engine(ds_->schema, *ds_->db, EngineKind::kPostgres);
   Neo neo(featurizer_, &engine, SmallConfig());
   const Query q = ThreeWay(61);
@@ -221,12 +195,12 @@ TEST_F(CoreFixture, SpeculativeSearchStillFindsCompletePlans) {
   EXPECT_GT(r.evaluations, 0u);
 }
 
-TEST_F(CoreFixture, IncrementalSearchBitIdenticalAcrossToggleAndThreads) {
-  // The activation cache must change no search outcome: SearchResult is
-  // bit-identical with incremental on/off, at threads 1/2/8, and the
-  // incremental runs must actually reuse activations. The whole suite runs
-  // once per kernel dispatch arm (forced-portable and dispatched SIMD), with
-  // a separate baseline per arm — bit-identity is a within-arm contract.
+TEST_F(CoreFixture, IncrementalSearchBitIdenticalAcrossThreadsPerArm) {
+  // The incremental search is bit-identical at threads 1/2/8 and actually
+  // reuses activations. The whole suite runs once per kernel dispatch arm
+  // (forced-portable and dispatched SIMD), with a separate baseline per arm
+  // — bit-identity is a within-arm contract. (That reused rows equal
+  // recomputed ones is IncrementalScoresBitIdenticalAlongParentChildChains.)
   engine::ExecutionEngine engine(ds_->schema, *ds_->db, EngineKind::kPostgres);
   const auto wl = query::MakeJobWorkload(ds_->schema, *ds_->db);
   const Query& q = wl.query(60);  // A JOB query (5 relations).
@@ -234,39 +208,31 @@ TEST_F(CoreFixture, IncrementalSearchBitIdenticalAcrossToggleAndThreads) {
     nn::KernelIsaScope isa_scope(arm);
     SearchResult baseline;
     bool have_baseline = false;
-    for (const bool incremental : {false, true}) {
-      for (const int threads : {1, 2, 8}) {
-        Neo neo(featurizer_, &engine, SmallConfig());
-        SearchOptions opt;
-        opt.max_expansions = 30;
-        opt.incremental = incremental;
-        opt.threads = threads;
-        const SearchResult r = neo.search().FindPlan(q, opt);
-        EXPECT_TRUE(r.plan.IsComplete());
-        if (incremental) {
-          EXPECT_GT(r.activation_hits, 0u);
-          // Children share all but a spine with their parent; after the first
-          // expansion the cache serves far more rows than are recomputed.
-          EXPECT_GT(r.rows_reused, r.rows_recomputed);
-        } else {
-          EXPECT_EQ(r.activation_hits, 0u);
-          EXPECT_EQ(r.rows_recomputed, 0u);
-          EXPECT_EQ(r.rows_reused, 0u);
-        }
-        if (!have_baseline) {
-          baseline = r;
-          have_baseline = true;
-          continue;
-        }
-        EXPECT_EQ(r.plan.Hash(), baseline.plan.Hash())
-            << nn::KernelIsaName(arm) << " incremental " << incremental
-            << " threads " << threads;
-        EXPECT_EQ(r.predicted_cost, baseline.predicted_cost);
-        EXPECT_EQ(r.expansions, baseline.expansions);
-        EXPECT_EQ(r.evaluations, baseline.evaluations);
-        EXPECT_EQ(r.cache_hits, baseline.cache_hits);
-        EXPECT_EQ(r.plan.ToString(ds_->schema), baseline.plan.ToString(ds_->schema));
+    for (const int threads : {1, 2, 8}) {
+      Neo neo(featurizer_, &engine, SmallConfig());
+      SearchOptions opt;
+      opt.max_expansions = 30;
+      opt.threads = threads;
+      const SearchResult r = neo.search().FindPlan(q, opt);
+      EXPECT_TRUE(r.plan.IsComplete());
+      EXPECT_GT(r.activation_hits, 0u);
+      // Children share all but a spine with their parent; after the first
+      // expansion the cache serves far more rows than are recomputed.
+      EXPECT_GT(r.rows_reused, r.rows_recomputed);
+      if (!have_baseline) {
+        baseline = r;
+        have_baseline = true;
+        continue;
       }
+      EXPECT_EQ(r.plan.Hash(), baseline.plan.Hash())
+          << nn::KernelIsaName(arm) << " threads " << threads;
+      EXPECT_EQ(r.predicted_cost, baseline.predicted_cost);
+      EXPECT_EQ(r.expansions, baseline.expansions);
+      EXPECT_EQ(r.evaluations, baseline.evaluations);
+      EXPECT_EQ(r.cache_hits, baseline.cache_hits);
+      EXPECT_EQ(r.activation_hits, baseline.activation_hits);
+      EXPECT_EQ(r.plan.ToString(ds_->schema),
+                baseline.plan.ToString(ds_->schema));
     }
   }
 }
@@ -322,7 +288,6 @@ TEST_F(CoreFixture, SearchPlansIdenticalAcrossKernelArms) {
       Neo neo(featurizer_, &engine, SmallConfig());
       SearchOptions opt;
       opt.max_expansions = 30;
-      opt.incremental = true;
       return neo.search().FindPlan(q, opt);
     };
     const SearchResult portable = run(nn::KernelIsa::kPortable);

@@ -227,7 +227,6 @@ TEST(DegradationControllerTest, DisabledLadderStaysAtLevelZero) {
 TEST_F(OverloadFixture, PostStopSubmitReturnsFailedPreconditionFuture) {
   // Regression: Submit after Stop used to trip a NEO_CHECK (process abort);
   // it must instead resolve the future immediately with kFailedPrecondition.
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   ASSERT_GE(train.size(), 2u);
   Rig rig = MakeRig(train, SmallConfig());
@@ -254,7 +253,6 @@ TEST_F(OverloadFixture, BoundedQueueShedsAndAccountsExactly) {
   // Concurrent submits far past the cap against a stalled single worker:
   // every future resolves, the queue never exceeds its cap, and the
   // admission counters partition the submissions exactly.
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   Rig rig = MakeRig(train, SmallConfig());
 
@@ -314,7 +312,6 @@ TEST_F(OverloadFixture, ExpiredInQueueDroppedNotExecuted) {
   // Requests whose deadline passes while queued are dropped at pickup —
   // counted, their futures failed, and NEVER executed (the engine's
   // execution counter is the ground truth).
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   ASSERT_GE(train.size(), 5u);
   Rig rig = MakeRig(train, SmallConfig());
@@ -363,7 +360,6 @@ TEST_F(OverloadFixture, ExpiredInQueueDroppedNotExecuted) {
 }
 
 TEST_F(OverloadFixture, HigherPriorityArrivalEvictsLowestQueued) {
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   ASSERT_GE(train.size(), 2u);
   Rig rig = MakeRig(train, SmallConfig());
@@ -419,7 +415,6 @@ TEST_F(OverloadFixture, HigherPriorityArrivalEvictsLowestQueued) {
 TEST_F(OverloadFixture, PoisonedRequestFailsOnlyItself) {
   // A serve body that throws (injected "poisoned request") must fail only
   // that request's future; the worker survives and keeps serving.
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   Rig rig = MakeRig(train, SmallConfig());
 
@@ -464,7 +459,6 @@ TEST_F(OverloadFixture, PoisonedRequestFailsOnlyItself) {
 // ---- The degradation ladder end to end -------------------------------------
 
 TEST_F(OverloadFixture, LadderDegradesUnderPressureThenRecovers) {
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   Rig rig = MakeRig(train, SmallConfig());
 
@@ -544,7 +538,6 @@ TEST_F(OverloadFixture, LevelTwoServesStoreBestKnownPlan) {
   // BestPlanFor: after learning serves, the store can hand back the
   // best-known plan for a query type regardless of mode — the level-2
   // no-search serve path.
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   Rig rig = MakeRig(train, SmallConfig());
   store::ExperienceStore store(store::StoreOptions{});  // Memory-only.
@@ -574,7 +567,6 @@ TEST_F(OverloadFixture, UnpressuredAdmissionIsBitIdenticalToDisabled) {
   // cap, no deadlines, sequential clients), serving must be bit-identical
   // to the admission-disabled path — same latencies, same plans, same
   // engine execution count, same experience state.
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   const NeoConfig cfg = SmallConfig();
 
@@ -624,7 +616,6 @@ TEST_F(OverloadFixture, StopUnderOverloadResolvesEveryFutureExactly) {
   // Satellite contract: multi-threaded submits far past the cap racing
   // Stop(); EVERY future resolves, and the counters account for every
   // submission exactly — nothing lost, nothing double-counted.
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   Rig rig = MakeRig(train, SmallConfig());
 
@@ -695,7 +686,6 @@ TEST_F(OverloadFixture, AcceptanceBurstKeepsAdmittedWithinDeadline) {
   // requests are dropped at pickup), no future is ever abandoned, and the
   // bounded queue never exceeds its cap. The overload CI arm re-runs this
   // at two seeds with the burst/stall knobs set in the environment.
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   Rig rig = MakeRig(train, SmallConfig());
 
@@ -779,7 +769,6 @@ TEST_F(OverloadFixture, NoAdmissionBaselineQueueGrowsUnbounded) {
   // the bounded configuration would ever allow — there is no cap, no shed,
   // no deadline, so backlog (and therefore tail queue wait) grows with the
   // burst instead of being bounded by it.
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   Rig rig = MakeRig(train, SmallConfig());
 

@@ -1,5 +1,5 @@
-// Serving-core tests: cross-query coalesced inference bit-identity, the
-// single-client serving == inline-loop parity contract, shared-cache
+// Serving-core tests: the single-client serving == inline-loop parity
+// contract, concurrent inference on one shared network, shared-cache
 // exactness under concurrency, RCU generation invalidation, retraining
 // overlapped with serving, the engine memo's concurrent counter exactness,
 // and the guarded-serve latency bound under fault injection. The asan/tsan
@@ -95,139 +95,9 @@ datagen::Dataset* ServeFixture::ds_ = nullptr;
 featurize::Featurizer* ServeFixture::featurizer_ = nullptr;
 query::Workload* ServeFixture::wl_ = nullptr;
 
-// ---- Cross-query coalesced inference (PredictBatchMulti) -------------------
-
-TEST_F(ServeFixture, PredictBatchMultiBitwiseEqualsSoloPredictBatch) {
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
-  nn::ValueNetConfig cfg;
-  cfg.query_dim = featurizer_->query_dim();
-  cfg.plan_dim = featurizer_->plan_dim();
-  cfg.query_fc = {32, 16};
-  cfg.tree_channels = {16, 8};
-  cfg.head_fc = {8};
-  cfg.seed = 3;
-  nn::ValueNetwork net(cfg);
-  core::PlanSearch helper(featurizer_, &net);
-
-  // Three distinct queries, each contributing one expansion round's worth of
-  // candidate plans (the exact batch shape serving coalesces).
-  const std::vector<const Query*> queries = {&wl_->query(0), &wl_->query(19),
-                                             &wl_->query(38)};
-  std::vector<nn::Matrix> embeds;
-  std::vector<nn::PlanBatch> batches;
-  std::vector<std::vector<plan::PartialPlan>> children(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const Query& q = *queries[i];
-    children[i] = helper.Children(q, plan::PartialPlan::Initial(q));
-    ASSERT_GT(children[i].size(), 1u) << "query " << i;
-    std::vector<const plan::PartialPlan*> ptrs;
-    for (const plan::PartialPlan& p : children[i]) ptrs.push_back(&p);
-    nn::PlanBatch batch;
-    featurizer_->EncodePlanBatch(q, ptrs, &batch);
-    batches.push_back(std::move(batch));
-    embeds.push_back(net.EmbedQuery(featurizer_->EncodeQuery(q)));
-  }
-
-  nn::ValueNetwork::InferenceContext solo_ctx;
-  std::vector<float> expected;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const std::vector<float> scores =
-        net.PredictBatch(embeds[i], batches[i], &solo_ctx);
-    expected.insert(expected.end(), scores.begin(), scores.end());
-  }
-
-  std::vector<nn::MultiPredictItem> items;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    items.push_back({&embeds[i], &batches[i], nullptr});
-  }
-  nn::ValueNetwork::InferenceContext multi_ctx;
-  const std::vector<float> merged =
-      net.PredictBatchMulti(items.data(), items.size(), &multi_ctx);
-  ASSERT_EQ(merged.size(), expected.size());
-  for (size_t i = 0; i < merged.size(); ++i) {
-    EXPECT_EQ(merged[i], expected[i]) << "row " << i;  // Bitwise.
-  }
-
-  // n == 1 delegates to the plain batched path.
-  const std::vector<float> one =
-      net.PredictBatchMulti(items.data(), 1, &multi_ctx);
-  const std::vector<float> direct = net.PredictBatch(embeds[0], batches[0], &solo_ctx);
-  ASSERT_EQ(one.size(), direct.size());
-  for (size_t i = 0; i < one.size(); ++i) EXPECT_EQ(one[i], direct[i]);
-}
-
-TEST_F(ServeFixture, CoalescerIsBitTransparentUnderConcurrency) {
-  // Hammer one BatchCoalescer from four threads; whatever merge pattern the
-  // scheduler produces, every returned score vector must be bitwise equal to
-  // the direct PredictBatch of the same request.
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
-  nn::ValueNetConfig cfg;
-  cfg.query_dim = featurizer_->query_dim();
-  cfg.plan_dim = featurizer_->plan_dim();
-  cfg.query_fc = {32, 16};
-  cfg.tree_channels = {16, 8};
-  cfg.head_fc = {8};
-  cfg.seed = 5;
-  nn::ValueNetwork net(cfg);
-  core::PlanSearch helper(featurizer_, &net);
-
-  constexpr int kThreads = 4;
-  constexpr int kIters = 50;
-  std::vector<const Query*> queries;
-  for (int t = 0; t < kThreads; ++t) queries.push_back(&wl_->query(static_cast<size_t>(t) * 7));
-
-  // Per-thread request + its solo reference, computed up front.
-  std::vector<nn::Matrix> embeds;
-  std::vector<nn::PlanBatch> batches;
-  std::vector<std::vector<plan::PartialPlan>> children(queries.size());
-  std::vector<std::vector<float>> reference;
-  {
-    nn::ValueNetwork::InferenceContext ctx;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const Query& q = *queries[i];
-      children[i] = helper.Children(q, plan::PartialPlan::Initial(q));
-      std::vector<const plan::PartialPlan*> ptrs;
-      for (const plan::PartialPlan& p : children[i]) ptrs.push_back(&p);
-      nn::PlanBatch batch;
-      featurizer_->EncodePlanBatch(q, ptrs, &batch);
-      batches.push_back(std::move(batch));
-      embeds.push_back(net.EmbedQuery(featurizer_->EncodeQuery(q)));
-      reference.push_back(net.PredictBatch(embeds[i], batches[i], &ctx));
-    }
-  }
-
-  BatchCoalescer::Options copt;
-  copt.max_merge = kThreads;
-  copt.window_us = 500;
-  BatchCoalescer coalescer(copt);
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      nn::ValueNetwork::InferenceContext ctx;
-      coalescer.BeginSearch();
-      for (int i = 0; i < kIters; ++i) {
-        const std::vector<float> got = coalescer.ScoreBatch(
-            &net, embeds[static_cast<size_t>(t)], batches[static_cast<size_t>(t)],
-            nullptr, &ctx);
-        if (got != reference[static_cast<size_t>(t)]) mismatches.fetch_add(1);
-      }
-      coalescer.EndSearch();
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(mismatches.load(), 0);
-
-  // Every call is accounted exactly once: directly or as a merged member.
-  const BatchCoalescer::Stats s = coalescer.stats();
-  EXPECT_EQ(s.direct_calls + s.merged_requests,
-            static_cast<uint64_t>(kThreads) * kIters);
-}
-
 // ---- Single-client parity (the acceptance contract) ------------------------
 
 TEST_F(ServeFixture, SingleClientServingBitIdenticalToInlineGuardedLoop) {
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   ASSERT_GE(train.size(), 5u);
   NeoConfig cfg = SmallConfig();
@@ -244,8 +114,7 @@ TEST_F(ServeFixture, SingleClientServingBitIdenticalToInlineGuardedLoop) {
   }
 
   // Twin B: the same requests through a single-worker serving core (RCU
-  // snapshot + shared caches + coalescer installed, all of which must be
-  // transparent).
+  // snapshot + shared caches installed, both of which must be transparent).
   Rig b = MakeRig(train, cfg);
   std::vector<double> served_lat;
   {
@@ -279,7 +148,6 @@ TEST_F(ServeFixture, SingleClientServingBitIdenticalToInlineGuardedLoop) {
 // ---- Concurrent serving matches the serial reference -----------------------
 
 TEST_F(ServeFixture, ConcurrentServingMatchesSerialReference) {
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   const NeoConfig cfg = SmallConfig();
 
@@ -322,10 +190,69 @@ TEST_F(ServeFixture, ConcurrentServingMatchesSerialReference) {
   EXPECT_GT(stats.score_cache.hits, 0u);
 }
 
+// ---- Concurrent inference on one shared network ----------------------------
+
+TEST_F(ServeFixture, ConcurrentEmbedAndSearchOnFreshNetworkMatchesSerialTwin) {
+  // Inference writes only caller-owned scratch, so several threads embedding
+  // queries and searching plans against ONE freshly built network — no
+  // inference has run on it yet, so every first use (pack buffers, the
+  // inference weight split) happens concurrently — must reproduce a serial
+  // twin's embeddings and search results bit for bit. Under ThreadSanitizer
+  // this is the race probe for the query stack's GEMM pack buffers, which
+  // every serving worker and episode planner embeds through.
+  nn::ValueNetConfig cfg;
+  cfg.query_dim = featurizer_->query_dim();
+  cfg.plan_dim = featurizer_->plan_dim();
+  cfg.query_fc = {32, 16};
+  cfg.tree_channels = {16, 8};
+  cfg.head_fc = {8};
+  cfg.seed = 9;
+  constexpr size_t kThreads = 4;
+  std::vector<const Query*> queries;
+  for (size_t t = 0; t < kThreads; ++t) queries.push_back(&wl_->query(t * 13));
+  core::SearchOptions opt;
+  opt.max_expansions = 20;
+
+  nn::ValueNetwork twin(cfg);
+  std::vector<nn::Matrix> want_embed;
+  std::vector<core::SearchResult> want;
+  for (const Query* q : queries) {
+    want_embed.push_back(twin.EmbedQuery(featurizer_->EncodeQuery(*q)));
+    core::PlanSearch search(featurizer_, &twin);
+    want.push_back(search.FindPlan(*q, opt));
+  }
+
+  nn::ValueNetwork net(cfg);
+  std::vector<nn::Matrix> got_embed(kThreads);
+  std::vector<core::SearchResult> got(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const Query& q = *queries[t];
+      got_embed[t] = net.EmbedQuery(featurizer_->EncodeQuery(q));
+      core::PlanSearch search(featurizer_, &net);
+      got[t] = search.FindPlan(q, opt);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got_embed[t].cols(), want_embed[t].cols());
+    for (int c = 0; c < want_embed[t].cols(); ++c) {
+      EXPECT_EQ(got_embed[t].At(0, c), want_embed[t].At(0, c))  // Bitwise.
+          << "query " << t << " channel " << c;
+    }
+    EXPECT_TRUE(got[t].plan.IsComplete());
+    EXPECT_EQ(got[t].plan.Hash(), want[t].plan.Hash()) << "query " << t;
+    EXPECT_EQ(got[t].predicted_cost, want[t].predicted_cost) << "query " << t;
+    EXPECT_EQ(got[t].expansions, want[t].expansions) << "query " << t;
+    EXPECT_EQ(got[t].evaluations, want[t].evaluations) << "query " << t;
+  }
+}
+
 // ---- Shared caches ---------------------------------------------------------
 
 TEST_F(ServeFixture, SharedCachesStayExactAcrossConcurrentSameQuerySearches) {
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   const NeoConfig cfg = SmallConfig();
   const Query& q = *train[0];
@@ -353,7 +280,6 @@ TEST_F(ServeFixture, SharedCachesStayExactAcrossConcurrentSameQuerySearches) {
 }
 
 TEST_F(ServeFixture, PublishedGenerationInvalidatesWithoutStaleScores) {
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   const NeoConfig cfg = SmallConfig();
   const Query& q = *train[1];
@@ -382,7 +308,6 @@ TEST_F(ServeFixture, PublishedGenerationInvalidatesWithoutStaleScores) {
 }
 
 TEST_F(ServeFixture, LeafTierServesRepeatSearchesWithoutChangingOutcomes) {
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   const NeoConfig cfg = SmallConfig();
   const Query& q = *train[0];
@@ -430,7 +355,6 @@ TEST_F(ServeFixture, LeafTierServesRepeatSearchesWithoutChangingOutcomes) {
 }
 
 TEST_F(ServeFixture, LeafTierStatsSurfaceThroughServingCore) {
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   const NeoConfig cfg = SmallConfig();
   const Query& q = *train[0];
@@ -470,7 +394,6 @@ TEST_F(ServeFixture, LeafTierStatsSurfaceThroughServingCore) {
 // ---- Retraining overlapped with serving ------------------------------------
 
 TEST_F(ServeFixture, RetrainRunsConcurrentlyWithServing) {
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   const NeoConfig cfg = SmallConfig();
   Rig b = MakeRig(train, cfg);
@@ -556,7 +479,6 @@ TEST_F(ServeFixture, EngineMemoCountersExactUnderConcurrentExecutes) {
 // ---- Guarded bound under faults, concurrently (faults-arm coverage) --------
 
 TEST_F(ServeFixture, ConcurrentGuardedServesStayWithinWatchdogBound) {
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   constexpr double kFactor = 2.0;
   NeoConfig cfg = SmallConfig();
@@ -626,7 +548,6 @@ TEST_F(ServeFixture, StoreObserveOnlyServingIsBitIdenticalToStoreless) {
   // serve but never redirects one: serving with it attached must be bitwise
   // the storeless path. This is the store-disabled parity contract from the
   // other side.
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   const NeoConfig cfg = SmallConfig();
 
@@ -670,7 +591,6 @@ TEST_F(ServeFixture, StoreObserveOnlyServingIsBitIdenticalToStoreless) {
 }
 
 TEST_F(ServeFixture, ExploitModeServesPinnedPlanWithoutSearch) {
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   const NeoConfig cfg = SmallConfig();
   const Query& q = *train[0];
@@ -715,7 +635,6 @@ TEST_F(ServeFixture, StopUnderLoadDrainsInFlightAndMakesObservationsDurable) {
   // Graceful-shutdown contract: Stop() accepts no new work but finishes every
   // queued + in-flight request and flushes the store WAL before joining, so a
   // restart recovers ALL accepted observations.
-  if (nn::UseReferenceKernels()) GTEST_SKIP() << "requires fast kernels";
   const std::vector<const Query*> train = TrainSet();
   const NeoConfig cfg = SmallConfig();
   StoreTempDir tmp;
