@@ -37,6 +37,8 @@
 #include "src/store/experience_store.h"
 #include "src/util/alloc_counter.h"
 #include "src/util/fault_injector.h"
+#include "src/util/rng.h"
+#include "src/util/row_cache.h"
 #include "src/util/stopwatch.h"
 
 namespace {
@@ -104,17 +106,41 @@ void BM_HistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramRecord);
 
-void BM_ShardedLruLookup(benchmark::State& state) {
-  util::ShardedLruMap<uint64_t, float> map(1 << 16, /*shards=*/16);
-  for (uint64_t k = 0; k < 4096; ++k) map.Insert(k, static_cast<float>(k));
+/// Score-tier read: hits on a warm width-1 table.
+void BM_RowCacheGet(benchmark::State& state) {
+  util::RowCache cache(/*width=*/1, 1 << 16, /*stripes=*/16);
+  for (uint64_t k = 0; k < 4096; ++k) {
+    const float v = static_cast<float>(k);
+    cache.Insert(k, &v);
+  }
   uint64_t k = 0;
   float out = 0.0f;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(map.Lookup(k & 4095, &out));
+    benchmark::DoNotOptimize(cache.Get(k & 4095, &out));
+    benchmark::DoNotOptimize(out);
     ++k;
   }
 }
-BENCHMARK(BM_ShardedLruLookup);
+BENCHMARK(BM_RowCacheGet);
+
+/// The serve-cold write pattern: fresh keys into a full table, so every
+/// insert evicts. Args: row width, cap (the serving defaults of the score
+/// tier and of an activation tier at the bench network's row width).
+void BM_RowCacheInsertEvict(benchmark::State& state) {
+  const size_t width = static_cast<size_t>(state.range(0));
+  const size_t cap = static_cast<size_t>(state.range(1));
+  util::RowCache cache(width, cap, /*stripes=*/16);
+  std::vector<float> row(width, 1.0f);
+  // Two capacities of fresh keys leave ~1% of sets short of a full 8 ways.
+  uint64_t k = 0;
+  while (k < 2 * cache.capacity()) cache.Insert(util::Mix64(k++), row.data());
+  for (auto _ : state) {
+    row[0] = static_cast<float>(k);
+    benchmark::DoNotOptimize(cache.Insert(util::Mix64(k++), row.data()));
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RowCacheInsertEvict)->Args({1, 1 << 20})->Args({48, 128 << 10});
 
 /// Hot single-worker serve (cached search + memoized execution): the serving
 /// stack's per-request overhead over the inline loop of micro_guard.
@@ -143,9 +169,9 @@ struct ArmResult {
   uint64_t requests = 0;
   double qps = 0.0;  ///< Median over reps of the measured serving phase.
   double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0;
-  util::ShardedLruStats score_cache;
-  util::ShardedLruStats activation_cache;
-  util::ShardedLruStats leaf_cache;
+  util::RowCacheStats score_cache;
+  util::RowCacheStats activation_cache;
+  util::RowCacheStats leaf_cache;
   uint64_t leaf_tier_hits = 0;
 };
 
@@ -201,11 +227,12 @@ ArmResult RunArm(int clients, int requests, int reps) {
   return r;
 }
 
-/// Steady-state allocation probe over the real scoring path: a warmed
-/// PlanSearch alternating over a few queries so every round does full NN
-/// work (the per-query score cache re-salts on each switch) while all
-/// buffers sit at capacity. RegionAllocs() counts mallocs inside ScoreAll's
-/// probe+forward region only.
+/// Steady-state allocation probe over the serving scoring path: a warmed
+/// PlanSearch bound to SharedSearchCaches at the serving defaults, alternating
+/// over a few queries under a fresh weight generation per search, so every
+/// search re-salts and does full NN work (as a never-seen serve-cold query
+/// does) while all buffers sit at capacity. RegionAllocs() counts mallocs
+/// inside ScoreAll's probe+forward region only.
 struct SteadyState {
   uint64_t heap_allocs = 0;
   size_t slab_peak_bytes = 0;
@@ -217,11 +244,19 @@ SteadyState MeasureSteadyState() {
   const core::NeoConfig cfg = Fixture::Config();
   Rig rig = MakeRig(cfg);
   rig.neo->Retrain();
+  const serve::ServingOptions defaults;
+  core::SharedSearchCaches caches(
+      static_cast<size_t>(rig.neo->net().TotalConvChannels()),
+      defaults.shared_score_cap, defaults.shared_activation_cap,
+      defaults.cache_shards, defaults.shared_leaf_cap);
   core::PlanSearch search(f.feat.get(), &rig.neo->net());
+  uint64_t generation = 0;
   const size_t rotation = std::min<size_t>(4, f.train.size());
   for (size_t i = 0; i < 3 * rotation; ++i) {
+    search.SetSharedCaches(&caches, ++generation);
     search.FindPlan(*f.train[i % rotation], cfg.search);
   }
+  search.SetSharedCaches(&caches, ++generation);
   util::ArmAllocCounter(true);
   util::ResetRegionAllocs();
   search.FindPlan(*f.train[0], cfg.search);

@@ -159,10 +159,12 @@ void PlanSearch::SyncCache(const query::Query& query, const SearchOptions& optio
     cache_cap_ = cap;
     act_cache_cap_ = act_cap;
   } else {
-    // Shared mode: the global maps are never cleared; staleness is handled
-    // by re-salting, so entries from other tuples are simply never probed.
-    // The kernel bits carry a low tag bit so a (fp, version) pair can never
-    // produce the same salt as a raw fingerprint.
+    // Shared mode: the global tables are never cleared; staleness is
+    // handled by re-salting, so entries from other tuples are simply never
+    // probed. The kernel bits carry a low tag bit so a (fp, version) pair can
+    // never produce the same salt as a raw fingerprint.
+    NEO_CHECK(shared_->activations.width() ==
+              static_cast<size_t>(net_->TotalConvChannels()));
     salt_ = util::Mix64(util::HashCombine(
         util::HashCombine(
             util::HashCombine(util::HashCombine(query.fingerprint,
@@ -189,7 +191,7 @@ float PlanSearch::ScoreUncached(const query::Query& query,
   const float score =
       net_->PredictWithEmbedding(query_embedding, tree, features, &net_ctx_);
   if (shared_ != nullptr) {
-    if (shared_->scores.Insert(util::HashCombine(hash, salt_), score)) {
+    if (shared_->scores.Insert(util::HashCombine(hash, salt_), &score)) {
       ++result->cache_evictions;
     }
   } else if (score_cache_.Insert(hash, score)) {
@@ -205,7 +207,7 @@ float PlanSearch::Score(const query::Query& query, const nn::Matrix& query_embed
   const uint64_t h = plan.Hash();
   if (shared_ != nullptr) {
     float v = 0.0f;
-    if (shared_->scores.Lookup(util::HashCombine(h, salt_), &v)) {
+    if (shared_->scores.Get(util::HashCombine(h, salt_), &v)) {
       ++result->cache_hits;
       return v;
     }
@@ -238,7 +240,7 @@ void PlanSearch::ScoreAll(const query::Query& query,
     bool hit = false;
     float v = 0.0f;
     if (shared_ != nullptr) {
-      hit = shared_->scores.Lookup(util::HashCombine(h, salt_), &v);
+      hit = shared_->scores.Get(util::HashCombine(h, salt_), &v);
     } else if (const float* p = score_cache_.Find(h)) {
       hit = true;
       v = *p;
@@ -280,10 +282,10 @@ void PlanSearch::ScoreAll(const query::Query& query,
     size_t n_dirty = 0;
     if (shared_ != nullptr) {
       // Shared mode sizes the slab for EVERY row: hits are copied out of
-      // the global map under the shard lock into this search's private
-      // slab (a pointer into the map could be evicted out from under the
-      // forward pass by a concurrent search), and dirty rows are computed
-      // into their own slots for the post-forward inserts.
+      // the global table under the stripe lock into this search's private
+      // slab (a pointer into the table could be overwritten under the
+      // forward pass by a concurrent search's eviction), and dirty rows are
+      // computed into their own slots for the post-forward inserts.
       if (leaf_tier) {
         // Packed-forest subtree sizes for the leaf-tier gate: pre-order
         // packing puts children at higher indices, so a descending scan
@@ -300,19 +302,13 @@ void PlanSearch::ScoreAll(const query::Query& query,
       for (size_t i = 0; i < n_rows; ++i) {
         float* slot = slab + i * entry_floats;
         const uint64_t fp = batch_scratch_.node_fp[i];
-        bool hit = shared_->activations.Visit(
-            util::HashCombine(fp, salt_), [slot](const std::vector<float>& v) {
-              std::copy(v.begin(), v.end(), slot);
-            });
+        bool hit = shared_->activations.Get(util::HashCombine(fp, salt_), slot);
         if (!hit && leaf_tier &&
             subtree_size_scratch_[i] <= kLeafTierMaxNodes) {
           // Cross-request tier: rows another search (same embedding bits,
           // weights, kernel arm, generation) already computed.
-          hit = shared_->leaf_activations.Visit(
-              util::HashCombine(fp, leaf_salt_),
-              [slot](const std::vector<float>& v) {
-                std::copy(v.begin(), v.end(), slot);
-              });
+          hit = shared_->leaf_activations.Get(util::HashCombine(fp, leaf_salt_),
+                                              slot);
           if (hit) ++result->leaf_tier_hits;
         }
         if (hit) {
@@ -361,12 +357,9 @@ void PlanSearch::ScoreAll(const query::Query& query,
     const uint64_t fp = batch_scratch_.node_fp[i];
     if (!act_seen_scratch_.Insert(fp)) continue;
     if (shared_ != nullptr) {
-      shared_->activations.Insert(util::HashCombine(fp, salt_),
-                                  std::vector<float>(src, src + entry_floats));
+      shared_->activations.Insert(util::HashCombine(fp, salt_), src);
       if (leaf_tier && subtree_size_scratch_[i] <= kLeafTierMaxNodes) {
-        shared_->leaf_activations.Insert(
-            util::HashCombine(fp, leaf_salt_),
-            std::vector<float>(src, src + entry_floats));
+        shared_->leaf_activations.Insert(util::HashCombine(fp, leaf_salt_), src);
       }
     } else {
       activation_cache_.Insert(fp, std::vector<float>(src, src + entry_floats));
@@ -377,7 +370,7 @@ void PlanSearch::ScoreAll(const query::Query& query,
     scores[miss_idx[m]] = predicted[m];
     if (shared_ != nullptr) {
       if (shared_->scores.Insert(util::HashCombine(miss_hash[m], salt_),
-                                 predicted[m])) {
+                                 &predicted[m])) {
         ++result->cache_evictions;
       }
     } else if (score_cache_.Insert(miss_hash[m], predicted[m])) {

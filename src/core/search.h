@@ -64,7 +64,9 @@
 // activations depend on the query embedding (layer 0's shared-suffix
 // projection) and the weights. Any mismatch drops the whole cache;
 // SearchOptions::activation_cache_cap bounds its footprint (one entry holds
-// ValueNetwork::TotalConvChannels() floats). Row values are bit-identical to
+// ValueNetwork::TotalConvChannels() floats). A search bound to
+// SharedSearchCaches folds the tuple into a key salt instead and never
+// drops anything (see SharedSearchCaches). Row values are bit-identical to
 // the full pass (MatMul rows are position-independent), so the incremental
 // path changes no search outcome at any thread count.
 //
@@ -88,30 +90,39 @@
 #include "src/util/arena.h"
 #include "src/util/flat_hash_set.h"
 #include "src/util/lru_map.h"
-#include "src/util/sharded_lru.h"
+#include "src/util/row_cache.h"
 
 namespace neo::core {
 
 /// Process-global promotion of PlanSearch's per-instance score/activation
-/// caches: sharded, mutex-per-shard LRUs shared by every concurrent search of
-/// a serving core. Entries are keyed by HashCombine(local key, salt) where
-/// the salt folds in (query fingerprint, net version, kernel dispatch arm,
-/// RCU weight generation, encoding epoch) — so searches of different
-/// queries, different weight snapshots, or different standby nets of the
-/// SAME version can coexist in one map without ever serving each other stale
-/// values, and invalidation is free (stale entries simply stop being probed
-/// and age out of the LRU).
-/// Activation values are copied out under the shard lock into the probing
-/// search's private slab, so eviction never invalidates rows mid-forward.
+/// caches, shared by every concurrent search of a serving core. Each tier is
+/// a util::RowCache: a flat, fixed-capacity, 8-way set-associative table of
+/// fixed-width float rows with one mutex per stripe of sets. Scores are rows
+/// of width 1; the activation tiers hold ValueNetwork::TotalConvChannels()
+/// floats per row (`row_width`, checked against the bound network when a
+/// search salts its binding). Entries are keyed by HashCombine(local key,
+/// salt) where the salt folds in (query fingerprint, net version, kernel
+/// dispatch arm, RCU weight generation, encoding epoch) — so searches of
+/// different queries, different weight snapshots, or different standby nets
+/// of the SAME version can coexist in one table without ever serving each
+/// other stale values, and invalidation is free (stale entries are never
+/// probed again and are evicted as their sets fill). The tables are never
+/// cleared.
+/// Rows are copied out under the stripe lock into the probing search's
+/// private slab, so no pointer into a table escapes and an eviction never
+/// changes rows mid-forward.
 struct SharedSearchCaches {
-  SharedSearchCaches(size_t score_cap, size_t activation_cap, int shards = 16,
-                     size_t leaf_cap = 0)
-      : scores(score_cap, shards),
-        activations(activation_cap, shards),
-        leaf_activations(leaf_cap == 0 ? activation_cap : leaf_cap, shards) {}
+  /// Caps count entries per tier (see util::RowCache for the rounding);
+  /// `stripes` is the lock-stripe count of each tier.
+  SharedSearchCaches(size_t row_width, size_t score_cap, size_t activation_cap,
+                     int stripes = 16, size_t leaf_cap = 0)
+      : scores(/*width=*/1, score_cap, stripes),
+        activations(row_width, activation_cap, stripes),
+        leaf_activations(row_width, leaf_cap == 0 ? activation_cap : leaf_cap,
+                         stripes) {}
 
-  util::ShardedLruMap<uint64_t, float> scores;
-  util::ShardedLruMap<uint64_t, std::vector<float>> activations;
+  util::RowCache scores;
+  util::RowCache activations;
   /// Cross-request tier for small-subtree (<= 3 node: leaves and first joins)
   /// activation entries — the rows every search recomputes in its first
   /// expansion rounds. Keyed by HashCombine(subtree_fp, leaf salt) where the
@@ -123,9 +134,9 @@ struct SharedSearchCaches {
   /// share these rows. Only valid when node features are a pure function of
   /// the subtree fingerprint (FeaturizerConfig::card_channel == kNone; query-
   /// dependent cardinality channels would alias under one fp) — PlanSearch
-  /// gates on that. A separate LRU so the high-reuse small entries are never
-  /// evicted by the churn of deep-plan rows in `activations`.
-  util::ShardedLruMap<uint64_t, std::vector<float>> leaf_activations;
+  /// gates on that. A separate table so the high-reuse small entries are
+  /// never evicted by the churn of deep-plan rows in `activations`.
+  util::RowCache leaf_activations;
 };
 
 struct SearchOptions {
@@ -148,7 +159,10 @@ struct SearchResult {
   int expansions = 0;
   size_t evaluations = 0;  ///< Real value-network forward passes (cache misses).
   size_t cache_hits = 0;   ///< Scores served from the per-query score cache.
-  size_t cache_evictions = 0;  ///< LRU evictions forced by score_cache_cap.
+  /// Score-cache evictions this search caused: forced by score_cache_cap on
+  /// the private cache, or by the shared score tier's capacity
+  /// (ServingOptions::shared_score_cap) when a SharedSearchCaches is bound.
+  size_t cache_evictions = 0;
   size_t activation_hits = 0;  ///< Packed node rows served by the activation cache.
   /// Of activation_hits, rows served by the shared small-subtree tier
   /// (SharedSearchCaches::leaf_activations) after a main-cache miss — i.e.
@@ -261,7 +275,7 @@ class PlanSearch {
   bool cache_valid_ = false;
 
   /// Serving-mode seam (null outside a serving core): the process-global
-  /// cache pair, plus the salt mixing (query fp, net version, kernel arm,
+  /// row caches, plus the salt mixing (query fp, net version, kernel arm,
   /// weight generation, encoding epoch) into every shared-cache key.
   /// SyncCache recomputes the salt on any tuple change; in shared mode the
   /// private LRUs above go unused.

@@ -12,13 +12,13 @@
 namespace neo::serve {
 
 ServingCore::ServingCore(core::Neo* neo, ServingOptions options)
-    : neo_(neo), options_(std::move(options)), rcu_(neo->net().config()) {
+    : neo_(neo),
+      options_(std::move(options)),
+      rcu_(neo->net().config()),
+      caches_(static_cast<size_t>(neo->net().TotalConvChannels()),
+              options_.shared_score_cap, options_.shared_activation_cap,
+              options_.cache_shards, options_.shared_leaf_cap) {
   options_.workers = std::max(1, options_.workers);
-  if (options_.shared_caches) {
-    caches_ = std::make_unique<core::SharedSearchCaches>(
-        options_.shared_score_cap, options_.shared_activation_cap,
-        options_.cache_shards, options_.shared_leaf_cap);
-  }
   if (options_.store != nullptr) {
     // Every serve through the choke point records into the store; Decide()
     // consultation happens in ServeOne before search.
@@ -367,7 +367,7 @@ ServeResult ServingCore::ServeOne(core::PlanSearch& search, const Task& task,
   // Rebind to this request's snapshot; the generation re-salts every
   // shared-cache key so entries from other snapshots are never served.
   search.Rebind(ref.net.get());
-  search.SetSharedCaches(caches_.get(), ref.generation);
+  search.SetSharedCaches(&caches_, ref.generation);
 
   const bool reduced_budget = level >= 1;
   if (reduced_budget) {
@@ -426,11 +426,9 @@ ServingStats ServingCore::stats() const {
       degraded_pinned_serves_.load(std::memory_order_relaxed);
   s.worker_exceptions = worker_exceptions_.load(std::memory_order_relaxed);
   s.generation = rcu_.generation();
-  if (caches_ != nullptr) {
-    s.score_cache = caches_->scores.TotalStats();
-    s.activation_cache = caches_->activations.TotalStats();
-    s.leaf_cache = caches_->leaf_activations.TotalStats();
-  }
+  s.score_cache = caches_.scores.TotalStats();
+  s.activation_cache = caches_.activations.TotalStats();
+  s.leaf_cache = caches_.leaf_activations.TotalStats();
   s.leaf_tier_hits = leaf_tier_hits_.load(std::memory_order_relaxed);
   if (options_.store != nullptr) {
     const store::StoreStats st = options_.store->stats();

@@ -36,12 +36,15 @@
 //    snapshot's once-per-version weight-split refresh), so N workers score
 //    one RCU snapshot concurrently without locks.
 //
-// 3. Shared score/activation caches (core::SharedSearchCaches). The
-//    per-search LRUs promote to process-global sharded maps, so repeat
-//    queries hit scores cached by ANY worker and common subtrees share conv
-//    activations across searches. Keys are salted with (query fp, net
-//    version, kernel arm, RCU generation): invalidation is free — entries
-//    of dead snapshots simply stop being probed and age out.
+// 3. Shared score/activation caches (core::SharedSearchCaches). Every
+//    worker's search scores through process-global flat, fixed-capacity,
+//    8-way set-associative row tables (util::RowCache) with one lock per
+//    stripe of sets, so repeat queries hit scores cached by ANY worker and
+//    common subtrees share conv activations across searches. Hits are copied
+//    out under the stripe lock; no pointer into a table escapes. Keys are
+//    salted with (query fp, net version, kernel arm, RCU generation):
+//    invalidation is free — entries of dead snapshots simply stop being
+//    probed and are evicted as their sets fill.
 //
 // 4. RCU weight snapshots (model_rcu.h). Background retraining mutates only
 //    Neo's primary network; PublishWeights()/RetrainAndPublish() snapshot it
@@ -127,7 +130,7 @@
 #include "src/store/experience_store.h"
 #include "src/util/fault_injector.h"
 #include "src/util/latency_histogram.h"
-#include "src/util/sharded_lru.h"
+#include "src/util/row_cache.h"
 #include "src/util/status.h"
 #include "src/util/stopwatch.h"
 
@@ -136,12 +139,16 @@ namespace neo::serve {
 struct ServingOptions {
   int workers = 2;  ///< Request worker threads (clamped to >= 1).
   bool coalesce = false;  ///< Ignored; kept so existing callers compile.
-  bool shared_caches = true;
-  size_t shared_score_cap = 1 << 20;        ///< Entries, split across shards.
+  /// Entry caps of the shared score, activation and cross-query leaf
+  /// activation tiers (see core::SharedSearchCaches). Each cap (>= 1) is an
+  /// upper bound rounded down to whole 8-way sets — a power-of-two number of
+  /// them, so the defaults are exact — and is exact below 8 (one set of
+  /// `cap` ways). shared_leaf_cap 0 defaults to shared_activation_cap.
+  size_t shared_score_cap = 1 << 20;
   size_t shared_activation_cap = 128 * 1024;
-  /// Capacity of the cross-query leaf/low-order activation tier (entries).
-  /// 0 defaults to shared_activation_cap. See SharedSearchCaches.
   size_t shared_leaf_cap = 0;
+  /// Lock-stripe count of each shared tier (rounded up to a power of two,
+  /// at most one stripe per set).
   int cache_shards = 16;
   core::SearchOptions search;
   /// Durable per-query-type experience store (see store/experience_store.h).
@@ -203,9 +210,9 @@ struct ServingStats {
   util::LatencyHistogram plan_latency;   ///< Per-request plan_ms.
   uint64_t requests = 0;
   uint64_t generation = 0;
-  util::ShardedLruStats score_cache;
-  util::ShardedLruStats activation_cache;
-  util::ShardedLruStats leaf_cache;   ///< Cross-query leaf activation tier.
+  util::RowCacheStats score_cache;
+  util::RowCacheStats activation_cache;
+  util::RowCacheStats leaf_cache;     ///< Cross-query leaf activation tier.
   uint64_t leaf_tier_hits = 0;        ///< Rows served from the leaf tier.
   // Experience-store counters (zero when no store is attached), so mode
   // behavior is observable rather than inferred.
@@ -313,7 +320,7 @@ class ServingCore {
   core::Neo* neo_;
   ServingOptions options_;
   ModelRcu rcu_;
-  std::unique_ptr<core::SharedSearchCaches> caches_;  ///< Null if disabled.
+  core::SharedSearchCaches caches_;
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;

@@ -320,8 +320,9 @@ TEST_F(ServeFixture, LeafTierServesRepeatSearchesWithoutChangingOutcomes) {
   // Tiny score/activation caps force every search to re-score through the
   // activation tiers with nothing retained in the main shared tier, so
   // small-subtree rows can only be served by the leaf tier.
-  core::SharedSearchCaches caches(/*score_cap=*/1, /*activation_cap=*/1,
-                                  /*shards=*/1, /*leaf_cap=*/1 << 16);
+  core::SharedSearchCaches caches(
+      static_cast<size_t>(b.neo->net().TotalConvChannels()), /*score_cap=*/1,
+      /*activation_cap=*/1, /*stripes=*/1, /*leaf_cap=*/1 << 16);
   core::PlanSearch first_search(featurizer_, &b.neo->net());
   first_search.SetSharedCaches(&caches, /*generation=*/1);
   const core::SearchResult first = first_search.FindPlan(q, cfg.search);
