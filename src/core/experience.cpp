@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/util/rng.h"
+#include "src/util/status.h"
 
 namespace neo::core {
 
@@ -17,22 +19,44 @@ const char* CostFunctionName(CostFunction f) {
 
 void Experience::AddCompletePlan(const query::Query& query,
                                  const plan::PartialPlan& plan, double cost) {
+  NEO_CHECK(plan.IsComplete());
   ++num_complete_;
   auto [bit, inserted] = best_cost_.emplace(query.id, cost);
   if (!inserted) bit->second = std::min(bit->second, cost);
 
+  auto [qit, fresh] = queries_.try_emplace(query.fingerprint);
+  QueryExperience& entry = qit->second;
+  if (fresh) {
+    entry.query = std::make_shared<const query::Query>(query);
+    entry.lru = lru_.insert(lru_.begin(), query.fingerprint);
+  } else {
+    lru_.splice(lru_.begin(), lru_, entry.lru);
+  }
+
+  auto [pit, new_plan] =
+      entry.plans.try_emplace(plan.Hash(), StoredPlan{plan.roots[0], cost});
+  if (!new_plan) {
+    // Every state of a held plan already has a label <= the plan's cost.
+    if (cost >= pit->second.cost) return;
+    pit->second.cost = cost;
+  }
   for (const plan::PartialPlan& state : plan::DecomposeForTraining(plan)) {
     const uint64_t key = util::HashCombine(query.fingerprint + 0x99ULL, state.Hash());
-    auto it = states_.find(key);
-    if (it != states_.end()) {
-      it->second.min_cost = std::min(it->second.min_cost, cost);
-      continue;
+    auto [sit, new_state] = states_.try_emplace(key, State{&entry, state.roots[0], cost});
+    if (new_state) {
+      entry.state_keys.push_back(key);
+    } else {
+      sit->second.min_cost = std::min(sit->second.min_cost, cost);
     }
-    State s;
-    s.sample = featurizer_->Encode(query, state);
-    s.min_cost = cost;
-    states_.emplace(key, std::move(s));
   }
+  if (queries_.size() > kMaxQueries) EvictLeastRecent();
+}
+
+void Experience::EvictLeastRecent() {
+  const auto it = queries_.find(lru_.back());
+  lru_.pop_back();
+  for (const uint64_t key : it->second.state_keys) states_.erase(key);
+  queries_.erase(it);
 }
 
 double Experience::BestCost(int query_id) const {
@@ -52,7 +76,8 @@ float Experience::NormalizeCost(double cost) const {
   return static_cast<float>((TransformCost(cost) - target_mean_) / target_std_);
 }
 
-Experience::TrainingBatchView Experience::Sample(size_t max_samples, util::Rng& rng) {
+std::vector<Experience::DrawnState> Experience::Sample(size_t max_samples,
+                                                       util::Rng& rng) {
   // Refit the target transform.
   double sum = 0.0, sum2 = 0.0;
   for (const auto& [key, state] : states_) {
@@ -64,20 +89,40 @@ Experience::TrainingBatchView Experience::Sample(size_t max_samples, util::Rng& 
   target_mean_ = sum / n;
   target_std_ = std::sqrt(std::max(1e-8, sum2 / n - target_mean_ * target_mean_));
 
-  std::vector<const State*> all;
+  std::vector<const std::pair<const uint64_t, State>*> all;
   all.reserve(states_.size());
-  for (const auto& [key, state] : states_) all.push_back(&state);
+  for (const auto& entry : states_) all.push_back(&entry);
   rng.Shuffle(all);
   if (all.size() > max_samples) all.resize(max_samples);
 
-  TrainingBatchView view;
-  view.samples.reserve(all.size());
-  view.targets.reserve(all.size());
-  for (const State* s : all) {
-    view.samples.push_back(&s->sample);
-    view.targets.push_back(NormalizeCost(s->min_cost));
+  std::vector<DrawnState> drawn;
+  drawn.reserve(all.size());
+  for (const auto* entry : all) {
+    const State& s = entry->second;
+    drawn.push_back({s.owner->query, s.subtree, entry->first, NormalizeCost(s.min_cost)});
   }
-  return view;
+  return drawn;
+}
+
+SampleEncoder::Batch SampleEncoder::Encode(
+    const std::vector<Experience::DrawnState>& drawn) {
+  Batch batch;
+  batch.samples.reserve(drawn.size());
+  batch.query_vecs.reserve(drawn.size());
+  batch.targets.reserve(drawn.size());
+  for (const Experience::DrawnState& d : drawn) {
+    auto [qit, new_query] = query_vecs_.try_emplace(d.query->fingerprint);
+    if (new_query) qit->second = featurizer_->EncodeQuery(*d.query);
+    auto [sit, new_state] = samples_.try_emplace(d.key);
+    if (new_state) {
+      featurizer_->EncodePlan(*d.query, plan::TrainingState(*d.query, d.subtree),
+                              &sit->second.tree, &sit->second.node_features);
+    }
+    batch.samples.push_back(&sit->second);
+    batch.query_vecs.push_back(&qit->second);
+    batch.targets.push_back(d.target);
+  }
+  return batch;
 }
 
 }  // namespace neo::core

@@ -15,7 +15,6 @@ Neo::Neo(const featurize::Featurizer* featurizer, engine::ExecutionEngine* engin
     : featurizer_(featurizer),
       engine_(engine),
       config_(std::move(config)),
-      experience_(featurizer),
       search_(featurizer, nullptr),
       rng_(config_.seed) {
   config_.net.query_dim = featurizer_->query_dim();
@@ -193,24 +192,28 @@ float Neo::Retrain() {
   // identical at any degree (see ValueNetwork::TrainBatch).
   nn::ComputeThreadsScope compute_scope(config_.threads);
   float last_loss = 0.0f;
+  // Owns this retrain's encodings: a state drawn again by a later epoch is
+  // not re-encoded.
+  SampleEncoder encoder(featurizer_);
   for (int epoch = 0; epoch < config_.epochs_per_episode; ++epoch) {
-    // Sampling synchronizes with concurrent serves' experience inserts; the
-    // sampled pointers stay valid outside the lock (node-based store,
-    // samples immutable after insert), so training itself runs unlocked and
-    // never stalls the serving path.
-    Experience::TrainingBatchView view = [&] {
+    // Only the draw holds the lock, against concurrent serves' inserts. Each
+    // drawn state holds its query and subtree, so an eviction cannot free
+    // them; encoding and training run unlocked and never stall serving.
+    const std::vector<Experience::DrawnState> drawn = [&] {
       std::lock_guard<std::mutex> lock(experience_mu_);
       return experience_.Sample(config_.max_train_samples, rng_);
     }();
-    if (view.samples.empty()) break;
-    // Minibatches slice the sampled view by offset — no per-batch vector
-    // copies, and the final under-sized batch trains in place like any other.
-    for (size_t start = 0; start < view.samples.size();
+    if (drawn.empty()) break;
+    const SampleEncoder::Batch batch = encoder.Encode(drawn);
+    // Minibatches slice the batch by offset — no per-batch vector copies,
+    // and the final under-sized batch trains in place like any other.
+    for (size_t start = 0; start < batch.samples.size();
          start += static_cast<size_t>(config_.batch_size)) {
-      const size_t len = std::min(view.samples.size() - start,
+      const size_t len = std::min(batch.samples.size() - start,
                                   static_cast<size_t>(config_.batch_size));
-      last_loss =
-          net_->TrainBatch(view.samples.data() + start, view.targets.data() + start, len);
+      last_loss = net_->TrainBatch(batch.samples.data() + start,
+                                   batch.targets.data() + start, len,
+                                   batch.query_vecs.data() + start);
     }
   }
   total_nn_time_ms_ += watch.ElapsedMs();

@@ -271,10 +271,10 @@ class Neo {
   /// guard_stats() reads a consistent snapshot. The single-threaded episode
   /// paths never take it — they call ServeAndMaybeLearn directly.
   mutable std::mutex serve_mu_;
-  /// Synchronizes experience-store mutation (serves learning) with Retrain's
-  /// sampling. Sampled pointers stay valid across concurrent inserts (the
-  /// store is node-based and samples are immutable after insert), so only the
-  /// map operations themselves need the lock — TrainBatch runs outside it.
+  /// Synchronizes experience mutation (serves learning) with Retrain's draws.
+  /// A draw copies out what it needs (the query by shared_ptr, the state's
+  /// subtree, the label), so Retrain encodes into its own SampleEncoder and
+  /// trains outside the lock, while serves may insert and evict.
   std::mutex experience_mu_;
   double total_nn_time_ms_ = 0.0;
   int episodes_run_ = 0;

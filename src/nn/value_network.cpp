@@ -445,7 +445,7 @@ float ValueNetwork::TrainBatch(const std::vector<const PlanSample*>& samples,
 }
 
 float ValueNetwork::TrainBatch(const PlanSample* const* samples, const float* targets,
-                               size_t n) {
+                               size_t n, const Matrix* const* query_vecs) {
   NEO_CHECK(n > 0);
   // Count every heap allocation made by the step (benches assert the steady
   // state makes none; see util::RegionAllocs).
@@ -470,9 +470,10 @@ float ValueNetwork::TrainBatch(const PlanSample* const* samples, const float* ta
   // Query stack forward over all query vectors at once.
   train_query_vecs_.Reshape(batch, config_.query_dim);
   for (int s = 0; s < batch; ++s) {
-    NEO_CHECK(samples[s]->query_vec.cols() == config_.query_dim);
-    std::copy(samples[s]->query_vec.Row(0),
-              samples[s]->query_vec.Row(0) + config_.query_dim,
+    const Matrix& query_vec =
+        query_vecs != nullptr ? *query_vecs[s] : samples[s]->query_vec;
+    NEO_CHECK(query_vec.cols() == config_.query_dim);
+    std::copy(query_vec.Row(0), query_vec.Row(0) + config_.query_dim,
               train_query_vecs_.Row(s));
   }
   query_stack_.ForwardInto(train_query_vecs_, &train_pipe_, &train_embeds_);

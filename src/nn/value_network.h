@@ -194,8 +194,11 @@ class ValueNetwork {
                    const std::vector<float>& targets);
 
   /// Span overload: trains on samples[0..n) / targets[0..n) without the
-  /// caller materializing per-minibatch vector copies.
-  float TrainBatch(const PlanSample* const* samples, const float* targets, size_t n);
+  /// caller materializing per-minibatch vector copies. With `query_vecs`,
+  /// sample s's query vector is *query_vecs[s] instead of its own query_vec,
+  /// so the samples of one query can share one encoding.
+  float TrainBatch(const PlanSample* const* samples, const float* targets, size_t n,
+                   const Matrix* const* query_vecs = nullptr);
 
   /// Increments on every optimizer step; lets caches detect staleness.
   uint64_t version() const { return version_; }

@@ -120,26 +120,26 @@ std::string PartialPlan::ToString(const catalog::Schema& schema) const {
   return out;
 }
 
+PartialPlan TrainingState(const query::Query& q, const NodeRef& subtree) {
+  PartialPlan p;
+  p.query = &q;
+  p.roots.reserve(q.relations.size());
+  p.roots.push_back(subtree);
+  for (size_t i = 0; i < q.relations.size(); ++i) {
+    if (!(subtree->rel_mask & (1ULL << i))) {
+      p.roots.push_back(MakeScan(ScanOp::kUnspecified, q.relations[i], 1ULL << i));
+    }
+  }
+  return p;
+}
+
 std::vector<PartialPlan> DecomposeForTraining(const PartialPlan& complete) {
   NEO_CHECK(complete.query != nullptr);
   const query::Query& q = *complete.query;
   std::vector<PartialPlan> states;
 
-  // Builds the state {subtree} ∪ {U(r) | r not covered by subtree}.
-  auto make_state = [&](const NodeRef& subtree) {
-    PartialPlan p;
-    p.query = &q;
-    p.roots.push_back(subtree);
-    for (size_t i = 0; i < q.relations.size(); ++i) {
-      if (!(subtree->rel_mask & (1ULL << i))) {
-        p.roots.push_back(MakeScan(ScanOp::kUnspecified, q.relations[i], 1ULL << i));
-      }
-    }
-    return p;
-  };
-
   std::function<void(const NodeRef&)> visit = [&](const NodeRef& node) {
-    states.push_back(make_state(node));
+    states.push_back(TrainingState(q, node));
     if (node->is_join) {
       visit(node->left);
       visit(node->right);

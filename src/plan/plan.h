@@ -95,10 +95,14 @@ class PartialPlan {
 /// Renders a single tree.
 std::string NodeToString(const PlanNode& node, const catalog::Schema& schema);
 
+/// The training state of a subtree S (`subtree`) of a plan for `q`: the
+/// forest {S} ∪ {U(r) | r outside S}, S first and the unspecified scans in
+/// relation order. A lone unspecified scan as S gives PartialPlan::Initial(q).
+PartialPlan TrainingState(const query::Query& q, const NodeRef& subtree);
+
 /// Training decomposition (paper §4): partial-plan states whose best-known
 /// cost is bounded by this complete plan's cost. For each subtree S of the
-/// plan we emit the state {S} ∪ {U(r) | r outside S}, plus the all-
-/// unspecified initial state.
+/// plan we emit TrainingState(S), plus the all-unspecified initial state.
 std::vector<PartialPlan> DecomposeForTraining(const PartialPlan& complete);
 
 /// True if `sub` is a subplan of `full` per the paper's definition: every

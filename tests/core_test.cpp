@@ -2,6 +2,10 @@
 // end-to-end learning loop (bootstrap -> episodes -> improvement).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <set>
+#include <string>
+#include <tuple>
 #include <unordered_map>
 
 #include "src/core/neo.h"
@@ -71,7 +75,7 @@ std::vector<nn::KernelIsa> KernelArmsToTest() {
 }
 
 TEST_F(CoreFixture, ExperienceLabelsAreMinOverContainingPlans) {
-  Experience exp(featurizer_);
+  Experience exp;
   const Query q = ThreeWay(50);
   const int mk = ds_->schema.TableId("movie_keyword");
   const int kw = ds_->schema.TableId("keyword");
@@ -95,16 +99,160 @@ TEST_F(CoreFixture, ExperienceLabelsAreMinOverContainingPlans) {
   exp.AddCompletePlan(q, p2, 40.0);
   EXPECT_DOUBLE_EQ(exp.BestCost(q.id), 40.0);
   EXPECT_EQ(exp.NumCompletePlans(), 2u);
-  // Shared states (initial + shared subtrees) were deduplicated.
-  // p1 contributes 6 states (5 subtrees + initial), p2 shares 4 of them
-  // (scan-leaf states, the inner join state, initial) and adds 2.
-  EXPECT_LT(exp.NumStates(), 12u);
+  EXPECT_EQ(exp.NumQueries(), 1u);
+  // Shared states were deduplicated. p1 contributes 6 states (5 subtrees +
+  // initial); p2 shares 5 of them (the inner join, the three scan leaves and
+  // the initial state) and adds only its own root.
+  EXPECT_EQ(exp.NumStates(), 7u);
 
   util::Rng rng(1);
-  const auto view = exp.Sample(100, rng);
-  EXPECT_EQ(view.samples.size(), exp.NumStates());
-  // All targets finite and standardized-ish.
-  for (float t : view.targets) EXPECT_TRUE(std::isfinite(t));
+  const std::vector<Experience::DrawnState> drawn = exp.Sample(100, rng);
+  ASSERT_EQ(drawn.size(), exp.NumStates());
+  // Only p1's root is outside p2; every other state is labeled with p2's 40.
+  int at_100 = 0, at_40 = 0;
+  for (const Experience::DrawnState& d : drawn) {
+    if (d.target == exp.NormalizeCost(100.0)) ++at_100;
+    if (d.target == exp.NormalizeCost(40.0)) ++at_40;
+  }
+  EXPECT_EQ(at_100, 1);
+  EXPECT_EQ(at_40, 6);
+}
+
+TEST_F(CoreFixture, SampledTrainingSetMatchesSubplanOracle) {
+  // Paper §4's label: a state's target is the minimum cost over the query's
+  // executed plans it is a subplan of. Built here straight from the
+  // definition (DecomposeForTraining + Featurizer::Encode + IsSubplanOf) and
+  // compared with what Sample + SampleEncoder hand a retrain.
+  const query::Workload wl = query::MakeJobWorkload(ds_->schema, *ds_->db);
+  auto expert = optim::MakeNativeOptimizer(EngineKind::kPostgres, ds_->schema, *ds_->db);
+  optim::RandomOptimizer random(ds_->schema, 11);
+  struct Executed {
+    const Query* query;
+    plan::PartialPlan plan;
+    double cost;
+  };
+  std::vector<Executed> executed;
+  const size_t picks[] = {3, 40, 77, 111};
+  for (size_t k = 0; k < 4; ++k) {
+    const Query& q = wl.query(picks[k]);
+    executed.push_back({&q, expert.optimizer->Optimize(q), 20.0 + k});
+    executed.push_back({&q, random.Optimize(q), 50.0 + k});
+    if (k % 2 == 0) executed.push_back({&q, random.Optimize(q), 8.0 + k});
+  }
+  // The expert's plan for the first query runs again, cheaper: its states
+  // must carry the second cost, wherever no cheaper plan contains them.
+  executed.push_back({executed[0].query, executed[0].plan, 3.0});
+
+  Experience exp;
+  for (const Executed& e : executed) exp.AddCompletePlan(*e.query, e.plan, e.cost);
+  util::Rng rng(3);
+  const std::vector<Experience::DrawnState> drawn = exp.Sample(1 << 20, rng);
+  ASSERT_EQ(drawn.size(), exp.NumStates());
+  SampleEncoder encoder(featurizer_);
+  const SampleEncoder::Batch batch = encoder.Encode(drawn);
+  ASSERT_EQ(batch.samples.size(), drawn.size());
+
+  using Encoded = std::tuple<std::vector<float>, std::vector<int>, std::vector<int>,
+                             std::vector<float>, float>;
+  auto flatten = [](const nn::Matrix& query_vec, const nn::PlanSample& sample,
+                    float target) {
+    return Encoded{
+        std::vector<float>(query_vec.data(), query_vec.data() + query_vec.Size()),
+        sample.tree.left, sample.tree.right,
+        std::vector<float>(sample.node_features.data(),
+                           sample.node_features.data() + sample.node_features.Size()),
+        target};
+  };
+  std::vector<Encoded> got;
+  for (size_t i = 0; i < batch.samples.size(); ++i) {
+    got.push_back(flatten(*batch.query_vecs[i], *batch.samples[i], batch.targets[i]));
+  }
+
+  std::vector<Encoded> want;
+  std::set<std::string> seen;  // (query, state) pairs, by rendering.
+  size_t decomposed = 0, labeled_by_rerun = 0;
+  for (const Executed& e : executed) {
+    for (const plan::PartialPlan& state : plan::DecomposeForTraining(e.plan)) {
+      ++decomposed;
+      const std::string id =
+          std::to_string(e.query->fingerprint) + state.ToString(ds_->schema);
+      if (!seen.insert(id).second) continue;
+      double label = std::numeric_limits<double>::infinity();
+      for (const Executed& f : executed) {
+        if (f.query == e.query && plan::IsSubplanOf(state, f.plan)) {
+          label = std::min(label, f.cost);
+        }
+      }
+      if (label == 3.0) ++labeled_by_rerun;
+      const nn::PlanSample sample = featurizer_->Encode(*e.query, state);
+      want.push_back(flatten(sample.query_vec, sample, exp.NormalizeCost(label)));
+    }
+  }
+  // The case is not degenerate: plans share states, and the rerun's cost
+  // labels every state of its plan.
+  EXPECT_LT(want.size(), decomposed);
+  EXPECT_EQ(labeled_by_rerun, plan::DecomposeForTraining(executed[0].plan).size());
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_TRUE(got == want);
+}
+
+TEST_F(CoreFixture, ExperienceEvictsLeastRecentQueryWhole) {
+  // Distinct queries of one shape (fresh literals), each with the same
+  // 3-relation plan: 6 states apiece.
+  const Query base = ThreeWay(60);
+  auto variant = [&](size_t i) {
+    Query q = base;
+    q.predicates[0].value_str = "stem" + std::to_string(i);
+    q.Finalize(ds_->schema);
+    return q;
+  };
+  auto plan_for = [&](const Query& q) {
+    auto scan = [&](const char* table) {
+      const int id = ds_->schema.TableId(table);
+      return plan::MakeScan(plan::ScanOp::kTable, id, 1ULL << q.RelationIndex(id));
+    };
+    plan::PartialPlan p;
+    p.query = &q;
+    p.roots = {plan::MakeJoin(
+        plan::JoinOp::kHash,
+        plan::MakeJoin(plan::JoinOp::kHash, scan("movie_keyword"), scan("keyword")),
+        scan("title"))};
+    return p;
+  };
+  constexpr size_t kCap = Experience::kMaxQueries;
+  constexpr size_t kStatesPerQuery = 6;
+  Experience exp;
+  std::vector<Query> queries;
+  queries.reserve(kCap + 1);
+  for (size_t i = 0; i <= kCap; ++i) queries.push_back(variant(i));
+  for (size_t i = 0; i < kCap; ++i) {
+    exp.AddCompletePlan(queries[i], plan_for(queries[i]), 10.0);
+  }
+  ASSERT_EQ(exp.NumQueries(), kCap);
+  ASSERT_EQ(exp.NumStates(), kCap * kStatesPerQuery);
+
+  // Re-serving query 0 (the same plan at the same cost, so nothing else
+  // changes) makes query 1 the least recent.
+  exp.AddCompletePlan(queries[0], plan_for(queries[0]), 10.0);
+  EXPECT_EQ(exp.NumQueries(), kCap);
+  EXPECT_EQ(exp.NumStates(), kCap * kStatesPerQuery);
+
+  // One more query evicts query 1 whole: the new one's states come in,
+  // exactly query 1's go out.
+  exp.AddCompletePlan(queries[kCap], plan_for(queries[kCap]), 10.0);
+  EXPECT_EQ(exp.NumQueries(), kCap);
+  EXPECT_EQ(exp.NumStates(), kCap * kStatesPerQuery);
+  std::unordered_map<uint64_t, size_t> states_of;
+  util::Rng rng(5);
+  for (const Experience::DrawnState& d : exp.Sample(1 << 20, rng)) {
+    ++states_of[d.query->fingerprint];
+  }
+  EXPECT_EQ(states_of.count(queries[1].fingerprint), 0u);
+  EXPECT_EQ(states_of[queries[0].fingerprint], kStatesPerQuery);
+  EXPECT_EQ(states_of[queries[2].fingerprint], kStatesPerQuery);
+  EXPECT_EQ(states_of[queries[kCap].fingerprint], kStatesPerQuery);
+  EXPECT_EQ(states_of.size(), kCap);
 }
 
 TEST_F(CoreFixture, SearchChildrenRespectSubplanRelation) {

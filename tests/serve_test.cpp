@@ -429,6 +429,61 @@ TEST_F(ServeFixture, RetrainRunsConcurrentlyWithServing) {
   EXPECT_EQ(core.stats().generation, 3u);  // Ctor publish + two retrains.
 }
 
+TEST_F(ServeFixture, ExperienceStaysBoundedWhileRetrainsDrawEvictedQueries) {
+  // More distinct fresh queries than experience holds, served with learning
+  // by two workers while a background thread retrains back to back. Past the
+  // cap every insert evicts a query that a running retrain may have just
+  // drawn: the draw must keep it alive while it is encoded (the asan arm
+  // turns a use-after-free here into a failure, the tsan arm a race).
+  NeoConfig cfg = SmallConfig();
+  cfg.search.max_expansions = 4;  // Cheap serves: experience is under test.
+  cfg.max_train_samples = 256;
+  cfg.epochs_per_episode = 2;
+  Rig b = MakeRig(TrainSet(), cfg);
+  const core::Experience& experience = b.neo->experience();
+  const size_t states_before = experience.NumStates();
+
+  constexpr size_t kCap = core::Experience::kMaxQueries;
+  std::vector<Query> fresh;
+  fresh.reserve(kCap + 768);
+  for (size_t i = 0; fresh.size() < kCap + 768; ++i) {
+    QueryBuilder qb(ds_->schema, *ds_->db, "fresh");
+    qb.JoinFk("movie_keyword", "keyword")
+        .PredStr("keyword", "keyword", PredOp::kContains, "k" + std::to_string(i));
+    fresh.push_back(qb.Build());
+  }
+
+  ServingOptions sopt;
+  sopt.workers = 2;
+  sopt.search = cfg.search;
+  ServingCore core(b.neo.get(), sopt);
+  std::atomic<bool> done{false};
+  std::atomic<int> retrains{0};
+  std::thread retrainer([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      core.RetrainAndPublish();
+      retrains.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  constexpr size_t kChunk = 256;
+  for (size_t begin = 0; begin < fresh.size(); begin += kChunk) {
+    std::vector<std::future<ServeResult>> futures;
+    for (size_t i = begin; i < std::min(fresh.size(), begin + kChunk); ++i) {
+      futures.push_back(core.Submit(fresh[i], /*learn=*/true));
+    }
+    for (auto& f : futures) EXPECT_TRUE(f.get().status.ok());
+    // Every serve of the chunk has returned, so no insert is running.
+    EXPECT_LE(experience.NumQueries(), kCap);
+  }
+  done.store(true);
+  retrainer.join();
+  core.Drain();
+
+  EXPECT_EQ(experience.NumQueries(), kCap);
+  EXPECT_GT(experience.NumStates(), states_before);
+  EXPECT_GE(retrains.load(), 2);
+}
+
 // ---- Engine memo exactness under concurrency (satellite a) -----------------
 
 TEST_F(ServeFixture, EngineMemoCountersExactUnderConcurrentExecutes) {
