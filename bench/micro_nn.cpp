@@ -1,7 +1,6 @@
 // Micro-benchmarks (google-benchmark): neural network primitives. Also
-// emits BENCH_train.json — packed-forest TrainBatch throughput at 1 and 8
-// threads, with per-layer conv flop/byte counters and the steady-state
-// allocation probe — so the training-path perf trajectory stays tracked
+// emits BENCH_train.json — packed-forest TrainBatch throughput, with
+// per-layer conv flop/byte counters and the steady-state allocation probe — so the training-path perf trajectory stays tracked
 // (the inference counterpart lives in micro_search's BENCH_search.json).
 #include <benchmark/benchmark.h>
 
@@ -263,15 +262,12 @@ struct TrainThroughput {
 };
 
 /// Steps a fresh default-width network (paper-shaped 64/32/16 conv stack)
-/// `steps` times on a batch-64 set and reports samples/sec. All arms train
-/// on identical data from identical initial weights; `threads` is the GEMM
-/// row-partitioning degree.
-TrainThroughput MeasureTrainThroughput(int threads, int steps) {
+/// `steps` times on a batch-64 set and reports samples/sec.
+TrainThroughput MeasureTrainThroughput(int steps) {
   ValueNetConfig cfg;
   cfg.query_dim = 66;
   cfg.plan_dim = 21;  // Default channel widths (64/32/16) from ValueNetConfig.
   ValueNetwork net(cfg);
-  ComputeThreadsScope scope(threads);
 
   neo::util::Rng rng(5);
   std::vector<PlanSample> samples(64);
@@ -360,19 +356,7 @@ void PrintConvLayers(std::FILE* out, const char* name, const TrainThroughput& r,
 }
 
 void WriteTrainJson(const std::string& path, int steps) {
-  // On a single-hardware-thread machine the pool degenerates to the caller
-  // running every chunk inline, so a "threads 8" arm would just re-measure
-  // the serial path and record a misleading ~1.0x thread speedup. Skip it
-  // and flag the skip instead (hardware_concurrency() can return 0 when
-  // unknown — treat that as single too).
-  const unsigned hw = std::thread::hardware_concurrency();
-  const bool thread_arms_skipped = hw <= 1;
-  const TrainThroughput sparse_train = MeasureTrainThroughput(1, steps);
-  const TrainThroughput sparse_t8 = thread_arms_skipped
-                                        ? TrainThroughput{}
-                                        : MeasureTrainThroughput(8, steps);
-  const double speedup_threads =
-      thread_arms_skipped ? 0.0 : sparse_t8.samples_per_sec / sparse_train.samples_per_sec;
+  const TrainThroughput sparse_train = MeasureTrainThroughput(steps);
 
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
@@ -385,14 +369,9 @@ void WriteTrainJson(const std::string& path, int steps) {
                "  \"batch_size\": 64,\n"
                "  \"steps\": %d,\n"
                "  \"hardware_threads\": %u,\n"
-               "  \"kernel_arch\": \"%s\",\n"
-               "  \"thread_arms_skipped\": %s,\n",
-               steps, hw, KernelArchString(),
-               thread_arms_skipped ? "true" : "false");
+               "  \"kernel_arch\": \"%s\",\n",
+               steps, std::thread::hardware_concurrency(), KernelArchString());
   PrintTrainArm(out, "sparse_train", sparse_train, ",");
-  if (!thread_arms_skipped) {
-    PrintTrainArm(out, "sparse_train_threads8", sparse_t8, ",");
-  }
   PrintConvLayers(out, "conv_layers", sparse_train, ",");
   // Zero-alloc gate for the training path. When the alloc counter is
   // compiled out (sanitizer builds) the gate is vacuous.
@@ -402,25 +381,14 @@ void WriteTrainJson(const std::string& path, int steps) {
                counter_active ? "true" : "false");
   std::fprintf(out, "  \"steady_state_heap_allocs\": %llu,\n",
                static_cast<unsigned long long>(sparse_train.steady_allocs));
-  std::fprintf(out, "  \"steady_state_zero_alloc\": %s",
+  std::fprintf(out, "  \"steady_state_zero_alloc\": %s\n}\n",
                zero_alloc ? "true" : "false");
-  if (!thread_arms_skipped) {
-    std::fprintf(out, ",\n  \"speedup_from_threads\": %.2f\n}\n", speedup_threads);
-  } else {
-    std::fprintf(out, "\n}\n");
-  }
   std::fclose(out);
   std::printf("TrainBatch throughput (batch 64): %.0f samples/s;"
-              " steady-state allocs/step %llu",
+              " steady-state allocs/step %llu -> %s\n",
               sparse_train.samples_per_sec,
-              static_cast<unsigned long long>(sparse_train.steady_allocs));
-  if (thread_arms_skipped) {
-    std::printf(" (thread arms skipped, hardware_threads=%u) -> %s\n", hw,
-                path.c_str());
-  } else {
-    std::printf(" (@8t %.0f, %.2fx threads) -> %s\n",
-                sparse_t8.samples_per_sec, speedup_threads, path.c_str());
-  }
+              static_cast<unsigned long long>(sparse_train.steady_allocs),
+              path.c_str());
 }
 
 }  // namespace

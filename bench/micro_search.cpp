@@ -1,8 +1,7 @@
 // Micro-benchmarks: plan search (children enumeration, full best-first
 // search, featurization throughput), plus a cold-search scoring-throughput
-// measurement (incremental search, with speculation, at 1 and 8 kernel
-// threads) written to BENCH_search.json so the inference-path perf
-// trajectory stays tracked.
+// measurement (incremental search) written to BENCH_search.json so the
+// inference-path perf trajectory stays tracked.
 //
 // The google-benchmark suite runs after the JSON measurement; pass any
 // benchmark flags (e.g. --benchmark_filter) as usual.
@@ -167,17 +166,12 @@ struct ThroughputResult {
 };
 
 /// Repeatedly runs a cold best-first search (fresh network => empty cache,
-/// construction untimed) and reports plans scored per second. `threads`
-/// row-partitions the scoring GEMMs over the pool; `speculation` expands
-/// that many heap states per scoring round.
-ThroughputResult MeasureSearchThroughput(int reps, int threads,
-                                         int speculation) {
+/// construction untimed) and reports plans scored per second.
+ThroughputResult MeasureSearchThroughput(int reps) {
   Fixture& f = Fixture::Get();
   const query::Query& q = f.wl.query(60);
   core::SearchOptions opt;
   opt.max_expansions = 40;
-  opt.threads = threads;
-  opt.speculation = speculation;
 
   // Default ValueNetConfig channel widths (the paper-shaped 64/32/16 conv
   // stack), not the narrower widths the google-benchmark fixture uses.
@@ -211,27 +205,9 @@ void PrintArm(std::FILE* out, const char* name, const ThroughputResult& r,
 }
 
 void WriteSearchJson(const std::string& path, int reps) {
-  // Three arms of the one search path (batched, incremental scoring): one
-  // heap state per round, and 8 states per round (speculation) at 1 and 8
-  // kernel threads. The two speculative arms differ only in
-  // SearchOptions::threads (same kernels, same expansions), so their ratio
-  // is the pure thread-pool scaling of the scoring path on this machine.
-  const ThroughputResult incremental =
-      MeasureSearchThroughput(reps, /*threads=*/1, /*speculation=*/1);
-  const ThroughputResult inc_spec8 =
-      MeasureSearchThroughput(reps, /*threads=*/1, /*speculation=*/8);
-  // On a single-hardware-thread machine the "threads 8" arm would re-measure
-  // the serial path (the pool runs every chunk inline) and record a
-  // misleading ~1.0x thread speedup; skip it and flag the skip.
-  const unsigned hw = std::thread::hardware_concurrency();
-  const bool thread_arms_skipped = hw <= 1;
-  const ThroughputResult spec_t8 =
-      thread_arms_skipped
-          ? ThroughputResult{}
-          : MeasureSearchThroughput(reps, /*threads=*/8, /*speculation=*/8);
-  const double speedup_threads =
-      thread_arms_skipped ? 0.0
-                          : spec_t8.plans_per_sec / inc_spec8.plans_per_sec;
+  // The one search path: batched, incremental scoring, one heap state per
+  // round.
+  const ThroughputResult incremental = MeasureSearchThroughput(reps);
 
   Fixture& f = Fixture::Get();
   const query::Query& q = f.wl.query(60);
@@ -247,15 +223,10 @@ void WriteSearchJson(const std::string& path, int reps) {
                "  \"max_expansions\": 40,\n"
                "  \"repetitions\": %d,\n"
                "  \"hardware_threads\": %u,\n"
-               "  \"kernel_arch\": \"%s\",\n"
-               "  \"thread_arms_skipped\": %s,\n",
-               q.num_relations(), reps, hw, nn::KernelArchString(),
-               thread_arms_skipped ? "true" : "false");
+               "  \"kernel_arch\": \"%s\",\n",
+               q.num_relations(), reps, std::thread::hardware_concurrency(),
+               nn::KernelArchString());
   PrintArm(out, "incremental", incremental, ",");
-  PrintArm(out, "incremental_spec8", inc_spec8, ",");
-  if (!thread_arms_skipped) {
-    PrintArm(out, "incremental_spec8_threads8", spec_t8, ",");
-  }
 
   // Conv-flop reuse of the incremental arm, per layer: a node hit saves its
   // row in every conv layer, so per-layer row counts are the node totals.
@@ -291,27 +262,11 @@ void WriteSearchJson(const std::string& path, int reps) {
                    flops_per_row * static_cast<double>(rows_reused) * 1e-9);
       cin = cout;
     }
-    std::fprintf(out, "]}");
-  }
-
-  if (!thread_arms_skipped) {
-    std::fprintf(out, ",\n  \"speedup_from_threads\": %.2f\n}\n", speedup_threads);
-  } else {
-    std::fprintf(out, "\n}\n");
+    std::fprintf(out, "]}\n}\n");
   }
   std::fclose(out);
-  if (thread_arms_skipped) {
-    std::printf("search scoring throughput: incremental %.0f plans/s, spec8"
-                " %.0f plans/s; thread arms skipped (hardware_threads=%u)"
-                " -> %s\n",
-                incremental.plans_per_sec, inc_spec8.plans_per_sec, hw,
-                path.c_str());
-  } else {
-    std::printf("search scoring throughput: incremental %.0f plans/s; spec8"
-                " %.0f -> %.0f plans/s (%.2fx from 8 threads) -> %s\n",
-                incremental.plans_per_sec, inc_spec8.plans_per_sec,
-                spec_t8.plans_per_sec, speedup_threads, path.c_str());
-  }
+  std::printf("search scoring throughput: incremental %.0f plans/s -> %s\n",
+              incremental.plans_per_sec, path.c_str());
 }
 
 }  // namespace
@@ -337,9 +292,8 @@ int main(int argc, char** argv) {
     }
     if (arg.rfind("--benchmark_filter", 0) == 0) filtered = true;
   }
-  // The multi-arm JSON measurement takes a minute at the default 20 reps
-  // (--json-reps trims it for smoke runs); skip it when the caller asked for
-  // specific micro-benchmarks, unless --json-out forces it.
+  // Skip the JSON measurement when the caller asked for specific
+  // micro-benchmarks, unless --json-out forces it.
   if (!filtered || json_requested) WriteSearchJson(json_path, reps);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

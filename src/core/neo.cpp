@@ -1,12 +1,14 @@
 #include "src/core/neo.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <functional>
 #include <mutex>
+#include <thread>
 
 #include "src/store/experience_store.h"
 #include "src/util/stopwatch.h"
-#include "src/util/thread_pool.h"
 
 namespace neo::core {
 
@@ -188,9 +190,6 @@ void Neo::Bootstrap(const std::vector<const query::Query*>& queries,
 
 float Neo::Retrain() {
   util::Stopwatch watch;
-  // Training GEMMs/updates row-partition this wide; loss curves are
-  // identical at any degree (see ValueNetwork::TrainBatch).
-  nn::ComputeThreadsScope compute_scope(config_.threads);
   float last_loss = 0.0f;
   // Owns this retrain's encodings: a state drawn again by a later epoch is
   // not re-encoded.
@@ -246,8 +245,9 @@ EpisodeStats Neo::RunEpisode(const std::vector<const query::Query*>& queries) {
   rng_.Shuffle(order);
   util::Stopwatch search_watch;
   double search_ms = 0.0;
-  const int planners =
-      std::min<int>(config_.threads, static_cast<int>(order.size()));
+  const int planners = std::min<int>(
+      {config_.threads, static_cast<int>(order.size()),
+       static_cast<int>(std::max(1u, std::thread::hardware_concurrency()))});
   if (planners <= 1) {
     for (const query::Query* q : order) {
       search_watch.Restart();
@@ -257,34 +257,46 @@ EpisodeStats Neo::RunEpisode(const std::vector<const query::Query*>& queries) {
     }
   } else {
     // Concurrent planning phase: the network is frozen between Retrain and
-    // the next episode, and each worker checks out its own PlanSearch, so
-    // searches are independent and each query's plan is identical to the
-    // serial path's. Execution and experience updates then run serially in
-    // the shuffled order — stronger than a mutex: the episode outcome does
-    // not depend on thread scheduling at all.
+    // the next episode, and planner w searches with its own
+    // episode_searches_[w], so searches are independent and each query's plan
+    // is identical to the serial path's. Planners claim query indices from one
+    // counter. Execution and experience updates then run serially in the
+    // shuffled order — stronger than a mutex: the episode outcome does not
+    // depend on thread scheduling at all.
     while (episode_searches_.size() < static_cast<size_t>(planners)) {
       episode_searches_.push_back(std::make_unique<PlanSearch>(featurizer_, net_.get()));
     }
-    std::vector<PlanSearch*> free_searches;
-    for (int i = 0; i < planners; ++i) free_searches.push_back(episode_searches_[i].get());
-    std::mutex free_mu;
     std::vector<SearchResult> found(order.size());
-    util::ThreadPool::Global().ParallelFor(
-        0, static_cast<int64_t>(order.size()), planners, /*grain=*/1,
-        [&](int64_t begin, int64_t end) {
-          PlanSearch* searcher = nullptr;
-          {
-            std::lock_guard<std::mutex> lock(free_mu);
-            searcher = free_searches.back();
-            free_searches.pop_back();
-          }
-          for (int64_t i = begin; i < end; ++i) {
-            found[static_cast<size_t>(i)] =
-                searcher->FindPlan(*order[static_cast<size_t>(i)], config_.search);
-          }
-          std::lock_guard<std::mutex> lock(free_mu);
-          free_searches.push_back(searcher);
-        });
+    std::atomic<size_t> next{0};
+    // The first failure (a planner's exception, or a thread that would not
+    // start) stops the other planners and is rethrown once all have joined.
+    std::exception_ptr failure;
+    std::mutex failure_mu;
+    const auto fail = [&](std::exception_ptr e) {
+      next = order.size();
+      std::lock_guard<std::mutex> lock(failure_mu);
+      if (!failure) failure = std::move(e);
+    };
+    const auto plan = [&](PlanSearch* searcher) {
+      try {
+        for (size_t i = next++; i < order.size(); i = next++) {
+          found[i] = searcher->FindPlan(*order[i], config_.search);
+        }
+      } catch (...) {
+        fail(std::current_exception());
+      }
+    };
+    std::vector<std::thread> workers;
+    workers.reserve(static_cast<size_t>(planners));
+    try {
+      for (int w = 0; w < planners; ++w) {
+        workers.emplace_back(plan, episode_searches_[w].get());
+      }
+    } catch (...) {
+      fail(std::current_exception());
+    }
+    for (std::thread& t : workers) t.join();
+    if (failure) std::rethrow_exception(failure);
     search_ms = search_watch.ElapsedMs();  // Wall time of the planning phase.
     // Guarded or not, serving decisions happen here in the serial phase —
     // the breaker state machine advances in shuffled query order, identical

@@ -101,12 +101,14 @@ struct NeoConfig {
   int batch_size = 64;
   size_t max_train_samples = 3000;
   SearchOptions search;
-  /// Episode/training parallelism degree (1 = fully serial). RunEpisode
-  /// plans up to this many queries concurrently (one PlanSearch worker
-  /// each); Retrain's packed TrainBatch partitions its GEMM rows this wide.
-  /// Results are identical at any setting: planning happens against a
-  /// frozen network and execution + experience updates run serially in the
-  /// shuffled query order afterwards.
+  /// Planning concurrency (1 = fully serial). RunEpisode plans up to this
+  /// many queries at once, one thread and one PlanSearch each, clamped to
+  /// the episode's query count and to std::thread::hardware_concurrency() so
+  /// planners never outnumber cores. Everything else (retraining, execution,
+  /// experience updates) runs on the calling thread. Results are identical
+  /// at any setting: planning happens against a frozen network and
+  /// execution + experience updates run serially in the shuffled query
+  /// order afterwards.
   int threads = 1;
   /// Latency clipping applied when adding experience (0 = off). Used by the
   /// no-demonstration experiment (§6.3.3): clipping destroys the reward
@@ -254,8 +256,8 @@ class Neo {
   Experience experience_;
   PlanSearch search_;
   /// Extra PlanSearch instances for RunEpisode's concurrent planning phase
-  /// (created lazily; each worker thread checks one out, so score caches and
-  /// inference scratch are never shared across threads).
+  /// (created lazily; planner w uses entry w, so score caches and inference
+  /// scratch are never shared across threads).
   std::vector<std::unique_ptr<PlanSearch>> episode_searches_;
   util::Rng rng_;
   std::unordered_map<int, double> baselines_;

@@ -383,10 +383,6 @@ SearchResult PlanSearch::FindPlan(const query::Query& query,
                                   const SearchOptions& options) {
   util::Stopwatch watch;
   SearchResult result;
-  // Kernel-level parallelism for every forward pass issued below. Output
-  // rows are partitioned, never reductions, so any degree scores plans
-  // bit-identically (see the parallelism model in search.h).
-  nn::ComputeThreadsScope compute_scope(options.threads);
   const nn::Matrix query_vec = featurizer_->EncodeQuery(query);
   // Embeds through this instance's own pipeline scratch: concurrent searches
   // on one network never share a buffer.
@@ -441,51 +437,35 @@ SearchResult PlanSearch::FindPlan(const query::Query& query,
     return options.time_cutoff_ms > 0.0 && watch.ElapsedMs() >= options.time_cutoff_ms;
   };
 
-  // Speculative multi-expansion: each round pops up to `speculation` states
-  // and scores the merged, deduped child set in one batch. speculation == 1
-  // reproduces the classic one-pop-per-round best-first loop exactly.
-  const int speculation = std::max(1, options.speculation);
-  round_states_.clear();
-  round_states_.reserve(static_cast<size_t>(speculation));
-  bool stop = false;
-  while (!stop && !heap_.empty()) {
-    if (options.max_expansions == 0) break;  // Pure hurry-up mode.
-    round_states_.clear();
-    while (static_cast<int>(round_states_.size()) < speculation && !heap_.empty()) {
-      if (options.max_expansions > 0 && result.expansions >= options.max_expansions) {
-        stop = true;
-        break;
-      }
-      if (out_of_time()) {
-        stop = true;
-        break;
-      }
-      const HeapEntry top = heap_.front();
-      if (options.early_stop && have_complete && top.score >= best_complete_score) {
-        stop = true;
-        break;
-      }
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<HeapEntry>());
-      heap_.pop_back();
-      round_states_.push_back(top.idx);
-      last_popped_idx = top.idx;
-      ++result.expansions;
+  // Best-first: each round pops the most promising state and scores its
+  // unvisited children in one batch. max_expansions == 0 is pure hurry-up.
+  while (!heap_.empty()) {
+    if (options.max_expansions >= 0 && result.expansions >= options.max_expansions) {
+      break;
     }
-    if (round_states_.empty()) break;
+    if (out_of_time()) break;
+    const HeapEntry top = heap_.front();
+    if (options.early_stop && have_complete && top.score >= best_complete_score) {
+      break;
+    }
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<HeapEntry>());
+    heap_.pop_back();
+    last_popped_idx = top.idx;
+    ++result.expansions;
 
-    // Children of every popped state, merged and deduped against `visited_`.
-    // The hashes computed for dedup are reused for the score-cache probes.
-    child_scratch_.clear();
+    // Children deduped against `visited_` in place (order kept). The hashes
+    // computed for dedup are reused for the score-cache probes.
+    ChildrenInto(query, arena[top.idx], &child_scratch_);
     child_hash_scratch_.clear();
-    for (const size_t state_idx : round_states_) {
-      ChildrenInto(query, arena[state_idx], &round_child_scratch_);
-      for (plan::PartialPlan& child : round_child_scratch_) {
-        const uint64_t h = child.Hash();
-        if (!visited_.Insert(h)) continue;
-        child_scratch_.push_back(std::move(child));
-        child_hash_scratch_.push_back(h);
-      }
+    size_t kept = 0;
+    for (size_t i = 0; i < child_scratch_.size(); ++i) {
+      const uint64_t h = child_scratch_[i].Hash();
+      if (!visited_.Insert(h)) continue;
+      if (kept != i) child_scratch_[kept] = std::move(child_scratch_[i]);
+      ++kept;
+      child_hash_scratch_.push_back(h);
     }
+    child_scratch_.resize(kept);
     ScoreAll(query, embed, child_scratch_, &child_hash_scratch_, options,
              &result, &scores_scratch_);
     const std::vector<float>& scores = scores_scratch_;

@@ -19,31 +19,16 @@
 // already scored, while SearchOptions::score_cache_cap bounds its footprint
 // on very large joins.
 //
-// Parallelism model
-// -----------------
-// Three nested levels, all built on util::ThreadPool and all bit-
-// deterministic at any thread count:
-//   1. Speculative multi-expansion (SearchOptions::speculation = K): each
-//      round pops the top-K heap states, merges and dedups their children,
-//      and scores the merged set in ONE PredictBatch call; scored children
-//      re-enter the heap before the next round, preserving best-first
-//      semantics per round. K changes which frontier is explored (K = 1 is
-//      exactly the classic serial search); the thread count never does.
-//   2. Kernel row partitioning (SearchOptions::threads = N): the batched
-//      forward's per-layer GEMMs and elementwise loops split their OUTPUT
-//      rows across the pool (nn::ComputeThreads). Every output value is
-//      produced by the unchanged serial inner loop, so scores — and hence
-//      the chosen plan, expansion counts, and cache behavior — are
-//      bit-identical for any N. {threads = 1, speculation = 1} is the
-//      classic serial best-first search.
-//   3. Concurrent searches (Neo::RunEpisode, ServingCore workers): one
-//      PlanSearch per worker. PlanSearch holds all mutable state (score
-//      cache, activation cache, scratch, the query-embedding and network
-//      inference contexts), and network inference writes only that scratch
-//      (plus a once-per-version, mutex-guarded weight-split refresh), so
-//      distinct instances may run FindPlan concurrently against one shared
-//      ValueNetwork/Featurizer as long as no training runs at the same
-//      time.
+// Concurrent searches
+// -------------------
+// One search runs on one thread. Parallelism comes from running several
+// searches at once (Neo::RunEpisode's planners, ServingCore workers), one
+// PlanSearch per thread. PlanSearch holds all mutable state (score cache,
+// activation cache, scratch, the query-embedding and network inference
+// contexts), and network inference writes only that scratch (plus a
+// once-per-version, mutex-guarded weight-split refresh), so distinct
+// instances may run FindPlan concurrently against one shared
+// ValueNetwork/Featurizer as long as no training runs at the same time.
 //
 // Activation cache (incremental tree-conv inference)
 // --------------------------------------------------
@@ -68,7 +53,7 @@
 // SharedSearchCaches folds the tuple into a key salt instead and never
 // drops anything (see SharedSearchCaches). Row values are bit-identical to
 // the full pass (MatMul rows are position-independent), so the incremental
-// path changes no search outcome at any thread count.
+// path changes no search outcome.
 //
 // ---- Memory model (zero-alloc steady state) --------------------------------
 // Every per-round buffer of FindPlan/ScoreAll is instance-owned and capacity-
@@ -140,11 +125,10 @@ struct SharedSearchCaches {
 };
 
 struct SearchOptions {
-  int max_expansions = 60;      ///< Heap pops before giving up (<=0: unlimited).
+  /// Heap pops before giving up (0: hurry-up only; < 0: unlimited).
+  int max_expansions = 60;
   double time_cutoff_ms = 0.0;  ///< Wall-clock cutoff (0 = disabled).
   bool early_stop = true;       ///< Stop when heap top >= best complete score.
-  int speculation = 1;          ///< Heap states expanded per scoring round.
-  int threads = 1;              ///< Kernel row-partitioning degree (pool).
   /// Max entries in the per-query score cache (<= 0: unbounded). Evicted
   /// plans are simply re-scored on the next encounter.
   int score_cache_cap = 64 * 1024;
@@ -301,7 +285,6 @@ class PlanSearch {
   /// the cache-miss bookkeeping of ScoreAll).
   std::vector<plan::PartialPlan> child_scratch_;
   std::vector<uint64_t> child_hash_scratch_;
-  std::vector<plan::PartialPlan> round_child_scratch_;
   nn::PlanBatch batch_scratch_;
   std::vector<const plan::PartialPlan*> miss_scratch_;
   std::vector<size_t> miss_idx_scratch_;
@@ -329,7 +312,6 @@ class PlanSearch {
   std::vector<plan::PartialPlan> state_arena_;
   std::vector<HeapEntry> heap_;
   util::FlatHashSet64 visited_;
-  std::vector<size_t> round_states_;
   std::vector<float> scores_scratch_;
   std::vector<float> predicted_scratch_;
 

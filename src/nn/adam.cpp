@@ -18,7 +18,7 @@ void Adam::Step() {
   ++t_;
   // Optional global-norm gradient clipping. The reduction stays serial in
   // ascending (param, element) order: it is cheap next to the GEMMs and a
-  // fixed summation order keeps the step bit-identical at any thread count.
+  // fixed summation order keeps the step deterministic.
   if (options_.grad_clip > 0.0f) {
     double norm_sq = 0.0;
     for (Param* p : params_) {
@@ -36,8 +36,8 @@ void Adam::Step() {
   // Fused m/v/w sweep per parameter matrix, routed through the kernel
   // dispatch table (SIMD-vectorized div/sqrt under the AVX arms). The
   // per-element op sequence is identical in every arm and scalar tail, so
-  // the update is bit-identical across dispatch arms, thread counts, and
-  // element partitions (see AdamFusedUpdate in matrix.h).
+  // the update is bit-identical across dispatch arms (see AdamFusedUpdate in
+  // matrix.h).
   detail::AdamScalars scalars;
   scalars.lr = options_.lr;
   scalars.beta1 = options_.beta1;

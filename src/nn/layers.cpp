@@ -54,12 +54,10 @@ void Linear::ApplyInto(const Matrix& x, bool use_packed, GemmScratch* scratch,
   }
   const float* b = bias_.value.Row(0);
   const int cols = y->cols();
-  ParallelRows(y->rows(), /*min_parallel=*/256, [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      float* row = y->Row(static_cast<int>(r));
-      for (int c = 0; c < cols; ++c) row[c] += b[c];
-    }
-  });
+  for (int r = 0; r < y->rows(); ++r) {
+    float* row = y->Row(r);
+    for (int c = 0; c < cols; ++c) row[c] += b[c];
+  }
 }
 
 void Linear::RefreshInferenceWeights() {
@@ -182,13 +180,10 @@ void LayerNorm::ForwardInto(const Matrix& x, Matrix* y) {
   y->Reshape(n, d);
   const float* gain = gain_.value.Row(0);
   const float* bias = bias_.value.Row(0);
-  ParallelRows(n, /*min_parallel=*/128, [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      const int ri = static_cast<int>(r);
-      LayerNormRow(x.Row(ri), d, gain, bias, kEps, y->Row(ri),
-                   last_norm_.Row(ri), &last_inv_std_[static_cast<size_t>(r)]);
-    }
-  });
+  for (int r = 0; r < n; ++r) {
+    LayerNormRow(x.Row(r), d, gain, bias, kEps, y->Row(r), last_norm_.Row(r),
+                 &last_inv_std_[static_cast<size_t>(r)]);
+  }
 }
 
 Matrix LayerNorm::ForwardInference(const Matrix& x) const {
@@ -202,12 +197,9 @@ void LayerNorm::ForwardInferenceInto(const Matrix& x, Matrix* y) const {
   y->Reshape(n, d);
   const float* gain = gain_.value.Row(0);
   const float* bias = bias_.value.Row(0);
-  ParallelRows(n, /*min_parallel=*/128, [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      const int ri = static_cast<int>(r);
-      LayerNormRow(x.Row(ri), d, gain, bias, kEps, y->Row(ri), nullptr, nullptr);
-    }
-  });
+  for (int r = 0; r < n; ++r) {
+    LayerNormRow(x.Row(r), d, gain, bias, kEps, y->Row(r), nullptr, nullptr);
+  }
 }
 
 Matrix LayerNorm::Backward(const Matrix& grad_out) {
@@ -335,19 +327,16 @@ void Sequential::ForwardInferenceInto(const Matrix& x, PipelineScratch* scratch,
       const float* gain = ln->gain_row();
       const float* lnb = ln->bias_row();
       const float alpha = relu->alpha();
-      ParallelRows(n, /*min_parallel=*/128, [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          const int ri = static_cast<int>(r);
-          float* trow = t.Row(ri);
-          for (int c = 0; c < d; ++c) trow[c] += lb[c];
-          float* orow = out->Row(ri);
-          LayerNormRow(trow, d, gain, lnb, LayerNorm::kEps, orow, nullptr,
-                       nullptr);
-          for (int c = 0; c < d; ++c) {
-            if (orow[c] < 0.0f) orow[c] *= alpha;
-          }
+      for (int r = 0; r < n; ++r) {
+        float* trow = t.Row(r);
+        for (int c = 0; c < d; ++c) trow[c] += lb[c];
+        float* orow = out->Row(r);
+        LayerNormRow(trow, d, gain, lnb, LayerNorm::kEps, orow, nullptr,
+                     nullptr);
+        for (int c = 0; c < d; ++c) {
+          if (orow[c] < 0.0f) orow[c] *= alpha;
         }
-      });
+      }
     } else {
       layers_[i]->ForwardInferenceInto(*cur, out);
     }

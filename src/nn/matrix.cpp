@@ -7,7 +7,6 @@
 #include <mutex>
 
 #include "src/nn/matrix_simd.h"
-#include "src/util/thread_pool.h"
 
 namespace neo::nn {
 
@@ -33,22 +32,10 @@ namespace neo::nn {
 // narrow outputs and otherwise keeps a rank-1-update kernel whose outputs
 // sum in ascending input-row order. Both differ from the reference kernels
 // by accumulation-order ulps; both are deterministic for a given shape.
-//
-// Parallelism: when ComputeThreads() > 1 and the product is large enough,
-// each kernel partitions its *output rows* across the global thread pool.
-// Every output row is produced by the same serial routine regardless of the
-// partition, so parallel results are bit-identical to serial ones (and to
-// any other thread count); the numerical contract above is unaffected.
 
 namespace {
 
-// Minimum multiply-add count before a kernel fans out over the pool; below
-// this, the job-dispatch overhead exceeds the work.
-constexpr int64_t kMinParallelMadds = 1 << 16;
-
 inline int MinInt(int a, int b) { return a < b ? a : b; }
-
-thread_local int g_compute_threads = 1;
 
 // ---- Kernel dispatch state -------------------------------------------------
 
@@ -174,24 +161,6 @@ const char* PortableArmCodegen() {
 #endif
 }
 
-void SetComputeThreads(int n) { g_compute_threads = n < 1 ? 1 : n; }
-int ComputeThreads() { return g_compute_threads; }
-
-void ParallelRowsImpl(int64_t n, int64_t min_parallel,
-                      void (*fn)(const void*, int64_t, int64_t),
-                      const void* ctx) {
-  const int threads = ComputeThreads();
-  if (threads <= 1 || n < min_parallel) {
-    if (n > 0) fn(ctx, 0, n);
-    return;
-  }
-  // {fn, ctx} is 16 trivially-copyable bytes: fits std::function's inline
-  // storage, so even the pool path constructs no heap-backed callable.
-  util::ThreadPool::Global().ParallelFor(
-      0, n, threads, /*grain=*/0,
-      [fn, ctx](int64_t r0, int64_t r1) { fn(ctx, r0, r1); });
-}
-
 namespace {
 
 /// One output row x one 16-wide (or `w`-wide tail) column chunk: four
@@ -229,11 +198,9 @@ inline void MatMulRowChunk(const float* __restrict arow,
   }
 }
 
-/// Output rows [r0, r1) of a * b. The per-row routine is shared verbatim by
-/// the serial and parallel paths, so row values never depend on the split.
-/// `arows` optionally remaps A rows (zero-copy gather; output rows keep
-/// their positions) — the values, and hence the bits, match multiplying the
-/// materialized gather.
+/// Output rows [r0, r1) of a * b. `arows` optionally remaps A rows (zero-copy
+/// gather; output rows keep their positions) — the values, and hence the
+/// bits, match multiplying the materialized gather.
 void MatMulRows(const float* __restrict adata, const int* __restrict arows,
                 const float* __restrict bdata, float* __restrict odata,
                 int64_t r0, int64_t r1, int k, int m) {
@@ -299,8 +266,7 @@ void MatMulAccRows(const float* __restrict adata, const int* __restrict arows,
 
 /// Output rows [i0, i1) of a^T * b (a: n x k, out: k x m). Each output
 /// accumulates a rank-1 update per input row r; r stays the outermost
-/// accumulation dimension so every output sums in ascending-r order no
-/// matter how the i-range is partitioned.
+/// accumulation dimension so every output sums in ascending-r order.
 void MatMulTransposeARows(const float* __restrict adata,
                           const int* __restrict arows,
                           const float* __restrict bdata,
@@ -325,27 +291,6 @@ void MatMulTransposeARows(const float* __restrict adata,
       }
     }
   }
-}
-
-/// Row-partitions [0, rows) across the pool when the product is big enough
-/// for the dispatch to pay off; otherwise runs the range inline. A template
-/// (lambda captures stay on the stack; the pool path gets a 16-byte SSO
-/// std::function) so GEMM calls never heap-allocate for dispatch.
-template <typename Fn>
-void DispatchRows(int64_t rows, int64_t madds, const Fn& fn) {
-  const int threads = ComputeThreads();
-  if (threads <= 1 || rows <= 1 || madds < kMinParallelMadds) {
-    fn(0, rows);
-    return;
-  }
-  void (*tramp)(const void*, int64_t, int64_t) =
-      [](const void* c, int64_t r0, int64_t r1) {
-        (*static_cast<const Fn*>(c))(r0, r1);
-      };
-  const void* ctx = &fn;
-  util::ThreadPool::Global().ParallelFor(
-      0, rows, threads, /*grain=*/0,
-      [tramp, ctx](int64_t r0, int64_t r1) { tramp(ctx, r0, r1); });
 }
 
 }  // namespace
@@ -438,14 +383,10 @@ void MatMulImplInto(const Matrix& a, const int* arows, int nrows,
     std::vector<float> local;
     const float* packed = PreparePack(scratch, &local, k, m);
     detail::PackBPanels(bdata, k, m, const_cast<float*>(packed));
-    DispatchRows(n, static_cast<int64_t>(n) * k * m, [&](int64_t r0, int64_t r1) {
-      simd->gemm_rows(adata, arows, packed, odata, r0, r1, k, m);
-    });
+    simd->gemm_rows(adata, arows, packed, odata, 0, n, k, m);
     return;
   }
-  DispatchRows(n, static_cast<int64_t>(n) * k * m, [&](int64_t r0, int64_t r1) {
-    MatMulRows(adata, arows, bdata, odata, r0, r1, k, m);
-  });
+  MatMulRows(adata, arows, bdata, odata, 0, n, k, m);
 }
 
 }  // namespace
@@ -487,16 +428,10 @@ Matrix MatMulPacked(const Matrix& a, const PackedB& b) {
   const float* adata = a.data();
   float* odata = out.data();
   if (const detail::SimdGemmKernels* simd = ActiveSimdKernels()) {
-    const float* packed = b.panels();
-    DispatchRows(n, static_cast<int64_t>(n) * k * m, [&](int64_t r0, int64_t r1) {
-      simd->gemm_rows(adata, nullptr, packed, odata, r0, r1, k, m);
-    });
+    simd->gemm_rows(adata, nullptr, b.panels(), odata, 0, n, k, m);
     return out;
   }
-  const float* bdata = b.unpacked().data();
-  DispatchRows(n, static_cast<int64_t>(n) * k * m, [&](int64_t r0, int64_t r1) {
-    MatMulRows(adata, nullptr, bdata, odata, r0, r1, k, m);
-  });
+  MatMulRows(adata, nullptr, b.unpacked().data(), odata, 0, n, k, m);
   return out;
 }
 
@@ -507,16 +442,10 @@ void MatMulPackedInto(const Matrix& a, const PackedB& b, Matrix* out) {
   const float* adata = a.data();
   float* odata = out->data();
   if (const detail::SimdGemmKernels* simd = ActiveSimdKernels()) {
-    const float* packed = b.panels();
-    DispatchRows(n, static_cast<int64_t>(n) * k * m, [&](int64_t r0, int64_t r1) {
-      simd->gemm_rows(adata, nullptr, packed, odata, r0, r1, k, m);
-    });
+    simd->gemm_rows(adata, nullptr, b.panels(), odata, 0, n, k, m);
     return;
   }
-  const float* bdata = b.unpacked().data();
-  DispatchRows(n, static_cast<int64_t>(n) * k * m, [&](int64_t r0, int64_t r1) {
-    MatMulRows(adata, nullptr, bdata, odata, r0, r1, k, m);
-  });
+  MatMulRows(adata, nullptr, b.unpacked().data(), odata, 0, n, k, m);
 }
 
 namespace {
@@ -536,9 +465,7 @@ void MatMulTransposeBImplInto(const Matrix& a, const int* arows, int nrows,
     std::vector<float> local;
     const float* packed = PreparePack(scratch, &local, k, m);
     detail::PackBTransposedPanels(bdata, k, m, const_cast<float*>(packed));
-    DispatchRows(n, static_cast<int64_t>(n) * k * m, [&](int64_t r0, int64_t r1) {
-      simd->gemm_rows(adata, arows, packed, odata, r0, r1, k, m);
-    });
+    simd->gemm_rows(adata, arows, packed, odata, 0, n, k, m);
     return;
   }
   Matrix bt_local;
@@ -548,10 +475,7 @@ void MatMulTransposeBImplInto(const Matrix& a, const int* arows, int nrows,
     const float* src = bdata + static_cast<size_t>(r) * k;
     for (int c = 0; c < k; ++c) bt.At(c, r) = src[c];
   }
-  const float* btdata = bt.data();
-  DispatchRows(n, static_cast<int64_t>(n) * k * m, [&](int64_t r0, int64_t r1) {
-    MatMulRows(adata, arows, btdata, odata, r0, r1, k, m);
-  });
+  MatMulRows(adata, arows, bt.data(), odata, 0, n, k, m);
 }
 
 }  // namespace
@@ -597,7 +521,7 @@ Matrix MatMulTransposeA(const Matrix& a, const Matrix& b) {
   // while the portable arm keeps the m <= 48 condition it was tuned with
   // (wide outputs + short inputs keep the update kernel, which also skips
   // zero inputs). The branch is a fixed function of (shape, arm), so
-  // within-arm results stay deterministic for any thread count.
+  // within-arm results stay deterministic.
   const detail::SimdGemmKernels* simd = ActiveSimdKernels();
   const int m_transpose_max = simd != nullptr ? 160 : 48;
   if (n >= 64 && m <= m_transpose_max) {
@@ -614,29 +538,20 @@ Matrix MatMulTransposeA(const Matrix& a, const Matrix& b) {
       std::vector<float> local;
       const float* packed = PreparePack(nullptr, &local, n, m);
       detail::PackBPanels(bdata, n, m, const_cast<float*>(packed));
-      DispatchRows(k, static_cast<int64_t>(n) * k * m, [&](int64_t r0, int64_t r1) {
-        simd->gemm_rows(atdata, nullptr, packed, odata, r0, r1, n, m);
-      });
+      simd->gemm_rows(atdata, nullptr, packed, odata, 0, k, n, m);
       return out;
     }
-    DispatchRows(k, static_cast<int64_t>(n) * k * m, [&](int64_t r0, int64_t r1) {
-      MatMulRows(atdata, nullptr, bdata, odata, r0, r1, n, m);
-    });
+    MatMulRows(atdata, nullptr, bdata, odata, 0, k, n, m);
     return out;
   }
   Matrix out(k, m);
-  const float* adata = a.data();
-  const float* bdata = b.data();
-  float* odata = out.data();
-  // Partitioned over output rows (the k dimension of a^T); the reduction
-  // dimension r is never split, keeping ascending-r accumulation per output.
-  DispatchRows(k, static_cast<int64_t>(n) * k * m, [&](int64_t i0, int64_t i1) {
-    if (simd != nullptr) {
-      simd->ta_update_rows(adata, nullptr, bdata, nullptr, odata, i0, i1, n, k, m);
-    } else {
-      MatMulTransposeARows(adata, nullptr, bdata, nullptr, odata, i0, i1, n, k, m);
-    }
-  });
+  if (simd != nullptr) {
+    simd->ta_update_rows(a.data(), nullptr, b.data(), nullptr, out.data(), 0, k,
+                         n, k, m);
+  } else {
+    MatMulTransposeARows(a.data(), nullptr, b.data(), nullptr, out.data(), 0, k,
+                         n, k, m);
+  }
   return out;
 }
 
@@ -681,9 +596,7 @@ void MatMulTransposeAIntoImpl(const Matrix& a, const int* arows,
       std::vector<float> local;
       const float* packed = PreparePack(scratch, &local, n, m);
       detail::PackBPanelsGathered(bdata, brows, n, m, const_cast<float*>(packed));
-      DispatchRows(k, static_cast<int64_t>(n) * k * m, [&](int64_t r0, int64_t r1) {
-        simd->gemm_acc_rows(atdata, nullptr, packed, out, r0, r1, n, m);
-      });
+      simd->gemm_acc_rows(atdata, nullptr, packed, out, 0, k, n, m);
       return;
     }
     Matrix local_bt;
@@ -695,18 +608,14 @@ void MatMulTransposeAIntoImpl(const Matrix& a, const int* arows,
       }
       b_rows_data = local_bt.data();
     }
-    DispatchRows(k, static_cast<int64_t>(n) * k * m, [&](int64_t r0, int64_t r1) {
-      MatMulAccRows(atdata, nullptr, b_rows_data, out, r0, r1, n, m);
-    });
+    MatMulAccRows(atdata, nullptr, b_rows_data, out, 0, k, n, m);
     return;
   }
-  DispatchRows(k, static_cast<int64_t>(n) * k * m, [&](int64_t i0, int64_t i1) {
-    if (simd != nullptr) {
-      simd->ta_update_rows(adata, arows, bdata, brows, out, i0, i1, n, k, m);
-    } else {
-      MatMulTransposeARows(adata, arows, bdata, brows, out, i0, i1, n, k, m);
-    }
-  });
+  if (simd != nullptr) {
+    simd->ta_update_rows(adata, arows, bdata, brows, out, 0, k, n, k, m);
+  } else {
+    MatMulTransposeARows(adata, arows, bdata, brows, out, 0, k, n, k, m);
+  }
 }
 
 }  // namespace
@@ -749,17 +658,13 @@ void AdamUpdateScalarRange(float* w, float* m, float* v, const float* g,
 
 void AdamFusedUpdate(float* w, float* m, float* v, const float* g,
                      int64_t count, const detail::AdamScalars& s) {
-  const detail::SimdGemmKernels* simd = ActiveSimdKernels();
-  // Element-partitioned over the pool: each (m, v, w) slot is owned by
-  // exactly one chunk, and the per-element arithmetic is identical in every
-  // arm and tail, so the update is bit-identical for any partition and arm.
-  ParallelRows(count, /*min_parallel=*/1 << 13, [&](int64_t i0, int64_t i1) {
-    if (simd != nullptr) {
-      simd->adam_update(w, m, v, g, i0, i1, s);
-    } else {
-      detail::AdamUpdateScalarRange(w, m, v, g, i0, i1, s);
-    }
-  });
+  // The per-element arithmetic is identical in every arm and in the scalar
+  // tails, so the update is bit-identical across arms.
+  if (const detail::SimdGemmKernels* simd = ActiveSimdKernels()) {
+    simd->adam_update(w, m, v, g, 0, count, s);
+  } else {
+    detail::AdamUpdateScalarRange(w, m, v, g, 0, count, s);
+  }
 }
 
 }  // namespace neo::nn

@@ -6,9 +6,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 #include "src/util/rng.h"
@@ -180,7 +178,7 @@ void MatMulTransposeBBlockInto(const Matrix& a, const float* b, int m,
 /// rows with exact-no-op zero rows (single fma chains / explicit zero skip).
 /// Appending or interleaving all-zero rows of `a` (with arbitrary matching
 /// `b` rows) therefore cannot change a single output bit, under every
-/// dispatch arm and thread count.
+/// dispatch arm.
 void MatMulTransposeAInto(const Matrix& a, const Matrix& b, float* out,
                           GemmScratch* scratch = nullptr);
 
@@ -225,10 +223,9 @@ struct AdamScalars;  // Per-step scalars; defined in matrix_simd.h.
 
 /// One fused Adam sweep over a parameter's `count` elements: m, v, and w are
 /// each read and written exactly once, no temporaries, vectorized by the
-/// active kernel dispatch arm and partitioned over the thread pool. Every
-/// element's update is the identical correctly-rounded op sequence in every
-/// arm (and in the scalar tails), so the result is bit-identical across
-/// dispatch arms AND thread counts.
+/// active kernel dispatch arm. Every element's update is the identical
+/// correctly-rounded op sequence in every arm (and in the scalar tails), so
+/// the result is bit-identical across dispatch arms.
 void AdamFusedUpdate(float* w, float* m, float* v, const float* g,
                      int64_t count, const detail::AdamScalars& s);
 
@@ -256,10 +253,10 @@ void AdamFusedUpdate(float* w, float* m, float* v, const float* g,
 //    SIMD arms each element is a single FMA chain over ascending k, and in
 //    the portable arm four interleaved chains folded in a fixed order. The
 //    order never depends on the row's position, the number of rows in the
-//    call, the thread count, or tile boundaries — so batched, incremental,
-//    row-subset, and parallel evaluations are all bit-identical within an
-//    arm. Across arms (SIMD vs portable) results differ by accumulation-
-//    order/FMA-rounding ulps only; tests assert parity at 1e-5 relative.
+//    call, or tile boundaries — so batched, incremental, and row-subset
+//    evaluations are all bit-identical within an arm. Across arms (SIMD vs
+//    portable) results differ by accumulation-order/FMA-rounding ulps only;
+//    tests assert parity at 1e-5 relative.
 //
 //  * Adding an ISA. Provide a TU exposing a detail::SimdGemmKernels (see
 //    matrix_simd.h) whose kernels read the shared panel layout and keep the
@@ -360,49 +357,5 @@ const char* KernelArchString();
 /// BENCH_gemm.json records it next to the per-arm ratios. Lives here because
 /// only the hot NN TUs see the NEO_NATIVE_ARCH define.
 const char* PortableArmCodegen();
-
-/// Thread-LOCAL parallelism degree for the optimized kernels and the NN's
-/// elementwise hot loops (1 = serial, the default). Work is partitioned over
-/// *output* rows/elements only — every output value is still computed by the
-/// unchanged serial inner loop — so results are bit-identical at any setting.
-/// Being thread-local, concurrent searches can each carry their own degree
-/// without racing on a global. The naive kernels always run serial.
-void SetComputeThreads(int n);
-int ComputeThreads();
-
-/// RAII scope for SetComputeThreads (restores the previous degree).
-class ComputeThreadsScope {
- public:
-  explicit ComputeThreadsScope(int n) : prev_(ComputeThreads()) { SetComputeThreads(n); }
-  ~ComputeThreadsScope() { SetComputeThreads(prev_); }
-  ComputeThreadsScope(const ComputeThreadsScope&) = delete;
-  ComputeThreadsScope& operator=(const ComputeThreadsScope&) = delete;
-
- private:
-  int prev_;
-};
-
-/// Type-erased body of ParallelRows (function pointer + context, so the hot
-/// paths never construct a heap-backed std::function).
-void ParallelRowsImpl(int64_t n, int64_t min_parallel,
-                      void (*fn)(const void*, int64_t, int64_t),
-                      const void* ctx);
-
-/// Runs fn over disjoint chunks covering [0, n) on the global thread pool,
-/// using the ambient ComputeThreads() degree (inline serial when it is 1 or
-/// n < min_parallel). fn's output for index i must depend only on i, which
-/// makes the result independent of the thread count. A template (not
-/// std::function) so per-call capture lists never heap-allocate — the NN hot
-/// loops run inside counted zero-alloc regions.
-template <typename Fn>
-inline void ParallelRows(int64_t n, int64_t min_parallel, Fn&& fn) {
-  using F = std::remove_reference_t<Fn>;
-  ParallelRowsImpl(
-      n, min_parallel,
-      [](const void* c, int64_t r0, int64_t r1) {
-        (*const_cast<F*>(static_cast<const F*>(c)))(r0, r1);
-      },
-      static_cast<const void*>(std::addressof(fn)));
-}
 
 }  // namespace neo::nn

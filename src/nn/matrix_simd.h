@@ -60,8 +60,8 @@ struct AdamScalars {
 
 /// One dispatch arm's micro-kernels. Every entry obeys the matrix.h
 /// determinism contract: each output element's summation order is a fixed
-/// function of the shape alone, so any partition of the output rows (thread
-/// chunks, row subsets, tile boundaries) yields bit-identical values.
+/// function of the shape alone, so any partition of the output rows (row
+/// subsets, tile boundaries) yields bit-identical values.
 struct SimdGemmKernels {
   const char* name;
 

@@ -137,8 +137,7 @@ void TreeConv::ForwardTrain(const TreeStructure& tree, const Matrix& x,
   // activation in ONE pass — each post-activation row is written exactly
   // once. Per-element op order is a fixed function of the node's child
   // presence alone (never of the gather-row count). Side contributions are
-  // indexed by an ascending cursor into the parent list (re-seeded per
-  // chunk).
+  // indexed by an ascending cursor into the parent list.
   const float* b = bias_.value.Row(0);
   const int* lpar = gather.left.parent.data();
   const int* rpar = gather.right.parent.data();
@@ -146,39 +145,36 @@ void TreeConv::ForwardTrain(const TreeStructure& tree, const Matrix& x,
   const size_t rsz = gather.right.parent.size();
   const bool has_lc = scratch->lcontrib.rows() > 0;
   const bool has_rc = scratch->rcontrib.rows() > 0;
-  ParallelRows(n, /*min_parallel=*/256, [&](int64_t r0, int64_t r1) {
-    size_t lc = std::lower_bound(lpar, lpar + lsz, static_cast<int>(r0)) - lpar;
-    size_t rc = std::lower_bound(rpar, rpar + rsz, static_cast<int>(r0)) - rpar;
-    for (int64_t i = r0; i < r1; ++i) {
-      const bool has_l = has_lc && lc < lsz && lpar[lc] == static_cast<int>(i);
-      const bool has_r = has_rc && rc < rsz && rpar[rc] == static_cast<int>(i);
-      const float* lrow =
-          has_l ? scratch->lcontrib.Row(static_cast<int>(lc)) : nullptr;
-      const float* rrow =
-          has_r ? scratch->rcontrib.Row(static_cast<int>(rc)) : nullptr;
-      if (has_l) ++lc;
-      if (has_r) ++rc;
-      const int seg = node_seg != nullptr ? node_seg[i] : 0;
-      const float* ps = s > 0 ? scratch->proj_self.Row(seg) : nullptr;
-      const float* pl = s > 0 ? scratch->proj_left.Row(seg) : nullptr;
-      const float* pr = s > 0 ? scratch->proj_right.Row(seg) : nullptr;
-      float* row = y->Row(static_cast<int>(i));
-      for (int c = 0; c < cout; ++c) {
-        float v = row[c] + b[c];
-        if (ps != nullptr) v += ps[c];
-        if (lrow != nullptr) {
-          v += lrow[c];
-          if (pl != nullptr) v += pl[c];
-        }
-        if (rrow != nullptr) {
-          v += rrow[c];
-          if (pr != nullptr) v += pr[c];
-        }
-        if (leaky_alpha >= 0.0f && v < 0.0f) v *= leaky_alpha;
-        row[c] = v;
+  size_t lc = 0, rc = 0;
+  for (int i = 0; i < n; ++i) {
+    const bool has_l = has_lc && lc < lsz && lpar[lc] == i;
+    const bool has_r = has_rc && rc < rsz && rpar[rc] == i;
+    const float* lrow =
+        has_l ? scratch->lcontrib.Row(static_cast<int>(lc)) : nullptr;
+    const float* rrow =
+        has_r ? scratch->rcontrib.Row(static_cast<int>(rc)) : nullptr;
+    if (has_l) ++lc;
+    if (has_r) ++rc;
+    const int seg = node_seg != nullptr ? node_seg[i] : 0;
+    const float* ps = s > 0 ? scratch->proj_self.Row(seg) : nullptr;
+    const float* pl = s > 0 ? scratch->proj_left.Row(seg) : nullptr;
+    const float* pr = s > 0 ? scratch->proj_right.Row(seg) : nullptr;
+    float* row = y->Row(i);
+    for (int c = 0; c < cout; ++c) {
+      float v = row[c] + b[c];
+      if (ps != nullptr) v += ps[c];
+      if (lrow != nullptr) {
+        v += lrow[c];
+        if (pl != nullptr) v += pl[c];
       }
+      if (rrow != nullptr) {
+        v += rrow[c];
+        if (pr != nullptr) v += pr[c];
+      }
+      if (leaky_alpha >= 0.0f && v < 0.0f) v *= leaky_alpha;
+      row[c] = v;
     }
-  });
+  }
 }
 
 void TreeConv::RefreshInferenceWeights() {
@@ -440,8 +436,7 @@ void TreeConv::BackwardTrain(const TreeStructure& tree, const Matrix& x,
   // Side top blocks. Per side: accumulate dW_blk += x[child]^T g[parent] in
   // place, reading both gathers through the index lists (zero-copy), then
   // scatter g[parent] W_blk^T to the child rows of grad_in. Each node is at
-  // most one parent's child, so no grad_in row is touched twice per side and
-  // the scatter partitions race-free.
+  // most one parent's child, so no grad_in row is touched twice per side.
   auto side_backward = [&](const SideGather& side, int blk) {
     const int present = static_cast<int>(side.parent.size());
     if (present == 0) return;
@@ -456,13 +451,11 @@ void TreeConv::BackwardTrain(const TreeStructure& tree, const Matrix& x,
     }
     suffix_backward(&side, blk);
     if (grad_in != nullptr) {
-      ParallelRows(present, /*min_parallel=*/256, [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          float* dst = grad_in->Row(side.child[static_cast<size_t>(r)]);
-          const float* src = contrib.Row(static_cast<int>(r));
-          for (int c = 0; c < top; ++c) dst[c] += src[c];
-        }
-      });
+      for (int r = 0; r < present; ++r) {
+        float* dst = grad_in->Row(side.child[static_cast<size_t>(r)]);
+        const float* src = contrib.Row(r);
+        for (int c = 0; c < top; ++c) dst[c] += src[c];
+      }
     }
     train_stats_.backward_madds += 2ULL * static_cast<uint64_t>(present) *
                                    static_cast<uint64_t>(top) * cout;
@@ -523,13 +516,11 @@ void DynamicPooling::ForwardInto(const Matrix& x, const std::vector<int>& offset
   last_segments_ = segments;
   argmax_.assign(static_cast<size_t>(segments) * d, 0);
   y->Reshape(segments, d);  // Fully overwritten by PoolSegment.
-  ParallelRows(segments, /*min_parallel=*/64, [&](int64_t s0, int64_t s1) {
-    for (int64_t s = s0; s < s1; ++s) {
-      PoolSegment(x, offsets[static_cast<size_t>(s)],
-                  offsets[static_cast<size_t>(s) + 1], y->Row(static_cast<int>(s)),
-                  argmax_.data() + static_cast<size_t>(s) * d);
-    }
-  });
+  for (int s = 0; s < segments; ++s) {
+    PoolSegment(x, offsets[static_cast<size_t>(s)],
+                offsets[static_cast<size_t>(s) + 1], y->Row(s),
+                argmax_.data() + static_cast<size_t>(s) * d);
+  }
 }
 
 Matrix DynamicPooling::ForwardInference(const Matrix& x,
@@ -547,13 +538,10 @@ void DynamicPooling::ForwardInferenceInto(const Matrix& x,
   const int segments = static_cast<int>(offsets.size()) - 1;
   NEO_CHECK(offsets.front() == 0 && offsets.back() == x.rows());
   y->Reshape(segments, d);  // Fully overwritten by PoolSegment.
-  ParallelRows(segments, /*min_parallel=*/64, [&](int64_t s0, int64_t s1) {
-    for (int64_t s = s0; s < s1; ++s) {
-      PoolSegment(x, offsets[static_cast<size_t>(s)],
-                  offsets[static_cast<size_t>(s) + 1], y->Row(static_cast<int>(s)),
-                  nullptr);
-    }
-  });
+  for (int s = 0; s < segments; ++s) {
+    PoolSegment(x, offsets[static_cast<size_t>(s)],
+                offsets[static_cast<size_t>(s) + 1], y->Row(s), nullptr);
+  }
 }
 
 Matrix DynamicPooling::Backward(const Matrix& grad_out) {

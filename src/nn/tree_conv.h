@@ -35,8 +35,8 @@
 // Summation-order contract. Every output element of the forward and of each
 // gradient is computed in an order that is a fixed function of (k, m) within
 // its block — never of the gather-row count or of row positions. Hence
-//  (a) results are bit-identical under every thread count, within a kernel
-//      dispatch arm;
+//  (a) within a kernel dispatch arm, a repeated forward or backward is
+//      bit-identical (arms differ from each other by ulps only);
 //  (b) a node's forward value does not depend on which other trees share
 //      its packed forest (rows are position-independent), so a sample's
 //      prediction is the same in every minibatch that contains it.

@@ -522,16 +522,13 @@ float ValueNetwork::TrainBatch(const PlanSample* const* samples, const float* ta
                        train_grad_nodes_.Size()) * sizeof(float);
   for (const Matrix& z : train_post_) live_bytes += z.Size() * sizeof(float);
   for (int li = static_cast<int>(convs_.size()) - 1; li >= 0; --li) {
-    // Leaky ReLU backward mask (elementwise, partitionable): post < 0 iff
-    // pre < 0 since alpha > 0, so the kept post-activations suffice.
+    // Leaky ReLU backward mask (elementwise): post < 0 iff pre < 0 since
+    // alpha > 0, so the kept post-activations suffice.
     const float* z = train_post_[static_cast<size_t>(li)].data();
     float* g = train_grad_nodes_.data();
-    ParallelRows(static_cast<int64_t>(train_grad_nodes_.Size()),
-                 /*min_parallel=*/1 << 14, [&](int64_t i0, int64_t i1) {
-                   for (int64_t i = i0; i < i1; ++i) {
-                     if (z[i] < 0.0f) g[i] *= leaky_alpha_;
-                   }
-                 });
+    for (size_t i = 0; i < train_grad_nodes_.Size(); ++i) {
+      if (z[i] < 0.0f) g[i] *= leaky_alpha_;
+    }
     if (li > 0) {
       convs_[static_cast<size_t>(li)].BackwardTrain(
           packed.forest, train_post_[static_cast<size_t>(li) - 1],

@@ -153,9 +153,8 @@ class ValueNetwork {
 
   /// Batched inference over a packed forest sharing one query embedding: one
   /// forward pass scores all plans (each conv layer and the head run as a
-  /// single large GEMM instead of N small ones; the per-layer GEMMs row-
-  /// partition over the thread pool per nn::ComputeThreads()). Per-plan
-  /// results match PredictWithEmbedding bit-for-bit at any thread count.
+  /// single large GEMM instead of N small ones). Per-plan results match
+  /// PredictWithEmbedding bit-for-bit.
   std::vector<float> PredictBatch(const Matrix& query_embedding, const PlanBatch& batch,
                                   InferenceContext* ctx = nullptr,
                                   const ActivationReuse* reuse = nullptr);
@@ -187,9 +186,8 @@ class ValueNetwork {
 
   /// One SGD step over a minibatch; returns mean squared error before the
   /// update. The whole minibatch is packed into one forest (PackPlanBatch)
-  /// and the forward/backward run as a handful of large GEMMs whose rows
-  /// partition over the thread pool; the loss curve is bit-identical at any
-  /// ComputeThreads() setting.
+  /// and the forward/backward run as a handful of large GEMMs; within a
+  /// kernel dispatch arm, the loss curve repeats bit for bit.
   float TrainBatch(const std::vector<const PlanSample*>& samples,
                    const std::vector<float>& targets);
 

@@ -6,9 +6,8 @@
 //
 //   level 0  full search            (the normal serving path)
 //   level 1  reduced search budget  (SearchOptions::max_expansions divided by
-//                                    l1_expansion_divisor, speculation capped
-//                                    at l1_speculation — still a live search,
-//                                    just a cheaper one)
+//                                    l1_expansion_divisor — still a live
+//                                    search, just a cheaper one)
 //   level 2  no search              (serve the experience store's best-known
 //                                    plan, else the query's bootstrap expert
 //                                    plan; falls back to a level-1 search only
@@ -84,11 +83,9 @@ struct LadderOptions {
   int min_dwell = 4;
   /// Clamp on a single observation's pressure contribution.
   double max_observation = 2.0;
-  /// Level-1 budget: full max_expansions / divisor (>= 1), speculation
-  /// capped at l1_speculation. An unlimited (<= 0) full budget degrades to
-  /// l1_unlimited_expansions.
+  /// Level-1 budget: full max_expansions / divisor (>= 1). An unlimited
+  /// (<= 0) full budget degrades to l1_unlimited_expansions.
   int l1_expansion_divisor = 4;
-  int l1_speculation = 1;
   int l1_unlimited_expansions = 16;
 };
 

@@ -39,8 +39,6 @@ ServingCore::ServingCore(core::Neo* neo, ServingOptions options)
   } else {
     degraded_search_.max_expansions = std::max(1, ladder.l1_unlimited_expansions);
   }
-  degraded_search_.speculation =
-      std::max(1, std::min(degraded_search_.speculation, ladder.l1_speculation));
   rcu_.Publish(neo_->net());
   searches_.reserve(static_cast<size_t>(options_.workers));
   for (int i = 0; i < options_.workers; ++i) {

@@ -20,12 +20,9 @@
 //
 // 1. Request queue + worker threads. Requests enqueue without blocking and
 //    drain through a fixed pool of workers, each owning one PlanSearch (its
-//    inference scratch is never shared). Workers are dedicated std::threads
-//    rather than util::ThreadPool tasks: the global pool is a fork-join
-//    ParallelFor primitive, and the searches still FEED it — each scoring
-//    round's GEMMs row-partition across the pool per SearchOptions::threads
-//    — so request concurrency and kernel parallelism compose instead of
-//    competing for one abstraction.
+//    inference scratch is never shared). Workers are dedicated std::threads,
+//    and a request's search runs serially on its worker, so request
+//    concurrency is the only parallelism in the serving core.
 //
 // 2. One scoring path. Each worker's search scores its own candidate
 //    batches through the same ValueNetwork::PredictBatchInto call a
@@ -91,7 +88,7 @@
 //    walks four levels with
 //    per-level hysteresis bands and a min-dwell transition rate limit:
 //      0 full search -> 1 reduced search budget (max_expansions /
-//      l1_expansion_divisor, speculation capped) -> 2 no search (the
+//      l1_expansion_divisor) -> 2 no search (the
 //      store's best-known plan, else the query's bootstrap expert plan) ->
 //      3 shed at admission (kResourceExhausted).
 //    Degraded serves still flow through Neo's guarded choke point

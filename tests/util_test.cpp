@@ -15,7 +15,6 @@
 #include "src/util/row_cache.h"
 #include "src/util/status.h"
 #include "src/util/string_util.h"
-#include "src/util/thread_pool.h"
 
 namespace neo::util {
 namespace {
@@ -329,93 +328,6 @@ TEST(LruMapTest, MoveTransfersEntries) {
   ASSERT_NE(b.Find(1), nullptr);
   EXPECT_EQ(*b.Find(1), 10);
   EXPECT_EQ(b.capacity(), 8u);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(3);
-  const int64_t n = 10000;
-  std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
-  for (auto& h : hits) h.store(0);
-  pool.ParallelFor(0, n, /*max_participants=*/8, /*grain=*/7,
-                   [&](int64_t lo, int64_t hi) {
-                     for (int64_t i = lo; i < hi; ++i) {
-                       hits[static_cast<size_t>(i)].fetch_add(1);
-                     }
-                   });
-  for (int64_t i = 0; i < n; ++i) {
-    ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, SingleParticipantRunsInline) {
-  ThreadPool pool(2);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::atomic<int> calls{0};
-  pool.ParallelFor(0, 100, /*max_participants=*/1, /*grain=*/0,
-                   [&](int64_t lo, int64_t hi) {
-                     EXPECT_EQ(std::this_thread::get_id(), caller);
-                     EXPECT_EQ(lo, 0);
-                     EXPECT_EQ(hi, 100);
-                     calls.fetch_add(1);
-                   });
-  EXPECT_EQ(calls.load(), 1);
-}
-
-TEST(ThreadPoolTest, MoreShardsThanWorkersStillCompletes) {
-  // Shard count follows max_participants, not the worker count: the caller
-  // (plus any workers) steals through every shard. ThreadPool(0) makes the
-  // caller the only participant, exercising the steal loop deterministically.
-  ThreadPool pool(0);
-  std::atomic<int64_t> sum{0};
-  pool.ParallelFor(0, 1000, /*max_participants=*/8, /*grain=*/3,
-                   [&](int64_t lo, int64_t hi) {
-                     for (int64_t i = lo; i < hi; ++i) sum.fetch_add(i);
-                   });
-  EXPECT_EQ(sum.load(), 1000 * 999 / 2);
-}
-
-TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
-  ThreadPool pool(3);
-  std::atomic<int64_t> total{0};
-  pool.ParallelFor(0, 8, /*max_participants=*/4, /*grain=*/1,
-                   [&](int64_t lo, int64_t hi) {
-                     for (int64_t i = lo; i < hi; ++i) {
-                       pool.ParallelFor(0, 100, /*max_participants=*/4, /*grain=*/10,
-                                        [&](int64_t jlo, int64_t jhi) {
-                                          total.fetch_add(jhi - jlo);
-                                        });
-                     }
-                   });
-  EXPECT_EQ(total.load(), 8 * 100);
-}
-
-TEST(ThreadPoolTest, UnevenWorkIsStolen) {
-  // One shard carries almost all the work; stealing must still finish it.
-  ThreadPool pool(3);
-  std::atomic<int> slow_done{0};
-  pool.ParallelFor(0, 64, /*max_participants=*/4, /*grain=*/1,
-                   [&](int64_t lo, int64_t hi) {
-                     for (int64_t i = lo; i < hi; ++i) {
-                       if (i < 8) {
-                         // Simulated heavy items in the first shard.
-                         volatile double x = 0.0;
-                         for (int k = 0; k < 20000; ++k) x += std::sqrt(k + 1.0);
-                         (void)x;
-                       }
-                       slow_done.fetch_add(1);
-                     }
-                   });
-  EXPECT_EQ(slow_done.load(), 64);
-}
-
-TEST(ThreadPoolTest, GlobalPoolIsUsable) {
-  std::atomic<int64_t> count{0};
-  ThreadPool::Global().ParallelFor(0, 256, /*max_participants=*/4, /*grain=*/0,
-                                   [&](int64_t lo, int64_t hi) {
-                                     count.fetch_add(hi - lo);
-                                   });
-  EXPECT_EQ(count.load(), 256);
-  EXPECT_GE(ThreadPool::Global().parallelism(), 1);
 }
 
 TEST(LatencyHistogramTest, ExactAggregatesAndBoundedPercentiles) {
