@@ -1,7 +1,10 @@
 // Micro-benchmarks (google-benchmark): neural network primitives. Also
-// emits BENCH_train.json — packed-forest TrainBatch throughput, with
-// per-layer conv flop/byte counters and the steady-state allocation probe — so the training-path perf trajectory stays tracked
-// (the inference counterpart lives in micro_search's BENCH_search.json).
+// emits BENCH_train.json — packed-forest TrainBatch throughput at two shapes
+// (sparse_train: the default widths; neobench_train: the repository
+// benchmark's retrain shapes), with per-layer conv flop/byte counters and
+// the steady-state allocation probe — so the training-path perf trajectory
+// stays tracked (the inference counterpart lives in micro_search's
+// BENCH_search.json).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -251,6 +254,7 @@ BENCHMARK(BM_ValueNetTrainBatch);
 // ---- BENCH_train.json ------------------------------------------------------
 
 struct TrainThroughput {
+  int batch = 0;
   double samples_per_sec = 0.0;
   double step_ms_mean = 0.0;
   float first_loss = 0.0f;
@@ -261,22 +265,59 @@ struct TrainThroughput {
   std::vector<int> conv_in, conv_out;
 };
 
-/// Steps a fresh default-width network (paper-shaped 64/32/16 conv stack)
-/// `steps` times on a batch-64 set and reports samples/sec.
-TrainThroughput MeasureTrainThroughput(int steps) {
+/// One training arm's shapes: the network, the minibatch size and the tree
+/// sizes (left-deep-ish trees of `min_nodes` + [0, `node_span`) nodes).
+struct TrainShapes {
   ValueNetConfig cfg;
-  cfg.query_dim = 66;
-  cfg.plan_dim = 21;  // Default channel widths (64/32/16) from ValueNetConfig.
+  int batch = 0;
+  int min_nodes = 0;
+  int node_span = 0;
+};
+
+/// sparse_train: the default widths (paper-shaped 64/32/16 conv stack) on a
+/// batch-64 set of 9-17-node trees.
+TrainShapes SparseTrainShapes() {
+  TrainShapes shapes;
+  shapes.cfg.query_dim = 66;
+  shapes.cfg.plan_dim = 21;  // Default channel widths from ValueNetConfig.
+  shapes.batch = 64;
+  shapes.min_nodes = 9;
+  shapes.node_span = 9;
+  return shapes;
+}
+
+/// neobench_train: the shapes the repository benchmark's `train` workload
+/// retrains at (quick config, 711-wide query vectors, batch 32, trees of
+/// about 9 nodes), so the retrain step has an A/B number steadier than the
+/// end-to-end train_s.
+TrainShapes NeobenchTrainShapes() {
+  TrainShapes shapes;
+  shapes.cfg.query_dim = 711;
+  shapes.cfg.plan_dim = 21;
+  shapes.cfg.query_fc = {64, 32};
+  shapes.cfg.tree_channels = {32, 16};
+  shapes.cfg.head_fc = {16};
+  shapes.batch = 32;
+  shapes.min_nodes = 5;
+  shapes.node_span = 9;
+  return shapes;
+}
+
+/// Steps a fresh network `steps` times on one fixed minibatch of `shapes`
+/// and reports samples/sec.
+TrainThroughput MeasureTrainThroughput(const TrainShapes& shapes, int steps) {
+  const ValueNetConfig& cfg = shapes.cfg;
   ValueNetwork net(cfg);
 
   neo::util::Rng rng(5);
-  std::vector<PlanSample> samples(64);
+  std::vector<PlanSample> samples(static_cast<size_t>(shapes.batch));
   std::vector<const PlanSample*> ptrs;
   std::vector<float> targets;
   for (auto& s : samples) {
-    const int nodes = 9 + static_cast<int>(rng.NextBounded(9));
-    s.query_vec = RandomMatrix(1, 66, rng);
-    s.node_features = RandomMatrix(nodes, 21, rng);
+    const int nodes = shapes.min_nodes +
+                      static_cast<int>(rng.NextBounded(shapes.node_span));
+    s.query_vec = RandomMatrix(1, cfg.query_dim, rng);
+    s.node_features = RandomMatrix(nodes, cfg.plan_dim, rng);
     s.tree.left.assign(static_cast<size_t>(nodes), -1);
     s.tree.right.assign(static_cast<size_t>(nodes), -1);
     for (int i = 0; i + 2 < nodes; i += 2) {
@@ -288,6 +329,7 @@ TrainThroughput MeasureTrainThroughput(int steps) {
   }
 
   TrainThroughput out;
+  out.batch = shapes.batch;
   out.first_loss = net.TrainBatch(ptrs, targets);  // Warm-up step (untimed).
   out.final_loss = net.TrainBatch(ptrs, targets);  // Buffers now at capacity.
   // Steady-state alloc probe: TrainBatch brackets its own work in an
@@ -302,7 +344,7 @@ TrainThroughput MeasureTrainThroughput(int steps) {
   neo::util::Stopwatch watch;
   for (int i = 0; i < steps; ++i) out.final_loss = net.TrainBatch(ptrs, targets);
   const double total_s = watch.ElapsedSeconds();
-  out.samples_per_sec = static_cast<double>(steps) * 64.0 / total_s;
+  out.samples_per_sec = static_cast<double>(steps) * shapes.batch / total_s;
   out.step_ms_mean = total_s * 1000.0 / steps;
   out.peak_scratch_bytes = net.peak_training_scratch_bytes();
   out.conv_stats = net.ConvTrainStats();
@@ -324,11 +366,12 @@ TrainThroughput MeasureTrainThroughput(int steps) {
 void PrintTrainArm(std::FILE* out, const char* name, const TrainThroughput& r,
                    const char* trailing_comma) {
   std::fprintf(out,
-               "  \"%s\": {\"samples_per_sec\": %.1f, \"step_ms_mean\": %.3f,"
+               "  \"%s\": {\"batch_size\": %d, \"samples_per_sec\": %.1f,"
+               " \"step_ms_mean\": %.3f,"
                " \"first_loss\": %.6f, \"final_loss\": %.6f,"
                " \"peak_train_scratch_bytes\": %zu,"
                " \"steady_state_heap_allocs\": %llu}%s\n",
-               name, r.samples_per_sec, r.step_ms_mean,
+               name, r.batch, r.samples_per_sec, r.step_ms_mean,
                static_cast<double>(r.first_loss),
                static_cast<double>(r.final_loss), r.peak_scratch_bytes,
                static_cast<unsigned long long>(r.steady_allocs),
@@ -356,7 +399,10 @@ void PrintConvLayers(std::FILE* out, const char* name, const TrainThroughput& r,
 }
 
 void WriteTrainJson(const std::string& path, int steps) {
-  const TrainThroughput sparse_train = MeasureTrainThroughput(steps);
+  const TrainThroughput sparse_train =
+      MeasureTrainThroughput(SparseTrainShapes(), steps);
+  const TrainThroughput neobench_train =
+      MeasureTrainThroughput(NeobenchTrainShapes(), steps);
 
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
@@ -366,29 +412,35 @@ void WriteTrainJson(const std::string& path, int steps) {
   std::fprintf(out,
                "{\n"
                "  \"bench\": \"micro_nn_train\",\n"
-               "  \"batch_size\": 64,\n"
+               "  \"batch_size\": %d,\n"
                "  \"steps\": %d,\n"
                "  \"hardware_threads\": %u,\n"
                "  \"kernel_arch\": \"%s\",\n",
-               steps, std::thread::hardware_concurrency(), KernelArchString());
+               sparse_train.batch, steps, std::thread::hardware_concurrency(),
+               KernelArchString());
   PrintTrainArm(out, "sparse_train", sparse_train, ",");
+  PrintTrainArm(out, "neobench_train", neobench_train, ",");
   PrintConvLayers(out, "conv_layers", sparse_train, ",");
-  // Zero-alloc gate for the training path. When the alloc counter is
-  // compiled out (sanitizer builds) the gate is vacuous.
+  // Zero-alloc gate for the training path, over both arms. When the alloc
+  // counter is compiled out (sanitizer builds) the gate is vacuous.
+  const uint64_t steady_allocs =
+      sparse_train.steady_allocs + neobench_train.steady_allocs;
   const bool counter_active = neo::util::AllocCounterActive();
-  const bool zero_alloc = !counter_active || sparse_train.steady_allocs == 0;
+  const bool zero_alloc = !counter_active || steady_allocs == 0;
   std::fprintf(out, "  \"alloc_counter_active\": %s,\n",
                counter_active ? "true" : "false");
   std::fprintf(out, "  \"steady_state_heap_allocs\": %llu,\n",
-               static_cast<unsigned long long>(sparse_train.steady_allocs));
+               static_cast<unsigned long long>(steady_allocs));
   std::fprintf(out, "  \"steady_state_zero_alloc\": %s\n}\n",
                zero_alloc ? "true" : "false");
   std::fclose(out);
-  std::printf("TrainBatch throughput (batch 64): %.0f samples/s;"
+  std::printf("TrainBatch throughput: sparse_train (batch %d) %.0f samples/s,"
+              " neobench_train (batch %d) %.0f samples/s (%.3f ms/step);"
               " steady-state allocs/step %llu -> %s\n",
-              sparse_train.samples_per_sec,
-              static_cast<unsigned long long>(sparse_train.steady_allocs),
-              path.c_str());
+              sparse_train.batch, sparse_train.samples_per_sec,
+              neobench_train.batch, neobench_train.samples_per_sec,
+              neobench_train.step_ms_mean,
+              static_cast<unsigned long long>(steady_allocs), path.c_str());
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ void Linear::BackwardInto(const Matrix& grad_out, Matrix* grad_in) {
   // as TreeConv::BackwardTrain and its split blocks).
   packed_fresh_ = false;
   // dW += x^T g (scatter-added in place — no product temporary); db +=
-  // sum_rows(g) ; dx = g W^T.
+  // sum_rows(g) ; dx = g W^T, skipped when grad_in is null.
   MatMulTransposeAInto(last_input_, grad_out, weight_.grad.data(),
                        &gemm_scratch_);
   for (int r = 0; r < grad_out.rows(); ++r) {
@@ -85,7 +85,9 @@ void Linear::BackwardInto(const Matrix& grad_out, Matrix* grad_in) {
     float* b = bias_.grad.Row(0);
     for (int c = 0; c < grad_out.cols(); ++c) b[c] += g[c];
   }
-  MatMulTransposeBInto(grad_out, weight_.value, grad_in, &gemm_scratch_);
+  if (grad_in != nullptr) {
+    MatMulTransposeBInto(grad_out, weight_.value, grad_in, &gemm_scratch_);
+  }
 }
 
 Matrix LeakyReLU::Forward(const Matrix& x) {
@@ -278,6 +280,8 @@ void Sequential::ForwardInto(const Matrix& x, PipelineScratch* scratch,
 
 void Sequential::BackwardInto(const Matrix& grad_out, PipelineScratch* scratch,
                               Matrix* grad_in) {
+  NEO_CHECK(grad_in != nullptr ||
+            (!layers_.empty() && layers_[0]->kind() == LayerKind::kLinear));
   if (layers_.empty()) {
     *grad_in = grad_out;
     return;

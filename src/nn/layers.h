@@ -85,6 +85,8 @@ class Linear : public Layer {
   Matrix Backward(const Matrix& grad_out) override;
   void ForwardInto(const Matrix& x, Matrix* y) override;
   void ForwardInferenceInto(const Matrix& x, Matrix* y) const override;
+  /// A null `grad_in` skips the input-gradient GEMM (dx = g W^T); the
+  /// parameter gradients are unchanged.
   void BackwardInto(const Matrix& grad_out, Matrix* grad_in) override;
   void CollectParams(std::vector<Param*>* out) override {
     out->push_back(&weight_);
@@ -226,6 +228,12 @@ class Sequential : public Layer {
   /// per-element op sequence (bias add, then normalize/scale/shift, then
   /// leak) is exactly the unfused layers', so results stay bit-identical;
   /// the intermediate activations just never round-trip through memory.
+  ///
+  /// BackwardInto accepts a null `grad_in` when the first layer is a Linear
+  /// (and only then; anything else fails a NEO_CHECK): that Linear skips its
+  /// input-gradient GEMM, and every parameter gradient is bit-identical to a
+  /// call with an output. For a stack whose input is a leaf (the value
+  /// network's query vectors).
   void ForwardInto(const Matrix& x, PipelineScratch* scratch, Matrix* y);
   void ForwardInferenceInto(const Matrix& x, PipelineScratch* scratch,
                             Matrix* y) const;

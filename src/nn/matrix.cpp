@@ -587,9 +587,22 @@ void MatMulTransposeAIntoImpl(const Matrix& a, const int* arows,
     Matrix local_at;
     Matrix* at = scratch != nullptr ? &scratch->staging : &local_at;
     at->Reshape(k, n);
-    for (int r = 0; r < n; ++r) {
-      const float* src = a.Row(arows != nullptr ? arows[r] : r);
-      for (int c = 0; c < k; ++c) at->At(c, r) = src[c];
+    // Transpose in tiles of kTransposeTile source columns. Row by row, every
+    // store lands on a different staging row (a stride of n floats), so a
+    // wide input (the 711-wide query layer: 711 lines per source row) has
+    // evicted those lines before the next source row writes its column.
+    // A tile's staging rows stay in L1 across all n source rows. It is a
+    // copy, so any tiling is bit-identical.
+    constexpr int kTransposeTile = 16;
+    float* atw = at->data();
+    for (int c0 = 0; c0 < k; c0 += kTransposeTile) {
+      const int c1 = std::min(k, c0 + kTransposeTile);
+      for (int r = 0; r < n; ++r) {
+        const float* src = a.Row(arows != nullptr ? arows[r] : r);
+        for (int c = c0; c < c1; ++c) {
+          atw[static_cast<size_t>(c) * n + r] = src[c];
+        }
+      }
     }
     const float* atdata = at->data();
     if (simd != nullptr) {
@@ -599,14 +612,17 @@ void MatMulTransposeAIntoImpl(const Matrix& a, const int* arows,
       simd->gemm_acc_rows(atdata, nullptr, packed, out, 0, k, n, m);
       return;
     }
-    Matrix local_bt;
+    // The portable arm gathers b's rows into the pack buffer, which it
+    // otherwise never uses, so a warmed scratch allocates nothing here.
     const float* b_rows_data = bdata;
+    std::vector<float> local;
     if (brows != nullptr) {
-      local_bt.Reshape(n, m);
+      float* gathered = PreparePack(scratch, &local, n, m);
       for (int r = 0; r < n; ++r) {
-        std::copy(b.Row(brows[r]), b.Row(brows[r]) + m, local_bt.Row(r));
+        std::copy(b.Row(brows[r]), b.Row(brows[r]) + m,
+                  gathered + static_cast<size_t>(r) * m);
       }
-      b_rows_data = local_bt.data();
+      b_rows_data = gathered;
     }
     MatMulAccRows(atdata, nullptr, b_rows_data, out, 0, k, n, m);
     return;

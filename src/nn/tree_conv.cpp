@@ -42,6 +42,71 @@ int GatherSide(const std::vector<int>& child, const Matrix& x, int top,
   return present;
 }
 
+/// One epilogue row with K addends: dst = act(src + bias + add[0] + ... +
+/// add[K-1]), adding left to right. The activation is a select: negative
+/// sums are multiplied by `neg_scale` (leaky_alpha, or 1 for no activation —
+/// v * 1 == v exactly, so the select is then an identity). No loop carries a
+/// branch, so the row vectorizes; no multiply feeds an add, so FP
+/// contraction cannot round its vector body and scalar tail differently.
+template <int K>
+void EpilogueRow(const float* src, const float* bias, const float* const* add,
+                 int cout, float neg_scale, float* dst) {
+  for (int c = 0; c < cout; ++c) {
+    float v = src[c] + bias[c];
+    for (int a = 0; a < K; ++a) v += add[a][c];
+    dst[c] = v < 0.0f ? v * neg_scale : v;
+  }
+}
+
+/// The fused conv epilogue shared by every forward pass. Output row r is
+/// node `nodes[r]` (r when `nodes` is null); its GEMM value is `self` row r.
+/// Writes, into y's node row,
+///   act(self + bias + self suffix + [left + left suffix]
+///                                 + [right + right suffix])
+/// adding in exactly that order: the suffix projections (row node_seg[node],
+/// or 0 when `node_seg` is null) only when `proj` is non-null, and a side's
+/// terms only when the node has that child. Side contribution rows are
+/// matched to nodes by an ascending cursor into each side's `parent` list.
+/// The leaky ReLU applies when `leaky_alpha` >= 0. `self` may be `*y` itself
+/// (the full passes compute in place). The addends are picked once per row;
+/// one EpilogueRow specialization per addend count (0 to 5) then writes it.
+void FusedEpilogue(const Matrix& self, const std::vector<int>* nodes,
+                   const std::vector<int>& lparent, const Matrix& lcontrib,
+                   const std::vector<int>& rparent, const Matrix& rcontrib,
+                   const float* bias, const Matrix* const* proj,
+                   const int* node_seg, float leaky_alpha, Matrix* y) {
+  const int cout = y->cols();
+  const int count =
+      nodes != nullptr ? static_cast<int>(nodes->size()) : self.rows();
+  const float neg_scale = leaky_alpha >= 0.0f ? leaky_alpha : 1.0f;
+  size_t lc = 0, rc = 0;
+  for (int r = 0; r < count; ++r) {
+    const int node = nodes != nullptr ? (*nodes)[static_cast<size_t>(r)] : r;
+    const int seg = node_seg != nullptr ? node_seg[node] : 0;
+    const float* add[5];
+    int k = 0;
+    if (proj != nullptr) add[k++] = proj[0]->Row(seg);
+    if (lc < lparent.size() && lparent[lc] == node) {
+      add[k++] = lcontrib.Row(static_cast<int>(lc++));
+      if (proj != nullptr) add[k++] = proj[1]->Row(seg);
+    }
+    if (rc < rparent.size() && rparent[rc] == node) {
+      add[k++] = rcontrib.Row(static_cast<int>(rc++));
+      if (proj != nullptr) add[k++] = proj[2]->Row(seg);
+    }
+    const float* src = self.Row(r);
+    float* dst = y->Row(node);
+    switch (k) {
+      case 0: EpilogueRow<0>(src, bias, add, cout, neg_scale, dst); break;
+      case 1: EpilogueRow<1>(src, bias, add, cout, neg_scale, dst); break;
+      case 2: EpilogueRow<2>(src, bias, add, cout, neg_scale, dst); break;
+      case 3: EpilogueRow<3>(src, bias, add, cout, neg_scale, dst); break;
+      case 4: EpilogueRow<4>(src, bias, add, cout, neg_scale, dst); break;
+      default: EpilogueRow<5>(src, bias, add, cout, neg_scale, dst); break;
+    }
+  }
+}
+
 }  // namespace
 
 TreeGather TreeGather::Build(const TreeStructure& tree) {
@@ -133,48 +198,14 @@ void TreeConv::ForwardTrain(const TreeStructure& tree, const Matrix& x,
   side_contrib(gather.left, 1, &scratch->lcontrib);
   side_contrib(gather.right, 2, &scratch->rcontrib);
 
-  // Fused epilogue: bias + suffix projections + side contributions +
-  // activation in ONE pass — each post-activation row is written exactly
-  // once. Per-element op order is a fixed function of the node's child
-  // presence alone (never of the gather-row count). Side contributions are
-  // indexed by an ascending cursor into the parent list.
-  const float* b = bias_.value.Row(0);
-  const int* lpar = gather.left.parent.data();
-  const int* rpar = gather.right.parent.data();
-  const size_t lsz = gather.left.parent.size();
-  const size_t rsz = gather.right.parent.size();
-  const bool has_lc = scratch->lcontrib.rows() > 0;
-  const bool has_rc = scratch->rcontrib.rows() > 0;
-  size_t lc = 0, rc = 0;
-  for (int i = 0; i < n; ++i) {
-    const bool has_l = has_lc && lc < lsz && lpar[lc] == i;
-    const bool has_r = has_rc && rc < rsz && rpar[rc] == i;
-    const float* lrow =
-        has_l ? scratch->lcontrib.Row(static_cast<int>(lc)) : nullptr;
-    const float* rrow =
-        has_r ? scratch->rcontrib.Row(static_cast<int>(rc)) : nullptr;
-    if (has_l) ++lc;
-    if (has_r) ++rc;
-    const int seg = node_seg != nullptr ? node_seg[i] : 0;
-    const float* ps = s > 0 ? scratch->proj_self.Row(seg) : nullptr;
-    const float* pl = s > 0 ? scratch->proj_left.Row(seg) : nullptr;
-    const float* pr = s > 0 ? scratch->proj_right.Row(seg) : nullptr;
-    float* row = y->Row(i);
-    for (int c = 0; c < cout; ++c) {
-      float v = row[c] + b[c];
-      if (ps != nullptr) v += ps[c];
-      if (lrow != nullptr) {
-        v += lrow[c];
-        if (pl != nullptr) v += pl[c];
-      }
-      if (rrow != nullptr) {
-        v += rrow[c];
-        if (pr != nullptr) v += pr[c];
-      }
-      if (leaky_alpha >= 0.0f && v < 0.0f) v *= leaky_alpha;
-      row[c] = v;
-    }
-  }
+  // Fused epilogue: each post-activation row is written exactly once, and
+  // a node's op order is a fixed function of its child presence alone
+  // (never of the gather-row count).
+  const Matrix* proj[3] = {&scratch->proj_self, &scratch->proj_left,
+                           &scratch->proj_right};
+  FusedEpilogue(*y, nullptr, gather.left.parent, scratch->lcontrib,
+                gather.right.parent, scratch->rcontrib, bias_.value.Row(0),
+                s > 0 ? proj : nullptr, node_seg, leaky_alpha, y);
 }
 
 void TreeConv::RefreshInferenceWeights() {
@@ -228,7 +259,6 @@ void TreeConv::ForwardInferenceInto(const TreeStructure& tree, const Matrix& x,
   // passes, so results are bit-identical to running them separately, with
   // each post-activation row written exactly once.
   MatMulPackedInto(x, w_self_, y);
-  const int cout = y->cols();
 
   const int nl = GatherSide(tree.left, x, top, nullptr, &scratch->gather,
                             &scratch->lparent);
@@ -237,36 +267,11 @@ void TreeConv::ForwardInferenceInto(const TreeStructure& tree, const Matrix& x,
                             &scratch->rparent);
   if (nr > 0) MatMulPackedInto(scratch->gather, w_right_, &scratch->rcontrib);
 
-  const float* b = bias_.value.Row(0);
-  const float* sps = s > 0 ? scratch->suffix_self.Row(0) : nullptr;
-  const float* spl = s > 0 ? scratch->suffix_left.Row(0) : nullptr;
-  const float* spr = s > 0 ? scratch->suffix_right.Row(0) : nullptr;
-  size_t lc = 0, rc = 0;
-  for (int i = 0; i < n; ++i) {
-    const bool has_l = lc < scratch->lparent.size() && scratch->lparent[lc] == i;
-    const bool has_r = rc < scratch->rparent.size() && scratch->rparent[rc] == i;
-    const float* lrow =
-        has_l ? scratch->lcontrib.Row(static_cast<int>(lc)) : nullptr;
-    const float* rrow =
-        has_r ? scratch->rcontrib.Row(static_cast<int>(rc)) : nullptr;
-    if (has_l) ++lc;
-    if (has_r) ++rc;
-    float* row = y->Row(i);
-    for (int c = 0; c < cout; ++c) {
-      float v = row[c] + b[c];
-      if (sps != nullptr) v += sps[c];
-      if (lrow != nullptr) {
-        v += lrow[c];
-        if (spl != nullptr) v += spl[c];
-      }
-      if (rrow != nullptr) {
-        v += rrow[c];
-        if (spr != nullptr) v += spr[c];
-      }
-      if (leaky_alpha >= 0.0f && v < 0.0f) v *= leaky_alpha;
-      row[c] = v;
-    }
-  }
+  const Matrix* proj[3] = {&scratch->suffix_self, &scratch->suffix_left,
+                           &scratch->suffix_right};
+  FusedEpilogue(*y, nullptr, scratch->lparent, scratch->lcontrib,
+                scratch->rparent, scratch->rcontrib, bias_.value.Row(0),
+                s > 0 ? proj : nullptr, /*node_seg=*/nullptr, leaky_alpha, y);
 }
 
 void TreeConv::ForwardInferenceRows(const TreeStructure& tree, const Matrix& x,
@@ -309,40 +314,11 @@ void TreeConv::ForwardInferenceRows(const TreeStructure& tree, const Matrix& x,
                             &scratch->rparent);
   if (nr > 0) MatMulPackedInto(scratch->gather, w_right_, &scratch->rcontrib);
 
-  const float* b = bias_.value.Row(0);
-  const float* sps = s > 0 ? scratch->suffix_self.Row(0) : nullptr;
-  const float* spl = s > 0 ? scratch->suffix_left.Row(0) : nullptr;
-  const float* spr = s > 0 ? scratch->suffix_right.Row(0) : nullptr;
-  size_t lc = 0, rc = 0;
-  for (int r = 0; r < d; ++r) {
-    const int node = rows[static_cast<size_t>(r)];
-    const bool has_l =
-        lc < scratch->lparent.size() && scratch->lparent[lc] == node;
-    const bool has_r =
-        rc < scratch->rparent.size() && scratch->rparent[rc] == node;
-    const float* lrow =
-        has_l ? scratch->lcontrib.Row(static_cast<int>(lc)) : nullptr;
-    const float* rrow =
-        has_r ? scratch->rcontrib.Row(static_cast<int>(rc)) : nullptr;
-    if (has_l) ++lc;
-    if (has_r) ++rc;
-    float* dst = y->Row(node);
-    const float* src = scratch->self.Row(r);
-    for (int c = 0; c < cout; ++c) {
-      float v = src[c] + b[c];
-      if (sps != nullptr) v += sps[c];
-      if (lrow != nullptr) {
-        v += lrow[c];
-        if (spl != nullptr) v += spl[c];
-      }
-      if (rrow != nullptr) {
-        v += rrow[c];
-        if (spr != nullptr) v += spr[c];
-      }
-      if (leaky_alpha >= 0.0f && v < 0.0f) v *= leaky_alpha;
-      dst[c] = v;
-    }
-  }
+  const Matrix* proj[3] = {&scratch->suffix_self, &scratch->suffix_left,
+                           &scratch->suffix_right};
+  FusedEpilogue(scratch->self, &rows, scratch->lparent, scratch->lcontrib,
+                scratch->rparent, scratch->rcontrib, bias_.value.Row(0),
+                s > 0 ? proj : nullptr, /*node_seg=*/nullptr, leaky_alpha, y);
 }
 
 void TreeConv::BackwardTrain(const TreeStructure& tree, const Matrix& x,

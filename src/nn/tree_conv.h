@@ -154,11 +154,15 @@ class TreeConv {
   /// once per node; `node_seg` maps node -> sample row (nullptr = all sample
   /// 0). `gather` must describe `tree` (PackPlanBatch builds it once per
   /// forest). Bias, both side contributions, the suffix projections, and
-  /// (when `leaky_alpha` >= 0) the leaky-ReLU are applied in one fused pass,
-  /// so each post-activation row is written exactly once. Always multiplies
-  /// the LIVE weights (no packed copy), so direct parameter pokes stay
-  /// visible. The per-element op order is a fixed function of the node's
-  /// (left, right) presence alone.
+  /// (when `leaky_alpha` >= 0) the leaky-ReLU are applied by the epilogue
+  /// all three forward passes share, so each post-activation row is written
+  /// exactly once: per row it picks the present addends once, then one
+  /// vectorized loop adds them in the fixed order bias, self suffix, left
+  /// contrib, left suffix, right contrib, right suffix, and applies the
+  /// activation as a select (no per-element branch). Always multiplies the
+  /// LIVE weights (no packed copy), so direct parameter pokes stay visible.
+  /// The per-element op order is a fixed function of the node's (left,
+  /// right) presence alone.
   void ForwardTrain(const TreeStructure& tree, const Matrix& x,
                     const Matrix* suffixes, const int* node_seg,
                     const TreeGather& gather, TrainScratch* scratch,
@@ -182,19 +186,20 @@ class TreeConv {
   /// weight blocks: y = x*W_p + gather(x_left)*W_l + gather(x_right)*W_r + b.
   /// With shared_suffix_dim > 0, `x` holds only the varying (in-s) channels
   /// and `shared_suffix` the common (1 x s) tail. The self GEMM lands in
-  /// `y`, then ONE serial pass per row applies bias, suffix projections,
-  /// both side contributions, and (when `leaky_alpha` >= 0) the leaky-ReLU,
-  /// in the fixed per-element order bias, self suffix, left contrib, left
-  /// suffix, right contrib, right suffix, activation — so each
-  /// post-activation row is written exactly once. `leaky_alpha` < 0 skips
-  /// the activation (pre-activation output). Each output row depends only on
-  /// that node's (self, left, right) features, so results are identical
-  /// whether a tree is scored alone or in a batch. Caller must
-  /// RefreshInferenceWeights() after any weight update; results may differ
-  /// from ForwardTrain by accumulation-order ulps (pre-packed weights). With
-  /// a warmed `scratch` the call performs zero heap allocations. Const and
-  /// safe to call from many threads concurrently when each passes its own
-  /// `scratch` (nullptr allocates locally).
+  /// `y`, then the shared epilogue (see ForwardTrain) finishes each row in
+  /// one vectorized loop: bias, suffix projections, both side contributions,
+  /// and (when `leaky_alpha` >= 0) the leaky-ReLU, in the fixed per-element
+  /// order bias, self suffix, left contrib, left suffix, right contrib,
+  /// right suffix, activation — so each post-activation row is written
+  /// exactly once. `leaky_alpha` < 0 skips the activation (pre-activation
+  /// output). Each output row depends only on that node's (self, left,
+  /// right) features, so results are identical whether a tree is scored
+  /// alone or in a batch. Caller must RefreshInferenceWeights() after any
+  /// weight update; results may differ from ForwardTrain by accumulation-
+  /// order ulps (pre-packed weights). With a warmed `scratch` the call
+  /// performs zero heap allocations. Const and safe to call from many
+  /// threads concurrently when each passes its own `scratch` (nullptr
+  /// allocates locally).
   void ForwardInferenceInto(const TreeStructure& tree, const Matrix& x,
                             const Matrix* shared_suffix, Scratch* scratch,
                             float leaky_alpha, Matrix* y) const;

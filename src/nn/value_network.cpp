@@ -523,12 +523,13 @@ float ValueNetwork::TrainBatch(const PlanSample* const* samples, const float* ta
   for (const Matrix& z : train_post_) live_bytes += z.Size() * sizeof(float);
   for (int li = static_cast<int>(convs_.size()) - 1; li >= 0; --li) {
     // Leaky ReLU backward mask (elementwise): post < 0 iff pre < 0 since
-    // alpha > 0, so the kept post-activations suffice.
+    // alpha > 0, so the kept post-activations suffice. A select, not a
+    // branch, so the loop vectorizes.
     const float* z = train_post_[static_cast<size_t>(li)].data();
     float* g = train_grad_nodes_.data();
-    for (size_t i = 0; i < train_grad_nodes_.Size(); ++i) {
-      if (z[i] < 0.0f) g[i] *= leaky_alpha_;
-    }
+    const size_t size = train_grad_nodes_.Size();
+    const float alpha = leaky_alpha_;
+    for (size_t i = 0; i < size; ++i) g[i] = z[i] < 0.0f ? g[i] * alpha : g[i];
     if (li > 0) {
       convs_[static_cast<size_t>(li)].BackwardTrain(
           packed.forest, train_post_[static_cast<size_t>(li) - 1],
@@ -546,7 +547,10 @@ float ValueNetwork::TrainBatch(const PlanSample* const* samples, const float* ta
                               /*grad_in=*/nullptr, &train_grad_embeds_);
     }
   }
-  query_stack_.BackwardInto(train_grad_embeds_, &train_pipe_, &train_grad_query_);
+  // Query vectors are leaf inputs: no input gradient (the stack's first
+  // layer, a Linear, skips that GEMM).
+  query_stack_.BackwardInto(train_grad_embeds_, &train_pipe_,
+                            /*grad_in=*/nullptr);
 
   adam_->Step();
   ++version_;

@@ -322,7 +322,6 @@ class ValueNetwork {
   Matrix train_grad_nodes_;          ///< Node-gradient ping buffer.
   Matrix train_grad_nodes_tmp_;      ///< Node-gradient pong buffer.
   Matrix train_grad_embeds_;         ///< (B x embed_dim) embedding grads.
-  Matrix train_grad_query_;          ///< Query-stack input gradient (unused).
   PipelineScratch train_pipe_;       ///< Query/head pipeline ping-pong bufs.
   float leaky_alpha_;
   int embed_dim_ = 0;

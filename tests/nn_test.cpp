@@ -507,6 +507,41 @@ TEST(SequentialTest, ComposesAndBackprops) {
   const Matrix x = RandomMatrix(4, 5, rng);
   CheckParamGradients(seq, x);
   CheckInputGradients(seq, x);
+
+  // A null grad_in (a leaf input) skips the first Linear's input-gradient
+  // GEMM; every parameter gradient stays bit-identical to the call with one.
+  std::vector<Param*> params;
+  seq.CollectParams(&params);
+  const Matrix g = RandomMatrix(4, 2, rng);
+  PipelineScratch scratch;
+  Matrix y;
+  auto param_grads = [&](Matrix* grad_in) {
+    for (Param* p : params) p->ZeroGrad();
+    seq.ForwardInto(x, &scratch, &y);
+    seq.BackwardInto(g, &scratch, grad_in);
+    std::vector<Matrix> grads;
+    for (const Param* p : params) grads.push_back(p->grad);
+    return grads;
+  };
+  Matrix grad_in;
+  const std::vector<Matrix> with_input = param_grads(&grad_in);
+  ASSERT_EQ(grad_in.rows(), 4);
+  ASSERT_EQ(grad_in.cols(), 5);
+  const std::vector<Matrix> without_input = param_grads(nullptr);
+  for (size_t k = 0; k < params.size(); ++k) {
+    for (size_t i = 0; i < with_input[k].Size(); ++i) {
+      ASSERT_EQ(with_input[k].data()[i], without_input[k].data()[i])
+          << "param " << k << " elem " << i;
+    }
+  }
+  // Only a Linear knows how to skip its input gradient.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Sequential relu_first;
+  relu_first.Add(std::make_unique<LeakyReLU>());
+  relu_first.Add(std::make_unique<Linear>(5, 2, rng));
+  relu_first.ForwardInto(x, &scratch, &y);
+  EXPECT_DEATH(relu_first.BackwardInto(g, &scratch, nullptr),
+               "NEO_CHECK failed");
 }
 
 // ---- Tree convolution ----------------------------------------------------
@@ -789,99 +824,139 @@ TEST(TreeConvTest, FusedEpilogueBitIdenticalToUnfusedReference) {
   // + bias, + self suffix, [+ left contrib, + left suffix], [+ right contrib,
   // + right suffix], activation last. Swept over every dispatch arm — the
   // epilogue contains only adds, so no arm may contract any step into an
-  // FMA.
-  const int varying = 4, s = 3, cin = varying + s, cout = 6, n = 6;
-  const float alpha = 0.01f;
-  // Forest covering every child shape: both children, left-only, right-only,
-  // and leaves.
-  TreeStructure t;
-  t.left = {1, 3, -1, -1, -1, -1};
-  t.right = {2, -1, -1, -1, 5, -1};
+  // FMA — and over every case the epilogue picks addends for: a suffixed and
+  // a suffix-free layer, with and without the activation, through all three
+  // forward passes (ForwardInferenceInto; ForwardInferenceRows on a subset
+  // and on every row; ForwardTrain on two samples with different suffixes).
+  const int varying = 4, cout = 6;
+  // Forest covering every child shape: both children, left-only,
+  // right-only, leaves, and a lone single-node tree, in two samples.
+  std::vector<int> node_seg;
+  const TreeStructure t = TwoSampleForest(&node_seg);
+  const int n = static_cast<int>(t.NumNodes());
+  const std::vector<int> inference_seg(static_cast<size_t>(n), 0);
   util::Rng rng_x(41);
   const Matrix x = RandomMatrix(n, varying, rng_x);
-  const Matrix suffix = RandomMatrix(1, s, rng_x);
+  const Matrix suffixes = RandomMatrix(2, 3, rng_x);  // One row per sample.
+  Matrix suffix(1, 3);  // The inference passes' shared suffix: sample 0's.
+  std::copy(suffixes.Row(0), suffixes.Row(0) + 3, suffix.Row(0));
+  std::vector<int> lpar, lch, rpar, rch;
+  for (int i = 0; i < n; ++i) {
+    if (t.left[i] >= 0) { lpar.push_back(i); lch.push_back(t.left[i]); }
+    if (t.right[i] >= 0) { rpar.push_back(i); rch.push_back(t.right[i]); }
+  }
+  auto gather = [&](const std::vector<int>& ch) {
+    Matrix g(static_cast<int>(ch.size()), varying);
+    for (size_t r = 0; r < ch.size(); ++r) {
+      std::copy(x.Row(ch[r]), x.Row(ch[r]) + varying,
+                g.Row(static_cast<int>(r)));
+    }
+    return g;
+  };
+  const TreeGather tg = TreeGather::Build(t);
 
   for (KernelIsa isa : AvailableKernelIsas()) {
     KernelIsaScope isa_scope(isa);
-    util::Rng rng(42);
-    TreeConv conv(cin, cout, rng, s);
-    conv.RefreshInferenceWeights();
+    for (const int s : {3, 0}) {
+      const int cin = varying + s;
+      util::Rng rng(42);
+      TreeConv conv(cin, cout, rng, s);
+      conv.RefreshInferenceWeights();
 
-    std::vector<Param*> params;
-    conv.CollectParams(&params);
-    const Matrix& W = params[0]->value;  // (3*cin x cout) stacked blocks.
-    const float* bias = params[1]->value.Row(0);
-    auto block = [&](int blk, int row0, int nrows) {
-      Matrix m(nrows, cout);
-      for (int r = 0; r < nrows; ++r) {
-        std::copy(W.Row(blk * cin + row0 + r),
-                  W.Row(blk * cin + row0 + r) + cout, m.Row(r));
-      }
-      return m;
-    };
-    std::vector<int> lpar, lch, rpar, rch;
-    for (int i = 0; i < n; ++i) {
-      if (t.left[i] >= 0) { lpar.push_back(i); lch.push_back(t.left[i]); }
-      if (t.right[i] >= 0) { rpar.push_back(i); rch.push_back(t.right[i]); }
-    }
-    auto gather = [&](const std::vector<int>& ch) {
-      Matrix g(static_cast<int>(ch.size()), varying);
-      for (size_t r = 0; r < ch.size(); ++r) {
-        std::copy(x.Row(ch[r]), x.Row(ch[r]) + varying,
-                  g.Row(static_cast<int>(r)));
-      }
-      return g;
-    };
-    // Unfused passes. MatMul rows are position-independent and the packed /
-    // block / gather GEMM variants are bit-identical to these entry points,
-    // so any difference below can only come from the epilogue fusion.
-    const Matrix self = MatMul(x, block(0, 0, varying));
-    const Matrix lcontrib = MatMul(gather(lch), block(1, 0, varying));
-    const Matrix rcontrib = MatMul(gather(rch), block(2, 0, varying));
-    const Matrix ps = MatMul(suffix, block(0, varying, s));
-    const Matrix pl = MatMul(suffix, block(1, varying, s));
-    const Matrix pr = MatMul(suffix, block(2, varying, s));
-    Matrix ref(n, cout);
-    size_t lc = 0, rc = 0;
-    for (int i = 0; i < n; ++i) {
-      const bool has_l = lc < lpar.size() && lpar[lc] == i;
-      const bool has_r = rc < rpar.size() && rpar[rc] == i;
-      for (int c = 0; c < cout; ++c) {
-        float v = self.At(i, c) + bias[c];
-        v += ps.At(0, c);
-        if (has_l) {
-          v += lcontrib.At(static_cast<int>(lc), c);
-          v += pl.At(0, c);
+      std::vector<Param*> params;
+      conv.CollectParams(&params);
+      const Matrix& W = params[0]->value;  // (3*cin x cout) stacked blocks.
+      const float* bias = params[1]->value.Row(0);
+      auto block = [&](int blk, int row0, int nrows) {
+        Matrix m(nrows, cout);
+        for (int r = 0; r < nrows; ++r) {
+          std::copy(W.Row(blk * cin + row0 + r),
+                    W.Row(blk * cin + row0 + r) + cout, m.Row(r));
         }
-        if (has_r) {
-          v += rcontrib.At(static_cast<int>(rc), c);
-          v += pr.At(0, c);
-        }
-        if (v < 0.0f) v *= alpha;
-        ref.At(i, c) = v;
+        return m;
+      };
+      // Unfused passes. MatMul rows are position-independent and the packed
+      // / block / gather GEMM variants are bit-identical to these entry
+      // points, so any difference below can only come from the epilogue
+      // fusion.
+      const Matrix self = MatMul(x, block(0, 0, varying));
+      const Matrix lcontrib = MatMul(gather(lch), block(1, 0, varying));
+      const Matrix rcontrib = MatMul(gather(rch), block(2, 0, varying));
+      Matrix ps, pl, pr;  // Per-sample suffix projections (s > 0 only).
+      if (s > 0) {
+        ps = MatMul(suffixes, block(0, varying, s));
+        pl = MatMul(suffixes, block(1, varying, s));
+        pr = MatMul(suffixes, block(2, varying, s));
       }
-      if (has_l) ++lc;
-      if (has_r) ++rc;
-    }
+      // Node i reads suffix projection row seg[i].
+      auto reference = [&](const std::vector<int>& seg, float alpha) {
+        Matrix ref(n, cout);
+        size_t lc = 0, rc = 0;
+        for (int i = 0; i < n; ++i) {
+          const bool has_l = lc < lpar.size() && lpar[lc] == i;
+          const bool has_r = rc < rpar.size() && rpar[rc] == i;
+          const int k = seg[static_cast<size_t>(i)];
+          for (int c = 0; c < cout; ++c) {
+            float v = self.At(i, c) + bias[c];
+            if (s > 0) v += ps.At(k, c);
+            if (has_l) {
+              v += lcontrib.At(static_cast<int>(lc), c);
+              if (s > 0) v += pl.At(k, c);
+            }
+            if (has_r) {
+              v += rcontrib.At(static_cast<int>(rc), c);
+              if (s > 0) v += pr.At(k, c);
+            }
+            if (alpha >= 0.0f && v < 0.0f) v *= alpha;
+            ref.At(i, c) = v;
+          }
+          if (has_l) ++lc;
+          if (has_r) ++rc;
+        }
+        return ref;
+      };
+      auto expect_equal = [&](const Matrix& ref, const Matrix& got,
+                              const char* pass, float alpha) {
+        ASSERT_EQ(got.rows(), n);
+        ASSERT_EQ(got.cols(), cout);
+        for (size_t i = 0; i < ref.Size(); ++i) {
+          ASSERT_EQ(ref.data()[i], got.data()[i])
+              << KernelIsaName(isa) << " s " << s << " alpha " << alpha
+              << " " << pass << " elt " << i;
+        }
+      };
 
-    const TreeGather tg = TreeGather::Build(t);
-    TreeConv::Scratch scratch;
-    Matrix y;
-    conv.ForwardInferenceInto(t, x, &suffix, &scratch, alpha, &y);
-    ASSERT_EQ(y.rows(), n);
-    ASSERT_EQ(y.cols(), cout);
-    for (size_t i = 0; i < ref.Size(); ++i) {
-      ASSERT_EQ(ref.data()[i], y.data()[i])
-          << KernelIsaName(isa) << " infer elt " << i;
-    }
-    // The training forward shares the fused-epilogue contract (same op
-    // order, live weights instead of the packed split).
-    TreeConv::TrainScratch ts;
-    Matrix yt;
-    conv.ForwardTrain(t, x, &suffix, nullptr, tg, &ts, alpha, &yt);
-    for (size_t i = 0; i < ref.Size(); ++i) {
-      ASSERT_EQ(ref.data()[i], yt.data()[i])
-          << KernelIsaName(isa) << " train elt " << i;
+      for (const float alpha : {0.01f, -1.0f}) {
+        const Matrix ref = reference(inference_seg, alpha);
+        TreeConv::Scratch scratch;
+        Matrix y;
+        conv.ForwardInferenceInto(t, x, s > 0 ? &suffix : nullptr, &scratch,
+                                  alpha, &y);
+        expect_equal(ref, y, "infer", alpha);
+
+        // Dirty rows over every child shape (left-only, right-only, both,
+        // lone leaf), then every row; the clean rows hold the reference.
+        for (const std::vector<int>& rows :
+             {std::vector<int>{1, 2, 5, 8},
+              std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}}) {
+          Matrix yr = ref;
+          for (const int r : rows) {
+            std::fill(yr.Row(r), yr.Row(r) + cout, -123.0f);
+          }
+          conv.ForwardInferenceRows(t, x, rows, s > 0 ? &suffix : nullptr,
+                                    &scratch, &yr, alpha);
+          expect_equal(ref, yr, "rows", alpha);
+        }
+
+        // The training forward shares the fused-epilogue contract (same op
+        // order, live weights instead of the packed split), with each
+        // sample's nodes reading that sample's suffix projections.
+        TreeConv::TrainScratch ts;
+        Matrix yt;
+        conv.ForwardTrain(t, x, s > 0 ? &suffixes : nullptr, node_seg.data(),
+                          tg, &ts, alpha, &yt);
+        expect_equal(reference(node_seg, alpha), yt, "train", alpha);
+      }
     }
   }
 }
@@ -1009,16 +1084,53 @@ TEST(AdamTest, ConvergesOnQuadratic) {
 }
 
 TEST(AdamTest, GradClipBoundsUpdate) {
-  Param w;
-  w.value = Matrix(1, 1);
-  w.grad = Matrix(1, 1);
-  AdamOptions opt;
-  opt.lr = 0.1f;
-  opt.grad_clip = 1.0f;
-  Adam adam({&w}, opt);
-  w.grad.At(0, 0) = 1e6f;  // Huge gradient must be clipped.
-  adam.Step();
-  EXPECT_LT(std::fabs(w.value.At(0, 0)), 0.2f);
+  // The global-norm clip scales every gradient by clip / ||g|| when ||g||
+  // exceeds clip. Adam's first step moves a weight by lr * sign(g) whatever
+  // the gradient's scale, so the weights cannot show the clip; the first
+  // moment can: after one step from zero state, m = (1 - beta1) * g', where
+  // g' is the clipped gradient. The parameter sizes (1, 7, 9 and 711 x 64)
+  // put elements in every lane of the norm's lane sum, some parameters
+  // ending mid-lane-row; the reference norm sums serially.
+  const int shapes[][2] = {{1, 1}, {1, 7}, {3, 3}, {711, 64}};
+  util::Rng rng(27);
+  std::vector<Matrix> grads;
+  double norm_sq = 0.0;
+  for (const auto& shape : shapes) {
+    grads.push_back(RandomMatrix(shape[0], shape[1], rng));
+    for (size_t i = 0; i < grads.back().Size(); ++i) {
+      norm_sq += static_cast<double>(grads.back().data()[i]) *
+                 grads.back().data()[i];
+    }
+  }
+  const double norm = std::sqrt(norm_sq);
+  ASSERT_GT(norm, 2.0);
+  // One clip below the norm (scales) and one above it (leaves g alone).
+  for (const float clip : {1.0f, static_cast<float>(2.0 * norm)}) {
+    std::vector<Param> params(grads.size());
+    std::vector<Param*> ptrs;
+    for (size_t k = 0; k < grads.size(); ++k) {
+      params[k].value = Matrix(grads[k].rows(), grads[k].cols());
+      params[k].grad = grads[k];
+      ptrs.push_back(&params[k]);
+    }
+    AdamOptions opt;
+    opt.grad_clip = clip;
+    Adam adam(ptrs, opt);
+    adam.Step();
+    std::vector<Matrix> m, v;
+    int64_t steps = 0;
+    adam.CaptureState(&m, &v, &steps);
+    ASSERT_EQ(m.size(), grads.size());
+    const double scale = norm > clip ? clip / norm : 1.0;
+    for (size_t k = 0; k < grads.size(); ++k) {
+      for (size_t i = 0; i < grads[k].Size(); ++i) {
+        const double expect =
+            (1.0 - opt.beta1) * grads[k].data()[i] * scale;
+        ASSERT_NEAR(m[k].data()[i], expect, 1e-5 * std::fabs(expect) + 1e-12)
+            << "clip " << clip << " param " << k << " elem " << i;
+      }
+    }
+  }
 }
 
 // ---- Value network -------------------------------------------------------
@@ -1228,34 +1340,51 @@ TEST(ValueNetworkTest, TrainBatchLossCurveRepeatsPerArm) {
 
 TEST(ValueNetworkTest, TrainBatchSteadyStateAllocatesNothing) {
   // Once its buffers are at capacity, a training step makes no heap
-  // allocation (TrainBatch counts its whole step as one alloc region). The
-  // shapes are micro_nn's training arm: default ValueNetConfig widths and 64
-  // trees of 9-17 nodes. SmallConfig's shapes are too small to prove it.
+  // allocation (TrainBatch counts its whole step as one alloc region). Two
+  // inputs, micro_nn's two training arms: default ValueNetConfig widths on
+  // 64 trees of 9-17 nodes (sparse_train), and the shapes the repository
+  // benchmark's train workload retrains at — 711-wide query vectors, the
+  // quick config's widths, 32 trees of about 9 nodes (neobench_train).
+  // SmallConfig's shapes are too small to prove it.
   if (!util::AllocCounterActive()) {
     GTEST_SKIP() << "allocation counter compiled out (sanitizer build)";
   }
-  ValueNetConfig cfg;
-  cfg.query_dim = 66;
-  cfg.plan_dim = 21;
-  ValueNetwork net(cfg);
-  util::Rng rng(5);
-  std::vector<PlanSample> samples;
-  std::vector<float> targets;
-  for (int i = 0; i < 64; ++i) {
-    const int nodes = 9 + static_cast<int>(rng.NextBounded(9));
-    samples.push_back(MakeSample(rng, cfg.query_dim, cfg.plan_dim, nodes));
-    targets.push_back(static_cast<float>(rng.NextUniform(-1, 1)));
+  struct Shapes {
+    ValueNetConfig cfg;
+    int batch;
+    int min_nodes;
+  };
+  Shapes sparse_train{ValueNetConfig(), 64, 9};
+  sparse_train.cfg.query_dim = 66;
+  sparse_train.cfg.plan_dim = 21;
+  Shapes neobench_train{ValueNetConfig(), 32, 5};
+  neobench_train.cfg.query_dim = 711;
+  neobench_train.cfg.plan_dim = 21;
+  neobench_train.cfg.query_fc = {64, 32};
+  neobench_train.cfg.tree_channels = {32, 16};
+  neobench_train.cfg.head_fc = {16};
+  for (const Shapes& shapes : {sparse_train, neobench_train}) {
+    ValueNetwork net(shapes.cfg);
+    util::Rng rng(5);
+    std::vector<PlanSample> samples;
+    std::vector<float> targets;
+    for (int i = 0; i < shapes.batch; ++i) {
+      const int nodes = shapes.min_nodes + static_cast<int>(rng.NextBounded(9));
+      samples.push_back(
+          MakeSample(rng, shapes.cfg.query_dim, shapes.cfg.plan_dim, nodes));
+      targets.push_back(static_cast<float>(rng.NextUniform(-1, 1)));
+    }
+    std::vector<const PlanSample*> ptrs;
+    for (const auto& s : samples) ptrs.push_back(&s);
+    net.TrainBatch(ptrs, targets);
+    net.TrainBatch(ptrs, targets);
+    util::ArmAllocCounter(true);
+    util::ResetRegionAllocs();
+    net.TrainBatch(ptrs, targets);
+    const uint64_t allocs = util::RegionAllocs();
+    util::ArmAllocCounter(false);
+    EXPECT_EQ(allocs, 0u) << "query_dim " << shapes.cfg.query_dim;
   }
-  std::vector<const PlanSample*> ptrs;
-  for (const auto& s : samples) ptrs.push_back(&s);
-  net.TrainBatch(ptrs, targets);
-  net.TrainBatch(ptrs, targets);
-  util::ArmAllocCounter(true);
-  util::ResetRegionAllocs();
-  net.TrainBatch(ptrs, targets);
-  const uint64_t allocs = util::RegionAllocs();
-  util::ArmAllocCounter(false);
-  EXPECT_EQ(allocs, 0u);
 }
 
 TEST(ValueNetworkTest, TrainingTracksPeakScratchAndConvStats) {
