@@ -78,22 +78,6 @@ void BM_EncodePlan(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodePlan);
 
-void BM_EncodePlanBatch(benchmark::State& state) {
-  Fixture& f = Fixture::Get();
-  const query::Query& q = f.wl.query(60);
-  const plan::PartialPlan initial = plan::PartialPlan::Initial(q);
-  const auto children = f.neo->search().Children(q, initial);
-  std::vector<const plan::PartialPlan*> ptrs;
-  for (const auto& c : children) ptrs.push_back(&c);
-  nn::PlanBatch batch;
-  for (auto _ : state) {
-    f.feat->EncodePlanBatch(q, ptrs, &batch);
-    benchmark::DoNotOptimize(batch);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(ptrs.size()));
-}
-BENCHMARK(BM_EncodePlanBatch);
-
 void BM_EncodeQuery(benchmark::State& state) {
   Fixture& f = Fixture::Get();
   const query::Query& q = f.wl.query(60);

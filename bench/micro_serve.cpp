@@ -232,10 +232,11 @@ ArmResult RunArm(int clients, int requests, int reps) {
 /// over a few queries under a fresh weight generation per search, so every
 /// search re-salts and does full NN work (as a never-seen serve-cold query
 /// does) while all buffers sit at capacity. RegionAllocs() counts mallocs
-/// inside ScoreAll's probe+forward region only.
+/// inside ScoreAll's scoring rounds only (intern, featurize, conv, pool,
+/// head).
 struct SteadyState {
   uint64_t heap_allocs = 0;
-  size_t slab_peak_bytes = 0;
+  size_t table_peak_bytes = 0;
   bool counter_active = false;
 };
 
@@ -247,8 +248,8 @@ SteadyState MeasureSteadyState() {
   const serve::ServingOptions defaults;
   core::SharedSearchCaches caches(
       static_cast<size_t>(rig.neo->net().TotalConvChannels()),
-      defaults.shared_score_cap, defaults.shared_activation_cap,
-      defaults.cache_shards, defaults.shared_leaf_cap);
+      defaults.shared_score_cap, defaults.shared_leaf_cap,
+      defaults.cache_shards);
   core::PlanSearch search(f.feat.get(), &rig.neo->net());
   uint64_t generation = 0;
   const size_t rotation = std::min<size_t>(4, f.train.size());
@@ -263,7 +264,7 @@ SteadyState MeasureSteadyState() {
   SteadyState out;
   out.heap_allocs = util::RegionAllocs();
   util::ArmAllocCounter(false);
-  out.slab_peak_bytes = search.activation_slab_peak_bytes();
+  out.table_peak_bytes = search.subtree_table_peak_bytes();
   out.counter_active = util::AllocCounterActive();
   return out;
 }
@@ -587,7 +588,7 @@ void WriteServeJson(const std::string& path, int reps) {
                "  \"alloc_counter_active\": %s,\n"
                "  \"steady_state_heap_allocs\": %llu,\n"
                "  \"steady_state_zero_alloc\": %s,\n"
-               "  \"activation_slab_peak_bytes\": %zu,\n"
+               "  \"subtree_table_peak_bytes\": %zu,\n"
                "  \"retrain_overlap\": {\"retrains\": %d,"
                " \"serves_during_retrain\": %llu, \"final_generation\": %llu,"
                " \"qps\": %.2f},\n"
@@ -614,7 +615,7 @@ void WriteServeJson(const std::string& path, int reps) {
                bit_identical ? "true" : "false", qps_scaling_ok ? "true" : "false",
                steady.counter_active ? "true" : "false",
                static_cast<unsigned long long>(steady.heap_allocs),
-               zero_alloc ? "true" : "false", steady.slab_peak_bytes,
+               zero_alloc ? "true" : "false", steady.table_peak_bytes,
                overlap.retrains,
                static_cast<unsigned long long>(overlap.serves_during_retrain),
                static_cast<unsigned long long>(overlap.final_generation),
@@ -651,14 +652,14 @@ void WriteServeJson(const std::string& path, int reps) {
       "serving: 1-client %.0f qps; best multi-client %.0f qps (%u hw threads,"
       " scaling ok: %s);"
       " single-client bit-identical: %s; steady-state allocs %llu"
-      " (slab peak %zu B); %llu serves overlapped %d retrains"
+      " (subtree table peak %zu B); %llu serves overlapped %d retrains"
       " (generation %llu); store arm: %llu types, %llu pinned serves at"
       " %.0f qps; overload: %llu/%llu served under a 10x burst (hwm %zu/cap"
       " %zu vs %zu unbounded, served-wait max %.1f ms vs %.0f ms deadline,"
       " bound %s, %llu abandoned) -> %s\n",
       qps_1, qps_multi_best, hw, qps_scaling_ok ? "yes" : "NO",
       bit_identical ? "yes" : "NO",
-      static_cast<unsigned long long>(steady.heap_allocs), steady.slab_peak_bytes,
+      static_cast<unsigned long long>(steady.heap_allocs), steady.table_peak_bytes,
       static_cast<unsigned long long>(overlap.serves_during_retrain),
       overlap.retrains, static_cast<unsigned long long>(overlap.final_generation),
       static_cast<unsigned long long>(store_arm.types_tracked),

@@ -36,7 +36,7 @@
 //      the network is screened for non-finite loss/weights and loss
 //      divergence; unhealthy retrains roll back to the last-good snapshot
 //      (weights + Adam moments), bumping the weight version so every
-//      score/activation cache invalidates — see model_health.h.
+//      search cache invalidates — see model_health.h.
 //
 // Determinism: guards change only *which* plan executes and *how* its
 // latency is accounted, decided serially at execution time; the planning

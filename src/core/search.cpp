@@ -37,9 +37,9 @@ const plan::PlanNode* FirstUnspecified(const plan::PlanNode& node) {
   return FirstUnspecified(*node.right);
 }
 
-/// Largest subtree (in packed-forest nodes) eligible for the shared leaf
-/// tier: leaves and first-order joins — the rows every fresh search
-/// recomputes in its first expansion rounds.
+/// Largest subtree (in nodes) eligible for the shared leaf tier: leaves and
+/// first-order joins — the rows every fresh search computes in its first
+/// expansion rounds.
 constexpr int kLeafTierMaxNodes = 3;
 
 /// Kernel dispatch arm folded into every shared-cache salt (bits 2+; bit 1
@@ -135,35 +135,130 @@ SearchResult PlanSearch::GreedyPlan(const query::Query& query) {
   return FindPlan(query, options);
 }
 
+void SubtreeTable::Clear(int plan_dim, const std::vector<int>& layer_widths) {
+  bool same = features.cols() == plan_dim && layers.size() == layer_widths.size();
+  for (size_t l = 0; same && l < layers.size(); ++l) {
+    same = layers[l].cols() == layer_widths[l];
+  }
+  if (!same) {
+    // New row widths: the old storage cannot be reused.
+    features = nn::Matrix();
+    layers.assign(layer_widths.size(), nn::Matrix());
+    pool = nn::Matrix();
+    row_capacity_ = 0;
+  }
+  features.Reshape(0, plan_dim);
+  for (size_t l = 0; l < layers.size(); ++l) layers[l].Reshape(0, layer_widths[l]);
+  pool.Reshape(0, layer_widths.back());
+  fp.clear();
+  tree.left.clear();
+  tree.right.clear();
+  nodes.clear();
+  for (Slot& slot : slots_) slot.row = -1;
+}
+
+int SubtreeTable::Find(uint64_t key) const {
+  if (slots_.empty()) return -1;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = util::Mix64(key) & mask; slots_[i].row >= 0; i = (i + 1) & mask) {
+    if (slots_[i].fp == key) return slots_[i].row;
+  }
+  return -1;
+}
+
+int SubtreeTable::Add(uint64_t key, int left, int right) {
+  const int row = size();
+  // Load factor at most 1/2 keeps the linear probes short.
+  if (2 * static_cast<size_t>(row + 1) > slots_.size()) {
+    Rehash(std::max<size_t>(64, 2 * slots_.size()));
+  }
+  if (row == row_capacity_) GrowRows(row + 1);
+  const size_t mask = slots_.size() - 1;
+  size_t i = util::Mix64(key) & mask;
+  while (slots_[i].row >= 0) i = (i + 1) & mask;
+  slots_[i] = {key, row};
+  fp.push_back(key);
+  tree.left.push_back(left);
+  tree.right.push_back(right);
+  nodes.push_back(1 + (left >= 0 ? nodes[static_cast<size_t>(left)] : 0) +
+                  (right >= 0 ? nodes[static_cast<size_t>(right)] : 0));
+  features.Reshape(row + 1, features.cols());
+  for (nn::Matrix& layer : layers) layer.Reshape(row + 1, layer.cols());
+  pool.Reshape(row + 1, pool.cols());
+  return row;
+}
+
+void SubtreeTable::Rehash(size_t slots) {
+  slots_.assign(slots, Slot{0, -1});
+  const size_t mask = slots - 1;
+  for (size_t row = 0; row < fp.size(); ++row) {
+    size_t i = util::Mix64(fp[row]) & mask;
+    while (slots_[i].row >= 0) i = (i + 1) & mask;
+    slots_[i] = {fp[row], static_cast<int>(row)};
+  }
+  NotePeak();
+}
+
+void SubtreeTable::GrowRows(int rows) {
+  int cap = std::max(64, row_capacity_);
+  while (cap < rows) cap *= 2;
+  // Matrix::Reshape does not keep contents when it reallocates, so each
+  // matrix moves its live rows into storage of the new capacity.
+  const auto grow = [cap](nn::Matrix* m) {
+    nn::Matrix grown;
+    grown.Reshape(cap, m->cols());
+    std::copy(m->data(), m->data() + m->Size(), grown.data());
+    const int live = m->rows();
+    *m = std::move(grown);
+    m->Reshape(live, m->cols());
+  };
+  grow(&features);
+  for (nn::Matrix& layer : layers) grow(&layer);
+  grow(&pool);
+  const size_t want = static_cast<size_t>(cap);
+  fp.reserve(want);
+  tree.left.reserve(want);
+  tree.right.reserve(want);
+  nodes.reserve(want);
+  row_capacity_ = cap;
+  NotePeak();
+}
+
+void SubtreeTable::NotePeak() {
+  size_t row_floats = static_cast<size_t>(features.cols() + pool.cols());
+  for (const nn::Matrix& layer : layers) row_floats += static_cast<size_t>(layer.cols());
+  const size_t bytes =
+      slots_.size() * sizeof(Slot) +
+      static_cast<size_t>(row_capacity_) *
+          (row_floats * sizeof(float) + sizeof(uint64_t) + 3 * sizeof(int));
+  peak_bytes_ = std::max(peak_bytes_, bytes);
+}
+
 void PlanSearch::SyncCache(const query::Query& query, const SearchOptions& options) {
   const size_t cap = options.score_cache_cap > 0
                          ? static_cast<size_t>(options.score_cache_cap)
                          : 0;
-  const size_t act_cap = options.activation_cache_cap > 0
-                             ? static_cast<size_t>(options.activation_cache_cap)
-                             : 0;
   if (cache_valid_ && cache_query_fp_ == query.fingerprint &&
       cache_version_ == net_->version() &&
       cache_kernel_isa_ == nn::ActiveKernelIsa() &&
       cache_encoding_epoch_ == featurizer_->encoding_epoch() &&
-      (shared_ != nullptr || (cache_cap_ == cap && act_cache_cap_ == act_cap))) {
+      (shared_ != nullptr || cache_cap_ == cap)) {
     return;
   }
+  // The table's rows depend on the query, the weights, the kernel arm and
+  // the encodings: any change drops them, in either cache mode.
+  table_.Clear(featurizer_->plan_dim(), net_->config().tree_channels);
   if (shared_ == nullptr) {
     // A changed cap also rebuilds: re-capping a live LRU is not worth the
     // complexity for an option that changes between searches, not within one.
-    // The activation cache shares the validity tuple (its entries depend on
-    // the query embedding and the weights exactly like scores do).
     score_cache_.Clear(cap);
-    activation_cache_.Clear(act_cap);
     cache_cap_ = cap;
-    act_cache_cap_ = act_cap;
   } else {
     // Shared mode: the global tables are never cleared; staleness is
     // handled by re-salting, so entries from other tuples are simply never
     // probed. The kernel bits carry a low tag bit so a (fp, version) pair can
     // never produce the same salt as a raw fingerprint.
-    NEO_CHECK(shared_->activations.width() ==
+    NEO_CHECK(shared_->leaf_activations.width() ==
               static_cast<size_t>(net_->TotalConvChannels()));
     salt_ = util::Mix64(util::HashCombine(
         util::HashCombine(
@@ -180,46 +275,58 @@ void PlanSearch::SyncCache(const query::Query& query, const SearchOptions& optio
   cache_valid_ = true;
 }
 
-float PlanSearch::ScoreUncached(const query::Query& query,
-                                const nn::Matrix& query_embedding,
-                                const plan::PartialPlan& plan, uint64_t hash,
-                                SearchResult* result) {
-  ++result->evaluations;
-  nn::TreeStructure tree;
-  nn::Matrix features;
-  featurizer_->EncodePlan(query, plan, &tree, &features);
-  const float score =
-      net_->PredictWithEmbedding(query_embedding, tree, features, &net_ctx_);
-  if (shared_ != nullptr) {
-    if (shared_->scores.Insert(util::HashCombine(hash, salt_), &score)) {
-      ++result->cache_evictions;
+void PlanSearch::BeginSearch(const query::Query& query) {
+  const nn::Matrix query_vec = featurizer_->EncodeQuery(query);
+  // Embeds through this instance's own pipeline scratch: concurrent searches
+  // on one network never share a buffer. The embedding's projection through
+  // layer 0's suffix blocks is fixed for the whole search, so it is computed
+  // here once instead of once per scoring round.
+  net_->EmbedQueryInto(query_vec, &embed_scratch_, &embed_);
+  net_->ProjectQueryInto(embed_, &query_proj_);
+
+  // Shared leaf-tier salt for this search: the embedding's BIT PATTERN (the
+  // rows' true query dependency) plus (version, kernel arm, generation).
+  // Gated on a fingerprint-pure featurizer — with a cardinality channel,
+  // node features depend on the query beyond subtree_fp and rows must not
+  // cross queries.
+  leaf_tier_enabled_ =
+      shared_ != nullptr &&
+      featurizer_->config().card_channel == featurize::CardChannel::kNone;
+  if (leaf_tier_enabled_) {
+    uint64_t ehash = 0x6c656166u;  // "leaf"
+    const float* e = embed_.Row(0);
+    for (int c = 0; c < embed_.cols(); ++c) {
+      uint32_t bits;
+      std::memcpy(&bits, &e[c], sizeof(bits));
+      ehash = util::HashCombine(ehash, bits);
     }
-  } else if (score_cache_.Insert(hash, score)) {
-    ++result->cache_evictions;
+    leaf_salt_ = util::Mix64(util::HashCombine(
+        util::HashCombine(util::HashCombine(ehash, net_->version()),
+                          KernelModeBits()),
+        shared_generation_));
+    leaf_row_scratch_.resize(static_cast<size_t>(net_->TotalConvChannels()));
   }
-  return score;
+  table_.Clear(featurizer_->plan_dim(), net_->config().tree_channels);
 }
 
-float PlanSearch::Score(const query::Query& query, const nn::Matrix& query_embedding,
-                        const plan::PartialPlan& plan, const SearchOptions& options,
-                        SearchResult* result) {
-  SyncCache(query, options);
-  const uint64_t h = plan.Hash();
-  if (shared_ != nullptr) {
-    float v = 0.0f;
-    if (shared_->scores.Get(util::HashCombine(h, salt_), &v)) {
-      ++result->cache_hits;
-      return v;
-    }
-  } else if (const float* hit = score_cache_.Find(h)) {
-    ++result->cache_hits;
-    return *hit;
+int PlanSearch::Intern(const query::Query& query, const plan::PlanNode& node) {
+  int row = table_.Find(node.subtree_fp);
+  if (row >= 0) return row;
+  int left = -1;
+  int right = -1;
+  if (node.is_join) {
+    left = Intern(query, *node.left);
+    right = Intern(query, *node.right);
   }
-  return ScoreUncached(query, query_embedding, plan, h, result);
+  row = table_.Add(node.subtree_fp, left, right);
+  featurizer_->EncodeNode(query, node,
+                          left >= 0 ? table_.features.Row(left) : nullptr,
+                          right >= 0 ? table_.features.Row(right) : nullptr,
+                          table_.features.Row(row));
+  return row;
 }
 
 void PlanSearch::ScoreAll(const query::Query& query,
-                          const nn::Matrix& query_embedding,
                           const std::vector<plan::PartialPlan>& plans,
                           const std::vector<uint64_t>* hashes,
                           const SearchOptions& options, SearchResult* result,
@@ -228,13 +335,10 @@ void PlanSearch::ScoreAll(const query::Query& query,
   NEO_CHECK(hashes == nullptr || hashes->size() == plans.size());
   std::vector<float>& scores = *out;
   scores.assign(plans.size(), 0.0f);
-  std::vector<const plan::PartialPlan*>& misses = miss_scratch_;
   std::vector<size_t>& miss_idx = miss_idx_scratch_;
   std::vector<uint64_t>& miss_hash = miss_hash_scratch_;
-  misses.clear();
   miss_idx.clear();
   miss_hash.clear();
-  misses.reserve(plans.size());
   for (size_t i = 0; i < plans.size(); ++i) {
     const uint64_t h = hashes != nullptr ? (*hashes)[i] : plans[i].Hash();
     bool hit = false;
@@ -249,124 +353,110 @@ void PlanSearch::ScoreAll(const query::Query& query,
       ++result->cache_hits;
       scores[i] = v;
     } else {
-      misses.push_back(&plans[i]);
       miss_idx.push_back(i);
       miss_hash.push_back(h);
     }
   }
-  if (misses.empty()) return;
+  if (miss_idx.empty()) return;
+  result->evaluations += miss_idx.size();
 
-  result->evaluations += misses.size();
-  featurizer_->EncodePlanBatch(query, misses, &batch_scratch_);
-
-  // Incremental tree-conv inference: probe the activation cache per packed
-  // node row, serve hits, and hand the network a store slab for the dirty
-  // rows. Probing only touches (Find splices, never reallocates), and all
-  // inserts happen after the forward pass, so the cached pointers the
-  // network reads stay valid throughout.
-  const size_t entry_floats = static_cast<size_t>(net_->TotalConvChannels());
   const bool leaf_tier = shared_ != nullptr && leaf_tier_enabled_;
+  std::vector<float>& leaf_row = leaf_row_scratch_;
+  const auto leaf_key = [&](int row) {
+    return util::HashCombine(table_.fp[static_cast<size_t>(row)], leaf_salt_);
+  };
   {
-    // NN-eval region: the probe loops, slab writes, and the batched forward
-    // are the steady-state hot section. With a warmed search instance the
-    // whole block performs zero heap allocations (the slab arena resets to
-    // one high-water block; every network buffer is capacity-reused) —
-    // benches assert this via util::RegionAllocs. Cache population below
-    // stays OUTSIDE the region: it is proportional to newly discovered
-    // subtrees, not NN work, and vanishes as the caches warm.
+    // The scoring round — intern, featurize, conv, pool, head. With a warmed
+    // search it performs zero heap allocations (every buffer, the table
+    // included, is at its high-water capacity); benches assert this via
+    // util::RegionAllocs.
     util::AllocRegionScope alloc_region;
-    const size_t n_rows = batch_scratch_.node_fp.size();
-    reuse_scratch_.cached.assign(n_rows, nullptr);
-    reuse_scratch_.store.assign(n_rows, nullptr);
-    slab_arena_.Reset();
-    size_t n_dirty = 0;
-    if (shared_ != nullptr) {
-      // Shared mode sizes the slab for EVERY row: hits are copied out of
-      // the global table under the stripe lock into this search's private
-      // slab (a pointer into the table could be overwritten under the
-      // forward pass by a concurrent search's eviction), and dirty rows are
-      // computed into their own slots for the post-forward inserts.
-      if (leaf_tier) {
-        // Packed-forest subtree sizes for the leaf-tier gate: pre-order
-        // packing puts children at higher indices, so a descending scan
-        // sees every child before its parent.
-        subtree_size_scratch_.assign(n_rows, 1);
-        for (size_t i = n_rows; i-- > 0;) {
-          const int l = batch_scratch_.forest.left[i];
-          const int r = batch_scratch_.forest.right[i];
-          if (l >= 0) subtree_size_scratch_[i] += subtree_size_scratch_[static_cast<size_t>(l)];
-          if (r >= 0) subtree_size_scratch_[i] += subtree_size_scratch_[static_cast<size_t>(r)];
-        }
-      }
-      float* slab = slab_arena_.AllocateArray<float>(n_rows * entry_floats);
-      for (size_t i = 0; i < n_rows; ++i) {
-        float* slot = slab + i * entry_floats;
-        const uint64_t fp = batch_scratch_.node_fp[i];
-        bool hit = shared_->activations.Get(util::HashCombine(fp, salt_), slot);
-        if (!hit && leaf_tier &&
-            subtree_size_scratch_[i] <= kLeafTierMaxNodes) {
-          // Cross-request tier: rows another search (same embedding bits,
-          // weights, kernel arm, generation) already computed.
-          hit = shared_->leaf_activations.Get(util::HashCombine(fp, leaf_salt_),
-                                              slot);
-          if (hit) ++result->leaf_tier_hits;
-        }
-        if (hit) {
-          reuse_scratch_.cached[i] = slot;
-          ++result->activation_hits;
-        } else {
-          reuse_scratch_.store[i] = slot;
-          ++n_dirty;
-        }
-      }
-    } else {
-      for (size_t i = 0; i < n_rows; ++i) {
-        if (std::vector<float>* hit = activation_cache_.Find(batch_scratch_.node_fp[i])) {
-          reuse_scratch_.cached[i] = hit->data();
-          ++result->activation_hits;
-        } else {
-          ++n_dirty;
-        }
-      }
-      float* slab = slab_arena_.AllocateArray<float>(n_dirty * entry_floats);
-      size_t slot = 0;
-      for (size_t i = 0; i < n_rows; ++i) {
-        if (reuse_scratch_.cached[i] == nullptr) {
-          reuse_scratch_.store[i] = slab + (slot++) * entry_floats;
-        }
+
+    // Intern every missed plan's roots. The rows from first_new on are new
+    // this round, each after its children.
+    const int first_new = table_.size();
+    size_t plan_rows = 0;
+    root_rows_scratch_.clear();
+    for (const size_t i : miss_idx) {
+      for (const plan::NodeRef& root : plans[i].roots) {
+        const int row = Intern(query, *root);
+        root_rows_scratch_.push_back(row);
+        plan_rows += static_cast<size_t>(table_.nodes[static_cast<size_t>(row)]);
       }
     }
-    const size_t layers = net_->config().tree_channels.size();
-    result->rows_recomputed += n_dirty * layers;
-    result->rows_reused += (n_rows - n_dirty) * layers;
+    const int n_rows = table_.size();
 
-    net_->PredictBatchInto(query_embedding, batch_scratch_, &net_ctx_,
-                           &reuse_scratch_, &predicted_scratch_);
+    // New small subtrees another request's search already computed come from
+    // the shared leaf tier; every other new row runs through the conv stack.
+    conv_rows_scratch_.clear();
+    for (int r = first_new; r < n_rows; ++r) {
+      if (leaf_tier && table_.nodes[static_cast<size_t>(r)] <= kLeafTierMaxNodes &&
+          shared_->leaf_activations.Get(leaf_key(r), leaf_row.data())) {
+        const float* src = leaf_row.data();
+        for (nn::Matrix& layer : table_.layers) {
+          std::copy(src, src + layer.cols(), layer.Row(r));
+          src += layer.cols();
+        }
+        ++result->leaf_tier_hits;
+        continue;
+      }
+      conv_rows_scratch_.push_back(r);
+    }
+    net_->ForwardRows(table_.tree, table_.features, conv_rows_scratch_,
+                      query_proj_, &net_ctx_, &table_.layers);
+    if (leaf_tier) {
+      // Concurrent inserts of one key are idempotent: the salt pins
+      // (embedding bits, version, kernel arm, generation), so every writer
+      // computed bitwise-identical rows.
+      for (const int r : conv_rows_scratch_) {
+        if (table_.nodes[static_cast<size_t>(r)] > kLeafTierMaxNodes) continue;
+        float* dst = leaf_row.data();
+        for (const nn::Matrix& layer : table_.layers) {
+          std::copy(layer.Row(r), layer.Row(r) + layer.cols(), dst);
+          dst += layer.cols();
+        }
+        shared_->leaf_activations.Insert(leaf_key(r), leaf_row.data());
+      }
+    }
+
+    // Max-pool each new subtree over (its own last-layer row, the left pool,
+    // the right pool), then each plan over its roots in root order: the
+    // order in which DynamicPooling scans a plan's pre-order rows, with the
+    // same strict > comparison, so the pooled bits match the full pass.
+    const nn::Matrix& last = table_.layers.back();
+    const int channels = last.cols();
+    const auto max_into = [channels](const float* src, float* dst) {
+      for (int c = 0; c < channels; ++c) dst[c] = src[c] > dst[c] ? src[c] : dst[c];
+    };
+    for (int r = first_new; r < n_rows; ++r) {
+      float* dst = table_.pool.Row(r);
+      std::copy(last.Row(r), last.Row(r) + channels, dst);
+      const int left = table_.tree.left[static_cast<size_t>(r)];
+      const int right = table_.tree.right[static_cast<size_t>(r)];
+      if (left >= 0) max_into(table_.pool.Row(left), dst);
+      if (right >= 0) max_into(table_.pool.Row(right), dst);
+    }
+    pooled_scratch_.Reshape(static_cast<int>(miss_idx.size()), channels);
+    const int* root_row = root_rows_scratch_.data();
+    for (size_t m = 0; m < miss_idx.size(); ++m) {
+      float* dst = pooled_scratch_.Row(static_cast<int>(m));
+      const size_t n_roots = plans[miss_idx[m]].roots.size();
+      std::copy(table_.pool.Row(root_row[0]),
+                table_.pool.Row(root_row[0]) + channels, dst);
+      for (size_t j = 1; j < n_roots; ++j) max_into(table_.pool.Row(root_row[j]), dst);
+      root_row += n_roots;
+    }
+    net_->PredictPooledInto(pooled_scratch_, &net_ctx_, &predicted_scratch_);
+
+    const size_t computed = conv_rows_scratch_.size();
+    const size_t layers = table_.layers.size();
+    result->activation_hits += plan_rows - computed;
+    result->rows_reused += (plan_rows - computed) * layers;
+    result->rows_recomputed += computed * layers;
   }
   const std::vector<float>& predicted = predicted_scratch_;
 
-  // Populate the cache from the slab. Duplicate fingerprints within one
-  // batch (sibling candidates share almost every subtree) insert once.
-  // Shared-mode concurrent inserts of one fingerprint are idempotent: the
-  // salt pins (query, version, kernel arm, generation), so both writers
-  // computed bitwise-identical rows.
-  act_seen_scratch_.Clear();
-  for (size_t i = 0; i < batch_scratch_.node_fp.size(); ++i) {
-    const float* src = reuse_scratch_.store[i];
-    if (src == nullptr) continue;
-    const uint64_t fp = batch_scratch_.node_fp[i];
-    if (!act_seen_scratch_.Insert(fp)) continue;
-    if (shared_ != nullptr) {
-      shared_->activations.Insert(util::HashCombine(fp, salt_), src);
-      if (leaf_tier && subtree_size_scratch_[i] <= kLeafTierMaxNodes) {
-        shared_->leaf_activations.Insert(util::HashCombine(fp, leaf_salt_), src);
-      }
-    } else {
-      activation_cache_.Insert(fp, std::vector<float>(src, src + entry_floats));
-    }
-  }
-
-  for (size_t m = 0; m < misses.size(); ++m) {
+  for (size_t m = 0; m < miss_idx.size(); ++m) {
     scores[miss_idx[m]] = predicted[m];
     if (shared_ != nullptr) {
       if (shared_->scores.Insert(util::HashCombine(miss_hash[m], salt_),
@@ -383,33 +473,7 @@ SearchResult PlanSearch::FindPlan(const query::Query& query,
                                   const SearchOptions& options) {
   util::Stopwatch watch;
   SearchResult result;
-  const nn::Matrix query_vec = featurizer_->EncodeQuery(query);
-  // Embeds through this instance's own pipeline scratch: concurrent searches
-  // on one network never share a buffer.
-  net_->EmbedQueryInto(query_vec, &embed_scratch_, &embed_);
-  const nn::Matrix& embed = embed_;
-
-  // Shared leaf-tier salt for this search: the embedding's BIT PATTERN (the
-  // activations' true query dependency) plus (version, kernel arm,
-  // generation). Gated on a fingerprint-pure featurizer — with a cardinality
-  // channel, node features depend on the query beyond subtree_fp and rows
-  // must not cross queries.
-  leaf_tier_enabled_ =
-      shared_ != nullptr &&
-      featurizer_->config().card_channel == featurize::CardChannel::kNone;
-  if (leaf_tier_enabled_) {
-    uint64_t ehash = 0x6c656166u;  // "leaf"
-    const float* e = embed.Row(0);
-    for (int c = 0; c < embed.cols(); ++c) {
-      uint32_t bits;
-      std::memcpy(&bits, &e[c], sizeof(bits));
-      ehash = util::HashCombine(ehash, bits);
-    }
-    leaf_salt_ = util::Mix64(util::HashCombine(
-        util::HashCombine(util::HashCombine(ehash, net_->version()),
-                          KernelModeBits()),
-        shared_generation_));
-  }
+  BeginSearch(query);
 
   // Round state lives in members (capacity-reused across requests); heap_ is
   // an explicit push_heap/pop_heap min-heap — the same algorithm
@@ -423,10 +487,15 @@ SearchResult PlanSearch::FindPlan(const query::Query& query,
     std::push_heap(heap_.begin(), heap_.end(), std::greater<HeapEntry>());
   };
 
-  plan::PartialPlan initial = plan::PartialPlan::Initial(query);
-  visited_.Insert(initial.Hash());
-  arena.push_back(initial);
-  heap_push(Score(query, embed, initial, options, &result), 0);
+  // The initial state is scored as a round of its own.
+  child_scratch_.clear();
+  child_scratch_.push_back(plan::PartialPlan::Initial(query));
+  child_hash_scratch_.assign(1, child_scratch_[0].Hash());
+  visited_.Insert(child_hash_scratch_[0]);
+  ScoreAll(query, child_scratch_, &child_hash_scratch_, options, &result,
+           &scores_scratch_);
+  arena.push_back(std::move(child_scratch_[0]));
+  heap_push(scores_scratch_[0], 0);
 
   bool have_complete = false;
   float best_complete_score = 0.0f;
@@ -466,8 +535,8 @@ SearchResult PlanSearch::FindPlan(const query::Query& query,
       child_hash_scratch_.push_back(h);
     }
     child_scratch_.resize(kept);
-    ScoreAll(query, embed, child_scratch_, &child_hash_scratch_, options,
-             &result, &scores_scratch_);
+    ScoreAll(query, child_scratch_, &child_hash_scratch_, options, &result,
+             &scores_scratch_);
     const std::vector<float>& scores = scores_scratch_;
 
     for (size_t i = 0; i < child_scratch_.size(); ++i) {
@@ -494,8 +563,8 @@ SearchResult PlanSearch::FindPlan(const query::Query& query,
     while (!current.IsComplete()) {
       ChildrenInto(query, current, &child_scratch_);
       NEO_CHECK_MSG(!child_scratch_.empty(), "search: dead-end state");
-      ScoreAll(query, embed, child_scratch_, /*hashes=*/nullptr, options,
-               &result, &scores_scratch_);
+      ScoreAll(query, child_scratch_, /*hashes=*/nullptr, options, &result,
+               &scores_scratch_);
       const std::vector<float>& scores = scores_scratch_;
       size_t best_idx = 0;
       for (size_t i = 1; i < scores.size(); ++i) {

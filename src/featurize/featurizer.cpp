@@ -1,7 +1,7 @@
 #include "src/featurize/featurizer.h"
 
+#include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "src/util/rng.h"
 #include "src/util/status.h"
@@ -144,20 +144,21 @@ double Featurizer::CardFeature(const query::Query& query, uint64_t rel_mask) con
 }
 
 void Featurizer::EncodeNode(const query::Query& query, const plan::PlanNode& node,
+                            const float* left, const float* right,
                             float* out) const {
   const int t = schema_.num_tables();
+  std::fill(out, out + plan_dim_, 0.0f);
+  float* scan = out + plan::kNumJoinOps;
   if (node.is_join) {
     out[static_cast<int>(node.join_op)] = 1.0f;
-  }
-  // Scan bits: union over covered relations; per leaf semantics of §3.2.
-  std::function<void(const plan::PlanNode&)> mark = [&](const plan::PlanNode& n) {
-    if (n.is_join) {
-      mark(*n.left);
-      mark(*n.right);
-      return;
-    }
-    float* bits = out + plan::kNumJoinOps + 2 * n.table_id;
-    switch (n.scan_op) {
+    // Scan bits: the union over covered relations (§3.2), i.e. over the
+    // children's rows. Bits are 0 or 1, so the max is the union.
+    const float* lscan = left + plan::kNumJoinOps;
+    const float* rscan = right + plan::kNumJoinOps;
+    for (int c = 0; c < 2 * t; ++c) scan[c] = std::max(lscan[c], rscan[c]);
+  } else {
+    float* bits = scan + 2 * node.table_id;
+    switch (node.scan_op) {
       case plan::ScanOp::kTable: bits[0] = 1.0f; break;
       case plan::ScanOp::kIndex: bits[1] = 1.0f; break;
       case plan::ScanOp::kUnspecified:
@@ -165,29 +166,28 @@ void Featurizer::EncodeNode(const query::Query& query, const plan::PlanNode& nod
         bits[1] = 1.0f;
         break;
     }
-  };
-  mark(node);
+  }
   if (config_.card_channel != CardChannel::kNone) {
     out[plan::kNumJoinOps + 2 * t] = static_cast<float>(CardFeature(query, node.rel_mask));
   }
 }
 
-void Featurizer::AppendPlan(const query::Query& query, const plan::PartialPlan& plan,
-                            int base, nn::TreeStructure* tree,
-                            nn::Matrix* features, std::vector<uint64_t>* fps) const {
-  // Pre-order flattening over all roots of the forest, at offset `base`.
-  int next = base;
-  std::function<int(const plan::PlanNode&)> visit = [&](const plan::PlanNode& node) {
-    const int idx = next++;
-    EncodeNode(query, node, features->Row(idx));
-    if (fps != nullptr) (*fps)[static_cast<size_t>(idx)] = node.subtree_fp;
-    if (node.is_join) {
-      tree->left[static_cast<size_t>(idx)] = visit(*node.left);
-      tree->right[static_cast<size_t>(idx)] = visit(*node.right);
-    }
-    return idx;
-  };
-  for (const auto& r : plan.roots) visit(*r);
+int Featurizer::AppendNode(const query::Query& query, const plan::PlanNode& node,
+                           int* next, nn::TreeStructure* tree,
+                           nn::Matrix* features) const {
+  const int idx = (*next)++;
+  const float* left = nullptr;
+  const float* right = nullptr;
+  if (node.is_join) {
+    const int l = AppendNode(query, *node.left, next, tree, features);
+    const int r = AppendNode(query, *node.right, next, tree, features);
+    tree->left[static_cast<size_t>(idx)] = l;
+    tree->right[static_cast<size_t>(idx)] = r;
+    left = features->Row(l);
+    right = features->Row(r);
+  }
+  EncodeNode(query, node, left, right, features->Row(idx));
+  return idx;
 }
 
 void Featurizer::EncodePlan(const query::Query& query, const plan::PartialPlan& plan,
@@ -196,32 +196,9 @@ void Featurizer::EncodePlan(const query::Query& query, const plan::PartialPlan& 
   for (const auto& r : plan.roots) total_nodes += r->NumNodes();
   tree->left.assign(total_nodes, -1);
   tree->right.assign(total_nodes, -1);
-  *features = nn::Matrix(static_cast<int>(total_nodes), plan_dim_);
-  AppendPlan(query, plan, 0, tree, features);
-}
-
-void Featurizer::EncodePlanBatch(const query::Query& query,
-                                 const std::vector<const plan::PartialPlan*>& plans,
-                                 nn::PlanBatch* batch) const {
-  batch->tree_offsets.clear();
-  batch->tree_offsets.reserve(plans.size() + 1);
-  batch->tree_offsets.push_back(0);
-  size_t total_nodes = 0;
-  for (const plan::PartialPlan* p : plans) {
-    for (const auto& r : p->roots) total_nodes += r->NumNodes();
-    batch->tree_offsets.push_back(static_cast<int>(total_nodes));
-  }
-  batch->forest.left.assign(total_nodes, -1);
-  batch->forest.right.assign(total_nodes, -1);
-  batch->node_fp.assign(total_nodes, 0);
-  // Reshape + Zero reuses the caller's backing store across batches (AppendPlan
-  // writes only the nonzero feature slots, so rows must start zeroed).
-  batch->node_features.Reshape(static_cast<int>(total_nodes), plan_dim_);
-  batch->node_features.Zero();
-  for (size_t i = 0; i < plans.size(); ++i) {
-    AppendPlan(query, *plans[i], batch->tree_offsets[i], &batch->forest,
-               &batch->node_features, &batch->node_fp);
-  }
+  features->Reshape(static_cast<int>(total_nodes), plan_dim_);
+  int next = 0;
+  for (const auto& r : plan.roots) AppendNode(query, *r, &next, tree, features);
 }
 
 nn::PlanSample Featurizer::Encode(const query::Query& query,

@@ -92,31 +92,28 @@ class Featurizer {
   /// Query-level encoding (1 x query_dim).
   nn::Matrix EncodeQuery(const query::Query& query) const;
 
-  /// Plan-level encoding: flattened forest + per-node features.
+  /// Plan-level encoding: flattened forest (pre-order over the roots, in
+  /// root order) + per-node features.
   void EncodePlan(const query::Query& query, const plan::PartialPlan& plan,
                   nn::TreeStructure* tree, nn::Matrix* features) const;
 
-  /// Encodes several plans of one query into a single packed forest (child
-  /// indices offset per plan, features stacked into one matrix) for
-  /// ValueNetwork::PredictBatch. All plans append into shared buffers sized
-  /// once up front. Also emits batch->node_fp — each packed row's subtree
-  /// fingerprint — so the caller can decide which node rows are resident in
-  /// its activation cache and which must be computed.
-  void EncodePlanBatch(const query::Query& query,
-                       const std::vector<const plan::PartialPlan*>& plans,
-                       nn::PlanBatch* batch) const;
+  /// One node's feature row, written in full (plan_dim() floats) from its
+  /// children's rows (both nullptr for a scan): a join sets its operator bit
+  /// and takes the union of its children's scan bits, a scan sets its own
+  /// scan bits, and the optional cardinality channel comes from the node's
+  /// relation set. Nothing walks the subtree, so a caller that keeps its
+  /// children's rows encodes a new node in O(plan_dim). EncodePlan builds
+  /// every row this way.
+  void EncodeNode(const query::Query& query, const plan::PlanNode& node,
+                  const float* left, const float* right, float* out) const;
 
   /// Both encodings bundled as a network sample.
   nn::PlanSample Encode(const query::Query& query, const plan::PartialPlan& plan) const;
 
  private:
-  void EncodeNode(const query::Query& query, const plan::PlanNode& node,
-                  float* out) const;
-  /// Appends one plan's trees at node offset `base` into shared buffers.
-  /// `fps`, when non-null, receives each row's PlanNode::subtree_fp.
-  void AppendPlan(const query::Query& query, const plan::PartialPlan& plan,
-                  int base, nn::TreeStructure* tree, nn::Matrix* features,
-                  std::vector<uint64_t>* fps = nullptr) const;
+  /// Encodes `node`'s subtree at pre-order row *next onward; returns its row.
+  int AppendNode(const query::Query& query, const plan::PlanNode& node,
+                 int* next, nn::TreeStructure* tree, nn::Matrix* features) const;
   double CardFeature(const query::Query& query, uint64_t rel_mask) const;
 
   const catalog::Schema& schema_;

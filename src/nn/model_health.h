@@ -11,8 +11,8 @@
 // back to the most recent good snapshot. Rollback restores Adam moments
 // alongside the weights (restoring weights under diverged moments would let
 // the very next step re-corrupt them) and bumps the weight version, so every
-// score/activation cache keyed on (query, version, ...) invalidates instead
-// of serving stale scores.
+// search cache keyed on (query, version, ...) invalidates instead of serving
+// stale scores.
 #pragma once
 
 #include <cstdint>

@@ -73,7 +73,7 @@ void EpilogueRow(const float* src, const float* bias, const float* const* add,
 void FusedEpilogue(const Matrix& self, const std::vector<int>* nodes,
                    const std::vector<int>& lparent, const Matrix& lcontrib,
                    const std::vector<int>& rparent, const Matrix& rcontrib,
-                   const float* bias, const Matrix* const* proj,
+                   const float* bias, const TreeConv::SuffixProjection* proj,
                    const int* node_seg, float leaky_alpha, Matrix* y) {
   const int cout = y->cols();
   const int count =
@@ -85,14 +85,14 @@ void FusedEpilogue(const Matrix& self, const std::vector<int>* nodes,
     const int seg = node_seg != nullptr ? node_seg[node] : 0;
     const float* add[5];
     int k = 0;
-    if (proj != nullptr) add[k++] = proj[0]->Row(seg);
+    if (proj != nullptr) add[k++] = proj->self.Row(seg);
     if (lc < lparent.size() && lparent[lc] == node) {
       add[k++] = lcontrib.Row(static_cast<int>(lc++));
-      if (proj != nullptr) add[k++] = proj[1]->Row(seg);
+      if (proj != nullptr) add[k++] = proj->left.Row(seg);
     }
     if (rc < rparent.size() && rparent[rc] == node) {
       add[k++] = rcontrib.Row(static_cast<int>(rc++));
-      if (proj != nullptr) add[k++] = proj[2]->Row(seg);
+      if (proj != nullptr) add[k++] = proj->right.Row(seg);
     }
     const float* src = self.Row(r);
     float* dst = y->Row(node);
@@ -164,11 +164,11 @@ void TreeConv::ForwardTrain(const TreeStructure& tree, const Matrix& x,
   if (s > 0) {
     NEO_CHECK(suffixes->cols() == s);
     MatMulBlockInto(*suffixes, weight_.value.Row(0 * cin + top), s, cout,
-                    &scratch->proj_self, &scratch->gemm);
+                    &scratch->proj.self, &scratch->gemm);
     MatMulBlockInto(*suffixes, weight_.value.Row(1 * cin + top), s, cout,
-                    &scratch->proj_left, &scratch->gemm);
+                    &scratch->proj.left, &scratch->gemm);
     MatMulBlockInto(*suffixes, weight_.value.Row(2 * cin + top), s, cout,
-                    &scratch->proj_right, &scratch->gemm);
+                    &scratch->proj.right, &scratch->gemm);
     train_stats_.forward_madds += 3ULL * suffixes->rows() * s * cout;
   }
 
@@ -201,11 +201,9 @@ void TreeConv::ForwardTrain(const TreeStructure& tree, const Matrix& x,
   // Fused epilogue: each post-activation row is written exactly once, and
   // a node's op order is a fixed function of its child presence alone
   // (never of the gather-row count).
-  const Matrix* proj[3] = {&scratch->proj_self, &scratch->proj_left,
-                           &scratch->proj_right};
   FusedEpilogue(*y, nullptr, gather.left.parent, scratch->lcontrib,
                 gather.right.parent, scratch->rcontrib, bias_.value.Row(0),
-                s > 0 ? proj : nullptr, node_seg, leaky_alpha, y);
+                s > 0 ? &scratch->proj : nullptr, node_seg, leaky_alpha, y);
 }
 
 void TreeConv::RefreshInferenceWeights() {
@@ -246,12 +244,7 @@ void TreeConv::ForwardInferenceInto(const TreeStructure& tree, const Matrix& x,
 
   // Per-call suffix projections: the shared channels contribute the same
   // (1 x out) vector to every node (per present block), computed once.
-  if (s > 0) {
-    NEO_CHECK(shared_suffix->cols() == s);
-    MatMulPackedInto(*shared_suffix, w_self_suffix_, &scratch->suffix_self);
-    MatMulPackedInto(*shared_suffix, w_left_suffix_, &scratch->suffix_left);
-    MatMulPackedInto(*shared_suffix, w_right_suffix_, &scratch->suffix_right);
-  }
+  if (s > 0) ProjectSuffixInto(*shared_suffix, &scratch->suffix);
 
   // Self GEMM straight into y; the fused epilogue below finishes each row:
   // bias, self suffix, left contrib, left suffix, right contrib, right
@@ -267,22 +260,31 @@ void TreeConv::ForwardInferenceInto(const TreeStructure& tree, const Matrix& x,
                             &scratch->rparent);
   if (nr > 0) MatMulPackedInto(scratch->gather, w_right_, &scratch->rcontrib);
 
-  const Matrix* proj[3] = {&scratch->suffix_self, &scratch->suffix_left,
-                           &scratch->suffix_right};
   FusedEpilogue(*y, nullptr, scratch->lparent, scratch->lcontrib,
                 scratch->rparent, scratch->rcontrib, bias_.value.Row(0),
-                s > 0 ? proj : nullptr, /*node_seg=*/nullptr, leaky_alpha, y);
+                s > 0 ? &scratch->suffix : nullptr, /*node_seg=*/nullptr,
+                leaky_alpha, y);
+}
+
+void TreeConv::ProjectSuffixInto(const Matrix& shared_suffix,
+                                 SuffixProjection* out) const {
+  NEO_CHECK(shared_suffix_dim_ > 0 && shared_suffix.cols() == shared_suffix_dim_);
+  NEO_CHECK(split_fresh_);
+  MatMulPackedInto(shared_suffix, w_self_suffix_, &out->self);
+  MatMulPackedInto(shared_suffix, w_left_suffix_, &out->left);
+  MatMulPackedInto(shared_suffix, w_right_suffix_, &out->right);
 }
 
 void TreeConv::ForwardInferenceRows(const TreeStructure& tree, const Matrix& x,
                                     const std::vector<int>& rows,
-                                    const Matrix* shared_suffix, Scratch* scratch,
-                                    Matrix* y, float leaky_alpha) const {
+                                    const SuffixProjection* suffix,
+                                    Scratch* scratch, Matrix* y,
+                                    float leaky_alpha) const {
   const int s = shared_suffix_dim_;
   const int top = in_channels_ - s;
   const int cout = weight_.value.cols();
   NEO_CHECK(x.cols() == top);
-  NEO_CHECK((s > 0) == (shared_suffix != nullptr));
+  NEO_CHECK((s > 0) == (suffix != nullptr));
   NEO_CHECK(static_cast<size_t>(x.rows()) == tree.NumNodes());
   NEO_CHECK(y->rows() == x.rows() && y->cols() == cout);
   NEO_CHECK(split_fresh_);
@@ -291,15 +293,8 @@ void TreeConv::ForwardInferenceRows(const TreeStructure& tree, const Matrix& x,
   if (scratch == nullptr) scratch = &local;
   const int d = static_cast<int>(rows.size());
 
-  if (s > 0) {
-    NEO_CHECK(shared_suffix->cols() == s);
-    MatMulPackedInto(*shared_suffix, w_self_suffix_, &scratch->suffix_self);
-    MatMulPackedInto(*shared_suffix, w_left_suffix_, &scratch->suffix_left);
-    MatMulPackedInto(*shared_suffix, w_right_suffix_, &scratch->suffix_right);
-  }
-
-  // Self block gathered over dirty rows; side blocks over the dirty rows'
-  // present children; then one fused epilogue writes each dirty row once.
+  // Self block gathered over the listed rows; side blocks over their
+  // present children; then one fused epilogue writes each listed row once.
   scratch->gather.Reshape(d, top);
   for (int r = 0; r < d; ++r) {
     std::copy(x.Row(rows[static_cast<size_t>(r)]),
@@ -314,11 +309,9 @@ void TreeConv::ForwardInferenceRows(const TreeStructure& tree, const Matrix& x,
                             &scratch->rparent);
   if (nr > 0) MatMulPackedInto(scratch->gather, w_right_, &scratch->rcontrib);
 
-  const Matrix* proj[3] = {&scratch->suffix_self, &scratch->suffix_left,
-                           &scratch->suffix_right};
   FusedEpilogue(scratch->self, &rows, scratch->lparent, scratch->lcontrib,
-                scratch->rparent, scratch->rcontrib, bias_.value.Row(0),
-                s > 0 ? proj : nullptr, /*node_seg=*/nullptr, leaky_alpha, y);
+                scratch->rparent, scratch->rcontrib, bias_.value.Row(0), suffix,
+                /*node_seg=*/nullptr, leaky_alpha, y);
 }
 
 void TreeConv::BackwardTrain(const TreeStructure& tree, const Matrix& x,

@@ -96,18 +96,26 @@ class TreeConv {
   TreeConv(int in_channels, int out_channels, util::Rng& rng,
            int shared_suffix_dim = 0);
 
+  /// Shared suffixes projected through the three suffix weight blocks: row
+  /// k of each matrix is what every node of suffix k's tree adds for its
+  /// self block and, when the child is present, its left and right blocks.
+  /// Inference projects one (1 x s) suffix; training one per sample.
+  struct SuffixProjection {
+    Matrix self, left, right;
+  };
+
   /// Reusable inference scratch: gather buffers, per-side GEMM outputs, and
-  /// the per-call suffix projections. Every buffer is capacity-reused
-  /// (Reshape, fully overwritten), so a warmed Scratch makes repeated
+  /// the full pass's per-call suffix projection. Every buffer is capacity-
+  /// reused (Reshape, fully overwritten), so a warmed Scratch makes repeated
   /// inference forwards heap-allocation-free. The layer itself holds no
   /// inference scratch, so concurrent callers (parallel plan searches) stay
   /// race-free by each owning one Scratch per layer.
   struct Scratch {
     Matrix gather;              ///< Child-feature gather buffer (per side).
-    Matrix self;                ///< Dirty-row self GEMM output (Rows variants).
+    Matrix self;                ///< Row-set self GEMM output (Rows variant).
     Matrix lcontrib, rcontrib;  ///< Per-side GEMM outputs (both live at once
                                 ///< so the epilogue can fuse them).
-    Matrix suffix_self, suffix_left, suffix_right;  ///< Suffix projections.
+    SuffixProjection suffix;    ///< ForwardInferenceInto's projection.
     std::vector<int> lparent, rparent;  ///< Gather-row -> node maps.
   };
 
@@ -120,14 +128,14 @@ class TreeConv {
   struct TrainScratch {
     Matrix lcontrib;   ///< Left-side GEMM output.
     Matrix rcontrib;   ///< Right-side GEMM output.
-    Matrix proj_self, proj_left, proj_right;  ///< (B x cout) suffix projections.
+    SuffixProjection proj;  ///< (B x cout) per-sample suffix projections.
     Matrix seg_grad;   ///< (B x cout) per-sample grad sums (suffix backward).
     Matrix sgrad_tmp;  ///< (B x s) per-block suffix-grad staging.
     GemmScratch gemm;  ///< Pack + transpose staging for the block GEMMs.
 
     size_t Bytes() const {
-      return (lcontrib.Size() + rcontrib.Size() + proj_self.Size() +
-              proj_left.Size() + proj_right.Size() + seg_grad.Size() +
+      return (lcontrib.Size() + rcontrib.Size() + proj.self.Size() +
+              proj.left.Size() + proj.right.Size() + seg_grad.Size() +
               sgrad_tmp.Size() + gemm.staging.Size() + gemm.pack.size()) *
              sizeof(float);
     }
@@ -204,18 +212,26 @@ class TreeConv {
                             const Matrix* shared_suffix, Scratch* scratch,
                             float leaky_alpha, Matrix* y) const;
 
-  /// Incremental variant of ForwardInferenceInto: computes ONLY the output
-  /// rows listed in `rows` (ascending node indices), writing them into the
-  /// pre-sized (nodes x out_channels) `y`; all other rows of `y` must already
-  /// hold their values (the caller fills them from its activation cache).
-  /// `x` still spans every node — a dirty row may gather a clean child's
-  /// input. Each computed row runs the exact gather/GEMM/scatter arithmetic
-  /// of the full pass (MatMul rows are position-independent), so it is
-  /// bit-identical to the same row of ForwardInferenceInto. Same thread-
-  /// safety and RefreshInferenceWeights contract.
+  /// Projects a (1 x s) shared suffix through the three suffix blocks into
+  /// `out` (capacity-reused). The same GEMMs ForwardInferenceInto runs per
+  /// call, so a projection computed once and passed to ForwardInferenceRows
+  /// yields bit-identical rows. Same RefreshInferenceWeights contract.
+  void ProjectSuffixInto(const Matrix& shared_suffix,
+                         SuffixProjection* out) const;
+
+  /// Row-set variant of ForwardInferenceInto: computes ONLY the output rows
+  /// listed in `rows` (ascending node indices), writing them into the
+  /// pre-sized (nodes x out_channels) `y`; no other row of `y` is touched.
+  /// `x` spans every node, and a listed row reads its children's rows of
+  /// `x`, listed or not. With shared_suffix_dim > 0, `suffix` is the suffix's
+  /// projection (ProjectSuffixInto), computed once by the caller rather than
+  /// once per call. Each computed row runs the exact gather/GEMM/scatter
+  /// arithmetic of the full pass (MatMul rows are position-independent), so
+  /// it is bit-identical to the same row of ForwardInferenceInto. Same
+  /// thread-safety and RefreshInferenceWeights contract.
   void ForwardInferenceRows(const TreeStructure& tree, const Matrix& x,
                             const std::vector<int>& rows,
-                            const Matrix* shared_suffix, Scratch* scratch,
+                            const SuffixProjection* suffix, Scratch* scratch,
                             Matrix* y, float leaky_alpha = -1.0f) const;
 
   /// Re-splits the stacked weight into the per-block copies the inference

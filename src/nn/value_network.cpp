@@ -200,8 +200,8 @@ void ValueNetwork::RestoreSnapshot(const WeightSnapshot& snap) {
   }
   adam_->RestoreState(snap.adam_m, snap.adam_v, snap.adam_steps);
   // Same discipline as LoadWeights: any weight mutation bumps the version so
-  // score/activation caches keyed on it invalidate, and the head's packed
-  // copy is dropped eagerly.
+  // search caches keyed on it invalidate, and the head's packed copy is
+  // dropped eagerly.
   head_.InvalidateInferenceWeights();
   ++version_;
 }
@@ -245,7 +245,6 @@ void PackPlanBatchInto(const PlanSample* const* samples, size_t n,
   out->tree_offsets.clear();
   out->tree_offsets.reserve(n + 1);
   out->tree_offsets.push_back(0);
-  out->node_fp.clear();
   out->forest.left.clear();
   out->forest.right.clear();
   size_t total = 0;
@@ -317,97 +316,74 @@ void ValueNetwork::InferencePooledInto(const TreeStructure& tree,
                                        const Matrix& node_features,
                                        const Matrix& query_embedding,
                                        const std::vector<int>& offsets,
-                                       InferenceContext* ctx,
-                                       const ActivationReuse* reuse,
-                                       Matrix* pooled) {
+                                       InferenceContext* ctx, Matrix* pooled) {
   SyncInferenceWeights();
   if (ctx == nullptr) ctx = &default_ctx_;
   if (ctx->conv_scratch.size() < convs_.size()) ctx->conv_scratch.resize(convs_.size());
   if (ctx->conv_out.size() < convs_.size()) ctx->conv_out.resize(convs_.size());
-
-  if (reuse == nullptr) {
-    for (size_t li = 0; li < convs_.size(); ++li) {
-      // Leaky ReLU is fused into the conv's scatter epilogue (bit-identical
-      // to a separate pass), so conv_out[li] holds post-activations.
-      if (li == 0) {
-        convs_[0].ForwardInferenceInto(tree, node_features, &query_embedding,
-                                       &ctx->conv_scratch[0], leaky_alpha_,
-                                       &ctx->conv_out[0]);
-      } else {
-        convs_[li].ForwardInferenceInto(tree, ctx->conv_out[li - 1], nullptr,
-                                        &ctx->conv_scratch[li], leaky_alpha_,
-                                        &ctx->conv_out[li]);
-      }
-    }
-    pool_.ForwardInferenceInto(ctx->conv_out[convs_.size() - 1], offsets, pooled);
-    return;
-  }
-
-  // Incremental path: cached rows are copied in per layer, dirty rows run the
-  // row-restricted gather/GEMM/scatter. Every row of every layer matrix ends
-  // up filled (clean from cache, dirty computed), so a dirty node may sit
-  // anywhere — its children's input rows are always available. Dirty rows get
-  // the same per-row arithmetic (with the same fused leaky ReLU) as the full
-  // pass, and cached rows were themselves computed that way in an earlier
-  // batch, so the pooled result is bit-identical to the non-incremental path.
-  const int n = node_features.rows();
-  NEO_CHECK(reuse->cached.size() == static_cast<size_t>(n));
-  NEO_CHECK(reuse->store.size() == static_cast<size_t>(n));
-  std::vector<int>& dirty = ctx->dirty_rows;
-  dirty.clear();
-  for (int i = 0; i < n; ++i) {
-    if (reuse->cached[static_cast<size_t>(i)] == nullptr) dirty.push_back(i);
-  }
-  int layer_off = 0;
   for (size_t li = 0; li < convs_.size(); ++li) {
-    const int cout = convs_[li].out_channels();
-    Matrix& z = ctx->conv_out[li];
-    z.Reshape(n, cout);
-    for (int i = 0; i < n; ++i) {
-      const float* hit = reuse->cached[static_cast<size_t>(i)];
-      if (hit != nullptr) std::copy(hit + layer_off, hit + layer_off + cout, z.Row(i));
+    // Leaky ReLU is fused into the conv's scatter epilogue (bit-identical to
+    // a separate pass), so conv_out[li] holds post-activations.
+    if (li == 0) {
+      convs_[0].ForwardInferenceInto(tree, node_features, &query_embedding,
+                                     &ctx->conv_scratch[0], leaky_alpha_,
+                                     &ctx->conv_out[0]);
+    } else {
+      convs_[li].ForwardInferenceInto(tree, ctx->conv_out[li - 1], nullptr,
+                                      &ctx->conv_scratch[li], leaky_alpha_,
+                                      &ctx->conv_out[li]);
     }
-    convs_[li].ForwardInferenceRows(tree,
-                                    li == 0 ? node_features : ctx->conv_out[li - 1],
-                                    dirty, li == 0 ? &query_embedding : nullptr,
-                                    &ctx->conv_scratch[li], &z, leaky_alpha_);
-    for (const int i : dirty) {
-      float* out = reuse->store[static_cast<size_t>(i)];
-      if (out != nullptr) {
-        const float* row = z.Row(i);
-        std::copy(row, row + cout, out + layer_off);
-      }
-    }
-    layer_off += cout;
   }
   pool_.ForwardInferenceInto(ctx->conv_out[convs_.size() - 1], offsets, pooled);
 }
 
 std::vector<float> ValueNetwork::PredictBatch(const Matrix& query_embedding,
                                               const PlanBatch& batch,
-                                              InferenceContext* ctx,
-                                              const ActivationReuse* reuse) {
-  std::vector<float> out;
-  PredictBatchInto(query_embedding, batch, ctx, reuse, &out);
-  return out;
-}
-
-void ValueNetwork::PredictBatchInto(const Matrix& query_embedding,
-                                    const PlanBatch& batch,
-                                    InferenceContext* ctx,
-                                    const ActivationReuse* reuse,
-                                    std::vector<float>* out) {
-  out->clear();
+                                              InferenceContext* ctx) {
   const int n_plans = batch.size();
-  if (n_plans == 0) return;
+  if (n_plans == 0) return {};
   NEO_CHECK(batch.node_features.rows() ==
             static_cast<int>(batch.forest.NumNodes()));
   if (ctx == nullptr) ctx = &default_ctx_;
   InferencePooledInto(batch.forest, batch.node_features, query_embedding,
-                      batch.tree_offsets, ctx, reuse, &ctx->pooled);
-  head_.ForwardInferenceInto(ctx->pooled, &ctx->head_pipe, &ctx->scores);
-  out->resize(static_cast<size_t>(n_plans));
-  for (int i = 0; i < n_plans; ++i) {
+                      batch.tree_offsets, ctx, &ctx->pooled);
+  std::vector<float> out;
+  PredictPooledInto(ctx->pooled, ctx, &out);
+  return out;
+}
+
+void ValueNetwork::ProjectQueryInto(const Matrix& query_embedding,
+                                    TreeConv::SuffixProjection* out) {
+  SyncInferenceWeights();
+  convs_[0].ProjectSuffixInto(query_embedding, out);
+}
+
+void ValueNetwork::ForwardRows(const TreeStructure& tree, const Matrix& features,
+                               const std::vector<int>& rows,
+                               const TreeConv::SuffixProjection& query,
+                               InferenceContext* ctx,
+                               std::vector<Matrix>* layers) {
+  SyncInferenceWeights();
+  if (ctx == nullptr) ctx = &default_ctx_;
+  if (ctx->conv_scratch.size() < convs_.size()) ctx->conv_scratch.resize(convs_.size());
+  NEO_CHECK(layers->size() == convs_.size());
+  // Layer l of every listed row runs after layer l-1 of all of them, so a
+  // row may list its children in the same call.
+  for (size_t li = 0; li < convs_.size(); ++li) {
+    convs_[li].ForwardInferenceRows(tree, li == 0 ? features : (*layers)[li - 1],
+                                    rows, li == 0 ? &query : nullptr,
+                                    &ctx->conv_scratch[li], &(*layers)[li],
+                                    leaky_alpha_);
+  }
+}
+
+void ValueNetwork::PredictPooledInto(const Matrix& pooled, InferenceContext* ctx,
+                                     std::vector<float>* out) {
+  SyncInferenceWeights();
+  if (ctx == nullptr) ctx = &default_ctx_;
+  head_.ForwardInferenceInto(pooled, &ctx->head_pipe, &ctx->scores);
+  out->resize(static_cast<size_t>(pooled.rows()));
+  for (int i = 0; i < pooled.rows(); ++i) {
     (*out)[static_cast<size_t>(i)] = ctx->scores.At(i, 0);
   }
 }
@@ -433,7 +409,7 @@ float ValueNetwork::PredictWithEmbedding(const Matrix& query_embedding,
   const std::vector<int> offsets = {0, n};
   if (ctx == nullptr) ctx = &default_ctx_;
   InferencePooledInto(tree, node_features, query_embedding, offsets, ctx,
-                      nullptr, &ctx->pooled);
+                      &ctx->pooled);
   head_.ForwardInferenceInto(ctx->pooled, &ctx->head_pipe, &ctx->scores);
   return ctx->scores.At(0, 0);
 }

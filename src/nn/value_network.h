@@ -73,15 +73,9 @@ struct PlanBatch {
   TreeStructure forest;           ///< Concatenated trees, offset child indices.
   Matrix node_features;           ///< (total nodes x plan_dim)
   std::vector<int> tree_offsets;  ///< size() + 1 monotone row offsets.
-  /// Per node row: the plan node's subtree fingerprint (PlanNode::subtree_fp)
-  /// — the key of the search's activation cache. Filled by
-  /// Featurizer::EncodePlanBatch; empty when packed without plan identity
-  /// (PackPlanBatch for training).
-  std::vector<uint64_t> node_fp;
   /// Present-child gather lists for `forest`, built once by PackPlanBatch and
   /// shared by every training conv layer's forward AND backward (the forest
-  /// structure is layer-invariant). Empty when the batch was packed by a
-  /// producer that never trains on it (Featurizer::EncodePlanBatch).
+  /// structure is layer-invariant).
   TreeGather gather;
 
   int size() const {
@@ -100,25 +94,6 @@ PlanBatch PackPlanBatch(const std::vector<const PlanSample*>& samples);
 void PackPlanBatchInto(const PlanSample* const* samples, size_t n,
                        PlanBatch* out);
 
-/// Per-node activation reuse for the incremental PredictBatch path. For node
-/// row i of a packed forest:
-///   cached[i] — non-null: every conv layer's post-activation row is served
-///               from this buffer instead of being computed (layer l occupies
-///               floats [sum of earlier out_channels, +out_channels_l) — the
-///               concatenated layout of ValueNetwork::TotalConvChannels()
-///               floats); null: the row is dirty and recomputed.
-///   store[i]  — non-null (dirty rows only): the network writes the row's
-///               computed post-activation values in the same concatenated
-///               layout, so the caller can populate its activation cache.
-/// Both vectors span all node rows. A cached row must have been produced by
-/// this network at the current weight version for the same (query embedding,
-/// subtree) — the caller's cache keying enforces that — and then the batch's
-/// scores are bit-identical to a non-incremental PredictBatch.
-struct ActivationReuse {
-  std::vector<const float*> cached;
-  std::vector<float*> store;
-};
-
 class ValueNetwork {
  public:
   /// Per-caller scratch for the inference paths. The network's inference is
@@ -129,7 +104,6 @@ class ValueNetwork {
   /// a network-owned default context, which is single-thread only.
   struct InferenceContext {
     std::vector<TreeConv::Scratch> conv_scratch;  ///< One per conv layer (lazy).
-    std::vector<int> dirty_rows;  ///< Incremental-path row-list scratch.
     /// Capacity-reused forward buffers: per-conv-layer post-activation
     /// outputs, the pooled matrix, the FC-head pipeline scratch, and the
     /// head's (N x 1) score output. One warm call per shape high-water mark
@@ -152,22 +126,49 @@ class ValueNetwork {
                              InferenceContext* ctx = nullptr);
 
   /// Batched inference over a packed forest sharing one query embedding: one
-  /// forward pass scores all plans (each conv layer and the head run as a
-  /// single large GEMM instead of N small ones). Per-plan results match
-  /// PredictWithEmbedding bit-for-bit.
+  /// full forward pass scores all plans (each conv layer and the head run as
+  /// a single large GEMM instead of N small ones). Per-plan results match
+  /// PredictWithEmbedding bit-for-bit. The full-pass oracle the search's
+  /// row-set scoring is tested against.
   std::vector<float> PredictBatch(const Matrix& query_embedding, const PlanBatch& batch,
-                                  InferenceContext* ctx = nullptr,
-                                  const ActivationReuse* reuse = nullptr);
+                                  InferenceContext* ctx = nullptr);
 
-  /// PredictBatch into a caller-owned score vector (resized; capacity-
-  /// reused). Bit-identical to PredictBatch; with a warmed context and
-  /// output this is the zero-steady-state-allocation serving form.
-  void PredictBatchInto(const Matrix& query_embedding, const PlanBatch& batch,
-                        InferenceContext* ctx, const ActivationReuse* reuse,
-                        std::vector<float>* out);
+  // ---- Row-set inference (the plan search's scoring path) -----------------
+  //
+  // The search keeps a table of distinct subtrees, one row per subtree, and
+  // runs the network in three steps: ProjectQueryInto once per search,
+  // ForwardRows over each round's new rows, and PredictPooledInto over the
+  // round's pooled plans (the max-pool in between is the caller's). A node's
+  // conv rows depend only on its subtree's rows and the query embedding, and
+  // every kernel is row-position-independent, so every score is bit-identical
+  // to PredictBatch over the same plans.
 
-  /// Floats per node of a concatenated all-conv-layer activation entry (the
-  /// ActivationReuse buffer size): sum of the conv stack's out_channels.
+  /// Layer 0's projection of a (1 x embed_dim) query embedding through its
+  /// suffix blocks (capacity-reused). Computed once per search and passed to
+  /// every ForwardRows call of that search.
+  void ProjectQueryInto(const Matrix& query_embedding,
+                        TreeConv::SuffixProjection* out);
+
+  /// The conv stack over the listed rows of a row table. `tree` gives each
+  /// row's child rows, `features` holds every row's plan features, and
+  /// layers[l] (pre-sized to (rows x tree_channels[l]), one matrix per conv
+  /// layer) receives the post-activation rows of layer l. Only the listed
+  /// rows are written; a listed row reads its children's rows of layer l-1,
+  /// which must already hold their values (computed earlier, or listed in
+  /// this call). `query` is ProjectQueryInto's result for the same weights.
+  /// With a warmed ctx this performs zero heap allocations.
+  void ForwardRows(const TreeStructure& tree, const Matrix& features,
+                   const std::vector<int>& rows,
+                   const TreeConv::SuffixProjection& query,
+                   InferenceContext* ctx, std::vector<Matrix>* layers);
+
+  /// The FC head over (N x tree_channels.back()) max-pooled rows: one score
+  /// per row into `out` (resized; capacity-reused).
+  void PredictPooledInto(const Matrix& pooled, InferenceContext* ctx,
+                         std::vector<float>* out);
+
+  /// Sum of the conv stack's out_channels: the width of one node's rows
+  /// across every conv layer.
   int TotalConvChannels() const { return total_conv_channels_; }
 
   /// Convenience overload packing per-sample trees/features on the fly.
@@ -248,7 +249,7 @@ class ValueNetwork {
 
   /// Restores a snapshot captured from this network. Bumps version() and
   /// invalidates the packed inference weights (same discipline as
-  /// LoadWeights), so every score/activation cache keyed on the net version
+  /// LoadWeights), so every search cache keyed on the net version
   /// drops its entries instead of serving values from the rolled-back-over
   /// weights.
   void RestoreSnapshot(const WeightSnapshot& snap);
@@ -272,18 +273,15 @@ class ValueNetwork {
   void SyncInferenceWeights();
 
   /// Inference conv stack + segmented pooling shared by PredictBatch and the
-  /// single-plan prediction path (offsets {0, n} for one tree).
-  /// `reuse`, when non-null, serves cached rows and computes only dirty ones
-  /// (see ActivationReuse). Writes the pooled (N x C) matrix into `pooled`
-  /// (a ctx buffer — capacity-reused); every conv layer runs the fused
-  /// bias/suffix/side/leaky-ReLU epilogue, so with a warmed ctx the whole
-  /// pass performs zero heap allocations.
+  /// single-plan prediction path (offsets {0, n} for one tree). Writes the
+  /// pooled (N x C) matrix into `pooled` (a ctx buffer — capacity-reused);
+  /// every conv layer runs the fused bias/suffix/side/leaky-ReLU epilogue,
+  /// so with a warmed ctx the whole pass performs zero heap allocations.
   void InferencePooledInto(const TreeStructure& tree,
                            const Matrix& node_features,
                            const Matrix& query_embedding,
                            const std::vector<int>& offsets,
-                           InferenceContext* ctx, const ActivationReuse* reuse,
-                           Matrix* pooled);
+                           InferenceContext* ctx, Matrix* pooled);
 
   /// Records `live_bytes` plus every layer's retained training scratch into
   /// the peak-scratch high-water mark.

@@ -92,13 +92,17 @@ uint64_t PartialPlan::CoveredMask() const {
 }
 
 uint64_t PartialPlan::Hash() const {
-  // Order-independent: combine sorted root hashes.
-  std::vector<uint64_t> hashes;
-  hashes.reserve(roots.size());
-  for (const auto& r : roots) hashes.push_back(r->hash);
-  std::sort(hashes.begin(), hashes.end());
-  uint64_t h = util::Mix64(0xf0e57ULL + hashes.size());
-  for (uint64_t x : hashes) h = util::HashCombine(h, x);
+  // Order-independent: combine sorted root hashes. Roots have disjoint,
+  // non-empty rel_masks, so a forest has at most 64 of them and the sort
+  // runs in a fixed on-stack buffer (search hashes every child it makes).
+  constexpr size_t kMaxRoots = 64;
+  NEO_CHECK(roots.size() <= kMaxRoots);
+  uint64_t hashes[kMaxRoots];
+  const size_t n = roots.size();
+  for (size_t i = 0; i < n; ++i) hashes[i] = roots[i]->hash;
+  std::sort(hashes, hashes + n);
+  uint64_t h = util::Mix64(0xf0e57ULL + n);
+  for (size_t i = 0; i < n; ++i) h = util::HashCombine(h, hashes[i]);
   return h;
 }
 

@@ -58,7 +58,7 @@ struct PlanNode {
   /// (scan/join bits depend on ops + tables; the optional cardinality channel
   /// depends on rel_mask). Within one query, equal fingerprints imply
   /// bit-identical feature rows for the node and all descendants — the key of
-  /// the search's per-node conv-activation cache. Cached at construction.
+  /// the search's subtree table. Cached at construction.
   uint64_t subtree_fp = 0;
 
   size_t NumNodes() const;

@@ -16,8 +16,8 @@ ServingCore::ServingCore(core::Neo* neo, ServingOptions options)
       options_(std::move(options)),
       rcu_(neo->net().config()),
       caches_(static_cast<size_t>(neo->net().TotalConvChannels()),
-              options_.shared_score_cap, options_.shared_activation_cap,
-              options_.cache_shards, options_.shared_leaf_cap) {
+              options_.shared_score_cap, options_.shared_leaf_cap,
+              options_.cache_shards) {
   options_.workers = std::max(1, options_.workers);
   if (options_.store != nullptr) {
     // Every serve through the choke point records into the store; Decide()
@@ -382,6 +382,11 @@ ServeResult ServingCore::ServeOne(core::PlanSearch& search, const Task& task,
   out.plan_hash = found.plan.Hash();
   out.total_ms = task.queued.ElapsedMs();
   leaf_tier_hits_.fetch_add(found.leaf_tier_hits, std::memory_order_relaxed);
+  activation_hits_.fetch_add(found.activation_hits, std::memory_order_relaxed);
+  // rows_recomputed sums over the conv layers; the misses count node rows.
+  activation_misses_.fetch_add(
+      found.rows_recomputed / ref.net->config().tree_channels.size(),
+      std::memory_order_relaxed);
   out.search = std::move(found);
   MaybeSyncStore();
 
@@ -425,7 +430,8 @@ ServingStats ServingCore::stats() const {
   s.worker_exceptions = worker_exceptions_.load(std::memory_order_relaxed);
   s.generation = rcu_.generation();
   s.score_cache = caches_.scores.TotalStats();
-  s.activation_cache = caches_.activations.TotalStats();
+  s.activation_cache.hits = activation_hits_.load(std::memory_order_relaxed);
+  s.activation_cache.misses = activation_misses_.load(std::memory_order_relaxed);
   s.leaf_cache = caches_.leaf_activations.TotalStats();
   s.leaf_tier_hits = leaf_tier_hits_.load(std::memory_order_relaxed);
   if (options_.store != nullptr) {

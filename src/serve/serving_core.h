@@ -10,7 +10,7 @@
 //             │ 1. ModelRcu::Acquire()      — wait-free weight snapshot
 //             │ 2. search.Rebind(snapshot)  — + shared-cache re-salt
 //             │ 3. FindPlan()               — scores through the shared
-//             │                               score/activation caches
+//             │                               score and leaf caches
 //             │ 4. Neo::Serve()             — guarded execute/learn
 //             ▼
 //        per-request ServeResult
@@ -25,23 +25,25 @@
 //    concurrency is the only parallelism in the serving core.
 //
 // 2. One scoring path. Each worker's search scores its own candidate
-//    batches through the same ValueNetwork::PredictBatchInto call a
-//    standalone PlanSearch uses; requests never wait on each other's
+//    batches through the same subtree table and ValueNetwork row-set calls
+//    a standalone PlanSearch uses; requests never wait on each other's
 //    scoring rounds (concurrent searches rarely reach a round together, so
 //    waiting to merge their batches costs more than a larger GEMM saves).
 //    Network inference writes only the worker's own scratch (after the
 //    snapshot's once-per-version weight-split refresh), so N workers score
 //    one RCU snapshot concurrently without locks.
 //
-// 3. Shared score/activation caches (core::SharedSearchCaches). Every
+// 3. Shared score and leaf caches (core::SharedSearchCaches). Every
 //    worker's search scores through process-global flat, fixed-capacity,
 //    8-way set-associative row tables (util::RowCache) with one lock per
 //    stripe of sets, so repeat queries hit scores cached by ANY worker and
-//    common subtrees share conv activations across searches. Hits are copied
-//    out under the stripe lock; no pointer into a table escapes. Keys are
-//    salted with (query fp, net version, kernel arm, RCU generation):
-//    invalidation is free — entries of dead snapshots simply stop being
-//    probed and are evicted as their sets fill.
+//    the small subtrees every search starts with share conv rows across
+//    requests. Hits are copied out under the stripe lock; no pointer into a
+//    table escapes. Keys are salted with (query fp or embedding bits, net
+//    version, kernel arm, RCU generation): invalidation is free — entries of
+//    dead snapshots simply stop being probed and are evicted as their sets
+//    fill. Within one search, each distinct subtree is scored once through
+//    the search's own table (see search.h), which no other worker touches.
 //
 // 4. RCU weight snapshots (model_rcu.h). Background retraining mutates only
 //    Neo's primary network; PublishWeights()/RetrainAndPublish() snapshot it
@@ -136,14 +138,13 @@ namespace neo::serve {
 struct ServingOptions {
   int workers = 2;  ///< Request worker threads (clamped to >= 1).
   bool coalesce = false;  ///< Ignored; kept so existing callers compile.
-  /// Entry caps of the shared score, activation and cross-query leaf
-  /// activation tiers (see core::SharedSearchCaches). Each cap (>= 1) is an
-  /// upper bound rounded down to whole 8-way sets — a power-of-two number of
-  /// them, so the defaults are exact — and is exact below 8 (one set of
-  /// `cap` ways). shared_leaf_cap 0 defaults to shared_activation_cap.
+  /// Entry caps of the shared score tier and the cross-query leaf
+  /// activation tier (see core::SharedSearchCaches): 1,048,576 scores and
+  /// 131,072 leaf rows by default. Each cap (>= 1) is an upper bound rounded
+  /// down to whole 8-way sets — a power-of-two number of them, so the
+  /// defaults are exact — and is exact below 8 (one set of `cap` ways).
   size_t shared_score_cap = 1 << 20;
-  size_t shared_activation_cap = 128 * 1024;
-  size_t shared_leaf_cap = 0;
+  size_t shared_leaf_cap = 128 * 1024;
   /// Lock-stripe count of each shared tier (rounded up to a power of two,
   /// at most one stripe per set).
   int cache_shards = 16;
@@ -208,6 +209,8 @@ struct ServingStats {
   uint64_t requests = 0;
   uint64_t generation = 0;
   util::RowCacheStats score_cache;
+  /// Node rows the workers' searches served from their subtree tables or
+  /// the leaf tier (hits) and computed (misses); the other fields stay 0.
   util::RowCacheStats activation_cache;
   util::RowCacheStats leaf_cache;     ///< Cross-query leaf activation tier.
   uint64_t leaf_tier_hits = 0;        ///< Rows served from the leaf tier.
@@ -349,6 +352,8 @@ class ServingCore {
   std::atomic<uint64_t> degraded_pinned_serves_{0};
   std::atomic<uint64_t> worker_exceptions_{0};
   std::atomic<uint64_t> leaf_tier_hits_{0};
+  std::atomic<uint64_t> activation_hits_{0};
+  std::atomic<uint64_t> activation_misses_{0};
   std::atomic<uint64_t> store_pinned_serves_{0};
   /// Requests since start, for the store_sync_every cadence.
   std::atomic<uint64_t> store_ops_{0};

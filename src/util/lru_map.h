@@ -1,5 +1,5 @@
-// Exact-LRU bounded map, extracted from PlanSearch's score cache so the
-// score cache and the tree-conv activation cache share one implementation.
+// Exact-LRU bounded map: PlanSearch's private score cache and the execution
+// engine's latency memo.
 #pragma once
 
 #include <cstddef>

@@ -2,6 +2,7 @@
 // end-to-end learning loop (bootstrap -> episodes -> improvement).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <set>
 #include <string>
@@ -10,11 +11,33 @@
 
 #include "src/core/neo.h"
 #include "src/datagen/imdb_gen.h"
+#include "src/optim/card_estimator.h"
 #include "src/query/builder.h"
 #include "src/query/job_workload.h"
 #include "src/util/alloc_counter.h"
 
 namespace neo::core {
+
+/// Drives PlanSearch's scoring path directly: the rounds of one search
+/// without the best-first loop around them.
+class PlanSearchTestPeer {
+ public:
+  static void Begin(PlanSearch* search, const query::Query& q) {
+    search->BeginSearch(q);
+  }
+  static std::vector<float> Score(PlanSearch* search, const query::Query& q,
+                                  const std::vector<plan::PartialPlan>& plans) {
+    SearchResult result;
+    std::vector<float> scores;
+    search->ScoreAll(q, plans, /*hashes=*/nullptr, SearchOptions{}, &result,
+                     &scores);
+    return scores;
+  }
+  static const SubtreeTable& Table(const PlanSearch& search) {
+    return search.table_;
+  }
+};
+
 namespace {
 
 using engine::EngineKind;
@@ -285,10 +308,10 @@ TEST_F(CoreFixture, SearchFindsCompleteValidPlan) {
 }
 
 TEST_F(CoreFixture, WarmSearchScoringAllocatesNothing) {
-  // Once warm, a search's scoring region (cache probes + batched forward,
-  // counted inside ScoreAll) makes no heap allocation, both with private
-  // caches and bound to SharedSearchCaches under a fresh generation per
-  // search, as micro_serve's steady-state probe runs it.
+  // Once warm, a search's scoring rounds (intern, featurize, conv, pool and
+  // head, counted inside ScoreAll) make no heap allocation, both with
+  // private caches and bound to SharedSearchCaches under a fresh generation
+  // per search, as micro_serve's steady-state probe runs it.
   if (!util::AllocCounterActive()) {
     GTEST_SKIP() << "allocation counter compiled out (sanitizer build)";
   }
@@ -330,7 +353,7 @@ TEST_F(CoreFixture, WarmSearchScoringAllocatesNothing) {
       << "private caches";
   SharedSearchCaches caches(
       static_cast<size_t>(neo.net().TotalConvChannels()), /*score_cap=*/4096,
-      /*activation_cap=*/4096, /*stripes=*/4, /*leaf_cap=*/1024);
+      /*leaf_cap=*/1024, /*stripes=*/4);
   PlanSearch shared(featurizer_, &neo.net());
   EXPECT_EQ(counted_search_allocs(&shared, &caches), 0u) << "shared caches";
 }
@@ -347,12 +370,12 @@ TEST_F(CoreFixture, GreedyModeCompletesWithoutHeapSearch) {
 }
 
 TEST_F(CoreFixture, IncrementalSearchReusesActivationsPerArm) {
-  // The incremental search actually reuses activations, and a repeated
-  // search on a fresh Neo is bit-identical. The whole suite runs once per
-  // kernel dispatch arm (forced-portable and dispatched SIMD), with a
-  // separate baseline per arm — bit-identity is a within-arm contract. (That
-  // reused rows equal recomputed ones is
-  // IncrementalScoresBitIdenticalAlongParentChildChains.)
+  // The search actually reuses subtree rows, and a repeated search on a
+  // fresh Neo is bit-identical. The whole suite runs once per kernel
+  // dispatch arm (forced-portable and dispatched SIMD), with a separate
+  // baseline per arm — bit-identity is a within-arm contract. (That reused
+  // rows score like a full pass is
+  // SubtreeTableScoresBitIdenticalAlongParentChildChains.)
   engine::ExecutionEngine engine(ds_->schema, *ds_->db, EngineKind::kPostgres);
   const auto wl = query::MakeJobWorkload(ds_->schema, *ds_->db);
   const Query& q = wl.query(60);  // A JOB query (5 relations).
@@ -368,7 +391,7 @@ TEST_F(CoreFixture, IncrementalSearchReusesActivationsPerArm) {
       EXPECT_TRUE(r.plan.IsComplete());
       EXPECT_GT(r.activation_hits, 0u);
       // Children share all but a spine with their parent; after the first
-      // expansion the cache serves far more rows than are recomputed.
+      // expansion the table serves far more rows than are computed.
       EXPECT_GT(r.rows_reused, r.rows_recomputed);
       if (!have_baseline) {
         baseline = r;
@@ -390,8 +413,8 @@ TEST_F(CoreFixture, IncrementalSearchReusesActivationsPerArm) {
 
 TEST_F(CoreFixture, ReusedSearchInstanceBitIdenticalToFreshAcrossRequests) {
   // The zero-alloc steady state reuses everything across FindPlan calls on
-  // one instance: the state arena, heap, visited set, score/activation
-  // scratch, and the activation slab arena (Reset to one high-water block).
+  // one instance: the state arena, heap, visited set, score scratch, and
+  // the subtree table (cleared per search, capacity kept).
   // None of that reuse may change any outcome: every request on the warmed
   // instance must be bit-identical to the same request on a brand-new
   // PlanSearch. Queries alternate so the per-query caches re-salt and clear
@@ -418,9 +441,9 @@ TEST_F(CoreFixture, ReusedSearchInstanceBitIdenticalToFreshAcrossRequests) {
                 baseline.plan.ToString(ds_->schema));
     }
   }
-  // The reused instance's slab arena actually saw work (and therefore the
-  // rounds above exercised high-water reuse, not an empty arena).
-  EXPECT_GT(neo.search().activation_slab_peak_bytes(), 0u);
+  // The reused instance's subtree table actually saw work (and therefore
+  // the rounds above exercised high-water reuse, not an empty table).
+  EXPECT_GT(neo.search().subtree_table_peak_bytes(), 0u);
 }
 
 TEST_F(CoreFixture, SearchPlansIdenticalAcrossKernelArms) {
@@ -453,68 +476,124 @@ TEST_F(CoreFixture, SearchPlansIdenticalAcrossKernelArms) {
   }
 }
 
-TEST_F(CoreFixture, IncrementalScoresBitIdenticalAlongParentChildChains) {
-  // The PR-3 parity contract at the PredictBatch level: walk random
-  // parent -> child chains (each step a one-leaf or one-join delta), score
-  // every child set both plainly and through an activation cache carried
-  // across steps, and require bitwise-equal scores — under every kernel
-  // dispatch arm (the carried cache must not mix arms, so the Neo instance
-  // and cache live inside the arm loop).
+TEST_F(CoreFixture, SubtreeTableScoresBitIdenticalAlongParentChildChains) {
+  // Random parent -> child walks scored through the search's own path — the
+  // subtree table carried across rounds, the row-set conv, the pool over
+  // child pools, the head — must score every child bitwise like a fresh full
+  // pass (PredictBatch over Featurizer::Encode'd plans), and every table row
+  // must equal the row EncodePlan gives that node (a join's scan bits are
+  // the union of its children's rows). Under every kernel dispatch arm, with
+  // and without a (query-dependent) cardinality channel. The last walk
+  // scores only the chosen child per step, then, with the table grown, every
+  // sibling it left behind.
   engine::ExecutionEngine engine(ds_->schema, *ds_->db, EngineKind::kPostgres);
   const auto wl = query::MakeJobWorkload(ds_->schema, *ds_->db);
-  for (const nn::KernelIsa arm : KernelArmsToTest()) {
-  nn::KernelIsaScope isa_scope(arm);
-  Neo neo(featurizer_, &engine, SmallConfig());
-  nn::ValueNetwork& net = neo.net();
-  const size_t entry = static_cast<size_t>(net.TotalConvChannels());
+  const catalog::Statistics stats(ds_->schema, *ds_->db);
+  optim::HistogramEstimator hist(ds_->schema, stats, *ds_->db);
+  featurize::FeaturizerConfig estimated_cfg;
+  estimated_cfg.card_channel = featurize::CardChannel::kEstimated;
+  const featurize::Featurizer estimated(ds_->schema, *ds_->db, estimated_cfg,
+                                        &hist);
+  const featurize::Featurizer* const featurizers[] = {featurizer_, &estimated};
+  for (const featurize::Featurizer* feat : featurizers) {
+    for (const nn::KernelIsa arm : KernelArmsToTest()) {
+      nn::KernelIsaScope isa_scope(arm);
+      Neo neo(feat, &engine, SmallConfig());
+      nn::ValueNetwork& net = neo.net();
+      for (const uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL}) {
+        const bool siblings_last = seed == 4;
+        const Query q = seed == 1 || siblings_last
+                            ? wl.query(60)
+                            : ThreeWay(70 + static_cast<int>(seed));
+        PlanSearch search(feat, &net);
+        PlanSearchTestPeer::Begin(&search, q);
+        const nn::Matrix embed = net.EmbedQuery(feat->EncodeQuery(q));
+        const auto check = [&](const std::vector<plan::PartialPlan>& plans,
+                               size_t step) {
+          const std::vector<float> scores =
+              PlanSearchTestPeer::Score(&search, q, plans);
+          std::vector<nn::PlanSample> samples;
+          for (const plan::PartialPlan& p : plans) samples.push_back(feat->Encode(q, p));
+          std::vector<const nn::PlanSample*> ptrs;
+          for (const nn::PlanSample& sample : samples) ptrs.push_back(&sample);
+          const std::vector<float> full = net.PredictBatch(embed, nn::PackPlanBatch(ptrs));
+          ASSERT_EQ(scores.size(), full.size());
+          for (size_t i = 0; i < full.size(); ++i) {
+            ASSERT_EQ(scores[i], full[i]) << nn::KernelIsaName(arm) << " seed "
+                                          << seed << " step " << step << " plan " << i;
+          }
+          // Featurization: EncodePlan's rows are pre-order over the roots.
+          // The scan bits are also checked against a walk over the node's
+          // leaves, independent of how either encoder builds them.
+          const SubtreeTable& table = PlanSearchTestPeer::Table(search);
+          const int scan_begin = plan::kNumJoinOps;
+          const int scan_end = scan_begin + 2 * ds_->schema.num_tables();
+          std::function<void(const plan::PlanNode&, std::vector<float>*)> leaf_bits =
+              [&](const plan::PlanNode& n, std::vector<float>* bits) {
+                if (n.is_join) {
+                  leaf_bits(*n.left, bits);
+                  leaf_bits(*n.right, bits);
+                  return;
+                }
+                float* b = bits->data() + scan_begin + 2 * n.table_id;
+                if (n.scan_op != plan::ScanOp::kIndex) b[0] = 1.0f;
+                if (n.scan_op != plan::ScanOp::kTable) b[1] = 1.0f;
+              };
+          for (size_t pi = 0; pi < plans.size(); ++pi) {
+            int row = 0;
+            std::function<void(const plan::PlanNode&)> visit =
+                [&](const plan::PlanNode& node) {
+                  const int at = table.Find(node.subtree_fp);
+                  ASSERT_GE(at, 0);
+                  const float* want = samples[pi].node_features.Row(row++);
+                  const float* got = table.features.Row(at);
+                  for (int c = 0; c < feat->plan_dim(); ++c) {
+                    ASSERT_EQ(want[c], got[c]) << "step " << step << " col " << c;
+                  }
+                  std::vector<float> bits(static_cast<size_t>(feat->plan_dim()), 0.0f);
+                  leaf_bits(node, &bits);
+                  for (int c = scan_begin; c < scan_end; ++c) {
+                    ASSERT_EQ(bits[static_cast<size_t>(c)], got[c]) << "scan bit " << c;
+                  }
+                  if (node.is_join) {
+                    visit(*node.left);
+                    visit(*node.right);
+                  }
+                };
+            for (const plan::NodeRef& root : plans[pi].roots) visit(*root);
+          }
+        };
 
-  for (const uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    const Query& q = seed == 1 ? wl.query(60) : ThreeWay(70 + static_cast<int>(seed));
-    const nn::Matrix embed = net.EmbedQuery(featurizer_->EncodeQuery(q));
-    std::unordered_map<uint64_t, std::vector<float>> cache;
-    util::Rng rng(seed);
-    plan::PartialPlan state = plan::PartialPlan::Initial(q);
-    size_t steps = 0;
-    while (!state.IsComplete()) {
-      const auto children = neo.search().Children(q, state);
-      ASSERT_FALSE(children.empty());
-      std::vector<const plan::PartialPlan*> ptrs;
-      for (const auto& c : children) ptrs.push_back(&c);
-      nn::PlanBatch batch;
-      featurizer_->EncodePlanBatch(q, ptrs, &batch);
-      const std::vector<float> plain = net.PredictBatch(embed, batch);
-
-      const size_t n = batch.node_fp.size();
-      std::vector<float> slab(n * entry, 0.0f);
-      nn::ActivationReuse reuse;
-      reuse.cached.assign(n, nullptr);
-      reuse.store.assign(n, nullptr);
-      for (size_t i = 0; i < n; ++i) {
-        const auto it = cache.find(batch.node_fp[i]);
-        if (it != cache.end()) {
-          reuse.cached[i] = it->second.data();
-        } else {
-          reuse.store[i] = slab.data() + i * entry;
+        util::Rng rng(seed);
+        plan::PartialPlan state = plan::PartialPlan::Initial(q);
+        check({state}, 0);
+        std::vector<plan::PartialPlan> left_behind;
+        size_t steps = 0;
+        while (!state.IsComplete()) {
+          std::vector<plan::PartialPlan> children = search.Children(q, state);
+          ASSERT_FALSE(children.empty());
+          const size_t pick = rng.NextBounded(children.size());
+          ++steps;
+          if (siblings_last) {
+            check({children[pick]}, steps);
+            for (size_t i = 0; i < children.size(); ++i) {
+              if (i != pick) left_behind.push_back(children[i]);
+            }
+          } else {
+            check(children, steps);
+          }
+          state = children[pick];
+        }
+        EXPECT_GT(steps, 0u);
+        if (siblings_last) {
+          ASSERT_FALSE(left_behind.empty());
+          const int rows_before = PlanSearchTestPeer::Table(search).size();
+          check(left_behind, steps + 1);
+          EXPECT_GT(PlanSearchTestPeer::Table(search).size(), rows_before);
         }
       }
-      const std::vector<float> incremental = net.PredictBatch(embed, batch, nullptr, &reuse);
-      ASSERT_EQ(incremental.size(), plain.size());
-      for (size_t i = 0; i < plain.size(); ++i) {
-        ASSERT_EQ(plain[i], incremental[i])
-            << "seed " << seed << " step " << steps << " child " << i;
-      }
-      for (size_t i = 0; i < n; ++i) {
-        if (reuse.store[i] != nullptr) {
-          cache.emplace(batch.node_fp[i],
-                        std::vector<float>(reuse.store[i], reuse.store[i] + entry));
-        }
-      }
-      state = children[rng.NextBounded(children.size())];
-      ++steps;
     }
-    EXPECT_GT(steps, 0u);
   }
-  }  // arm loop
 }
 
 TEST_F(CoreFixture, ScoreCacheLruEvictsAndRecomputes) {

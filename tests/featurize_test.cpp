@@ -162,36 +162,6 @@ TEST_F(FeaturizeFixture, ForestEncodesMultipleRoots) {
   }
 }
 
-TEST_F(FeaturizeFixture, EncodePlanBatchEmitsSubtreeFingerprints) {
-  // node_fp rows must align with the packed feature rows (pre-order per
-  // plan), equal the plan nodes' subtree_fp, and — the activation-cache
-  // contract — agree exactly on the subtrees a parent and its one-leaf-delta
-  // child share while differing on the changed node.
-  Featurizer f(ds_->schema, *ds_->db, {});
-  const Query q = ThreeWay(7);
-  const PartialPlan parent = PartialPlan::Initial(q);  // 3 unspecified roots.
-  PartialPlan child = parent;
-  child.roots[0] = MakeScan(ScanOp::kTable, parent.roots[0]->table_id,
-                            parent.roots[0]->rel_mask);
-  nn::PlanBatch batch;
-  f.EncodePlanBatch(q, {&parent, &child}, &batch);
-  ASSERT_EQ(batch.node_fp.size(), batch.forest.NumNodes());
-  ASSERT_EQ(batch.node_fp.size(), 6u);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(batch.node_fp[static_cast<size_t>(i)], parent.roots[static_cast<size_t>(i)]->subtree_fp);
-    EXPECT_EQ(batch.node_fp[static_cast<size_t>(3 + i)], child.roots[static_cast<size_t>(i)]->subtree_fp);
-  }
-  EXPECT_NE(batch.node_fp[0], batch.node_fp[3]);  // The specified leaf.
-  EXPECT_EQ(batch.node_fp[1], batch.node_fp[4]);  // Untouched roots.
-  EXPECT_EQ(batch.node_fp[2], batch.node_fp[5]);
-  // Same table at different relation positions (different rel_mask) must NOT
-  // share a fingerprint: the cardinality channel keys off rel_mask.
-  const auto a = MakeScan(ScanOp::kTable, parent.roots[0]->table_id, 1ULL << 0);
-  const auto b = MakeScan(ScanOp::kTable, parent.roots[0]->table_id, 1ULL << 1);
-  EXPECT_NE(a->subtree_fp, b->subtree_fp);
-  EXPECT_EQ(a->hash, b->hash);  // The structural hash deliberately ignores it.
-}
-
 TEST_F(FeaturizeFixture, CardChannelAddsDimensionAndReactsToError) {
   engine::CardinalityOracle oracle(ds_->schema, *ds_->db);
   FeaturizerConfig cfg;

@@ -747,9 +747,9 @@ TEST(TreeConvTest, SharedSuffixMatchesConcatenatedInput) {
 }
 
 TEST(TreeConvTest, ForwardInferenceRowsBitIdenticalToFullPass) {
-  // The incremental path computes a subset of output rows; they must equal
-  // the full inference pass's rows BITWISE (the activation cache mixes rows
-  // from both paths into one matrix).
+  // The row-set path computes a subset of output rows; they must equal the
+  // full inference pass's rows BITWISE (the search's subtree table computes
+  // each row once, and the full pass is the scoring oracle).
   util::Rng rng(11);
   TreeConv conv(5, 8, rng);
   conv.RefreshInferenceWeights();
@@ -788,7 +788,9 @@ TEST(TreeConvTest, ForwardInferenceRowsSharedSuffixBitIdentical) {
   for (int i = 0; i < 5; ++i) std::copy(full.Row(i), full.Row(i) + 6, y.Row(i));
   const std::vector<int> rows = {0, 3};
   for (const int r : rows) std::fill(y.Row(r), y.Row(r) + 6, -123.0f);
-  conv.ForwardInferenceRows(t, x, rows, &suffix, nullptr, &y);
+  TreeConv::SuffixProjection proj;
+  conv.ProjectSuffixInto(suffix, &proj);
+  conv.ForwardInferenceRows(t, x, rows, &proj, nullptr, &y);
   for (size_t i = 0; i < full.Size(); ++i) ASSERT_EQ(full.data()[i], y.data()[i]);
 }
 
@@ -934,8 +936,10 @@ TEST(TreeConvTest, FusedEpilogueBitIdenticalToUnfusedReference) {
                                   alpha, &y);
         expect_equal(ref, y, "infer", alpha);
 
-        // Dirty rows over every child shape (left-only, right-only, both,
-        // lone leaf), then every row; the clean rows hold the reference.
+        // Listed rows over every child shape (left-only, right-only, both,
+        // lone leaf), then every row; the other rows hold the reference.
+        TreeConv::SuffixProjection proj;
+        if (s > 0) conv.ProjectSuffixInto(suffix, &proj);
         for (const std::vector<int>& rows :
              {std::vector<int>{1, 2, 5, 8},
               std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}}) {
@@ -943,7 +947,7 @@ TEST(TreeConvTest, FusedEpilogueBitIdenticalToUnfusedReference) {
           for (const int r : rows) {
             std::fill(yr.Row(r), yr.Row(r) + cout, -123.0f);
           }
-          conv.ForwardInferenceRows(t, x, rows, s > 0 ? &suffix : nullptr,
+          conv.ForwardInferenceRows(t, x, rows, s > 0 ? &proj : nullptr,
                                     &scratch, &yr, alpha);
           expect_equal(ref, yr, "rows", alpha);
         }
@@ -1495,88 +1499,36 @@ TEST(ValueNetworkTest, ConcurrentPredictionMatchesSerial) {
   }
 }
 
-TEST(ValueNetworkTest, IncrementalPredictBatchBitIdenticalToFullPass) {
-  // Activation reuse round trip: (1) a batch scored with every row dirty and
-  // stored must match the plain pass bitwise; (2) re-scoring the same trees
-  // with every row served from the stored activations must too; (3) a mixed
-  // batch (one tree cached, one new tree dirty) must as well — the search's
-  // parent/child scenario.
+TEST(ValueNetworkTest, RowSetEntriesBitIdenticalToPredictBatch) {
+  // The plan search's scoring path through the network: the query
+  // projection once, ForwardRows over a row table in two calls (tree a's
+  // rows, then tree b's, as two scoring rounds would add them), the
+  // max-pool, then PredictPooledInto. Every score must equal the full pass
+  // (PredictBatch) bitwise.
   ValueNetwork net(SmallConfig());
   util::Rng rng(23);
   PlanSample a = MakeRandomTreeSample(rng, 10, 7, 9);
-  PlanSample b = MakeRandomTreeSample(rng, 10, 7, 5);
-  PlanSample c = MakeRandomTreeSample(rng, 10, 7, 13);
+  PlanSample b = MakeRandomTreeSample(rng, 10, 7, 13);
   const Matrix embed = net.EmbedQuery(a.query_vec);
-  const size_t entry = static_cast<size_t>(net.TotalConvChannels());
+  const std::vector<float> ref = net.PredictBatch(embed, {&a, &b});
 
-  const std::vector<float> ref_ab = net.PredictBatch(embed, {&a, &b});
-  const std::vector<float> ref_ac = net.PredictBatch(embed, {&a, &c});
-
-  // (1) All dirty, all stored.
   const PlanBatch ab = PackPlanBatch({&a, &b});
-  const size_t n_ab = ab.forest.NumNodes();
-  std::vector<float> slab(n_ab * entry, 0.0f);
-  ActivationReuse reuse;
-  reuse.cached.assign(n_ab, nullptr);
-  reuse.store.assign(n_ab, nullptr);
-  for (size_t i = 0; i < n_ab; ++i) reuse.store[i] = slab.data() + i * entry;
-  const std::vector<float> dirty = net.PredictBatch(embed, ab, nullptr, &reuse);
-  ASSERT_EQ(dirty.size(), ref_ab.size());
-  for (size_t i = 0; i < ref_ab.size(); ++i) ASSERT_EQ(dirty[i], ref_ab[i]);
-
-  // (2) All served from cache.
-  reuse.store.assign(n_ab, nullptr);
-  for (size_t i = 0; i < n_ab; ++i) reuse.cached[i] = slab.data() + i * entry;
-  const std::vector<float> cached = net.PredictBatch(embed, ab, nullptr, &reuse);
-  for (size_t i = 0; i < ref_ab.size(); ++i) ASSERT_EQ(cached[i], ref_ab[i]);
-
-  // (3) Mixed: tree a's rows (the packed prefix) cached, tree c's dirty.
-  const PlanBatch ac = PackPlanBatch({&a, &c});
-  const size_t n_ac = ac.forest.NumNodes();
-  const size_t n_a = a.tree.NumNodes();
-  reuse.cached.assign(n_ac, nullptr);
-  reuse.store.assign(n_ac, nullptr);
-  for (size_t i = 0; i < n_a; ++i) reuse.cached[i] = slab.data() + i * entry;
-  const std::vector<float> mixed = net.PredictBatch(embed, ac, nullptr, &reuse);
-  ASSERT_EQ(mixed.size(), ref_ac.size());
-  for (size_t i = 0; i < ref_ac.size(); ++i) ASSERT_EQ(mixed[i], ref_ac[i]);
-}
-
-TEST(ValueNetworkTest, IncrementalPredictBatchInterleavedRowsBitIdentical) {
-  // Cached and dirty rows interleaved through the packed forest (every other
-  // row served from the slab, the rest recomputed) must score bitwise like
-  // the all-dirty pass. IncrementalPredictBatchBitIdenticalToFullPass only
-  // caches a packed prefix.
-  ValueNetwork net(SmallConfig());
-  util::Rng rng(24);
-  PlanSample a = MakeRandomTreeSample(rng, 10, 7, 21);
-  PlanSample b = MakeRandomTreeSample(rng, 10, 7, 17);
-  const Matrix embed = net.EmbedQuery(a.query_vec);
-  const size_t entry = static_cast<size_t>(net.TotalConvChannels());
-  const PlanBatch batch = PackPlanBatch({&a, &b});
-  const size_t n = batch.forest.NumNodes();
-  std::vector<float> slab(n * entry, 0.0f);
-  auto run = [&](bool cached_pass) {
-    ActivationReuse reuse;
-    reuse.cached.assign(n, nullptr);
-    reuse.store.assign(n, nullptr);
-    for (size_t i = 0; i < n; ++i) {
-      // Alternate cached/dirty rows on the cached pass (cached rows come from
-      // the all-dirty pass; parent trees always leave a mix).
-      if (cached_pass && i % 2 == 0) {
-        reuse.cached[i] = slab.data() + i * entry;
-      } else {
-        reuse.store[i] = slab.data() + i * entry;
-      }
-    }
-    return net.PredictBatch(embed, batch, nullptr, &reuse);
-  };
-  const std::vector<float> full = run(false);  // Fills the slab.
-  const std::vector<float> mixed = run(true);
-  ASSERT_EQ(mixed.size(), full.size());
-  for (size_t i = 0; i < full.size(); ++i) {
-    ASSERT_EQ(full[i], mixed[i]) << "plan " << i;
-  }
+  const int n = ab.node_features.rows();
+  TreeConv::SuffixProjection proj;
+  net.ProjectQueryInto(embed, &proj);
+  std::vector<Matrix> layers;
+  for (const int width : net.config().tree_channels) layers.emplace_back(n, width);
+  std::vector<int> first, second;
+  for (int i = 0; i < n; ++i) (i < ab.tree_offsets[1] ? first : second).push_back(i);
+  ValueNetwork::InferenceContext ctx;
+  net.ForwardRows(ab.forest, ab.node_features, first, proj, &ctx, &layers);
+  net.ForwardRows(ab.forest, ab.node_features, second, proj, &ctx, &layers);
+  const Matrix pooled =
+      DynamicPooling().ForwardInference(layers.back(), ab.tree_offsets);
+  std::vector<float> scores;
+  net.PredictPooledInto(pooled, &ctx, &scores);
+  ASSERT_EQ(scores.size(), ref.size());
+  for (size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(scores[i], ref[i]) << "plan " << i;
 }
 
 TEST(ValueNetworkTest, PredictBatchEmptyAndSingleton) {

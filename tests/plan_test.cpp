@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "src/datagen/imdb_gen.h"
 #include "src/plan/plan.h"
 #include "src/query/builder.h"
+#include "src/util/rng.h"
 
 namespace neo::plan {
 namespace {
@@ -76,6 +79,48 @@ TEST_F(PlanFixture, ForestHashOrderIndependent) {
   p1.roots = {a, b};
   p2.roots = {b, a};
   EXPECT_EQ(p1.Hash(), p2.Hash());
+}
+
+TEST_F(PlanFixture, ForestHashMatchesSortedRootFormula) {
+  // Hash() sorts the root hashes in a fixed on-stack buffer; the value must
+  // equal the formula it replaced, written out here: Mix64(0xf0e57 + n)
+  // folded with HashCombine over the ascending root hashes. Forests of 1, 2,
+  // 17 and 64 (the most a 64-bit rel_mask allows) roots, in shuffled order.
+  const auto formula = [](const PartialPlan& p) {
+    std::vector<uint64_t> hashes;
+    for (const NodeRef& r : p.roots) hashes.push_back(r->hash);
+    std::sort(hashes.begin(), hashes.end());
+    uint64_t h = util::Mix64(0xf0e57ULL + hashes.size());
+    for (const uint64_t x : hashes) h = util::HashCombine(h, x);
+    return h;
+  };
+  constexpr ScanOp kOps[] = {ScanOp::kTable, ScanOp::kIndex, ScanOp::kUnspecified};
+  util::Rng rng(64);
+  for (const size_t n : {size_t{1}, size_t{2}, size_t{17}, size_t{64}}) {
+    PartialPlan p;
+    for (size_t i = 0; i < n; ++i) {
+      p.roots.push_back(MakeScan(kOps[i % 3], static_cast<int>(i), 1ULL << i));
+    }
+    if (n < 63) {
+      // A join root over the spare relation bits, so not every root is a scan.
+      p.roots[0] = MakeJoin(JoinOp::kMerge,
+                            MakeScan(ScanOp::kTable, 100, 1ULL << n),
+                            MakeScan(ScanOp::kIndex, 101, 1ULL << (n + 1)));
+    }
+    rng.Shuffle(p.roots);
+    ASSERT_EQ(p.roots.size(), n);
+    EXPECT_EQ(p.Hash(), formula(p)) << n << " roots";
+  }
+}
+
+TEST_F(PlanFixture, SubtreeFingerprintMixesRelMask) {
+  // The same table at different relation positions (different rel_mask)
+  // must NOT share a subtree fingerprint: the search's subtree table is
+  // keyed by it, and the cardinality channel keys off rel_mask.
+  const auto a = MakeScan(ScanOp::kTable, 3, 1ULL << 0);
+  const auto b = MakeScan(ScanOp::kTable, 3, 1ULL << 1);
+  EXPECT_NE(a->subtree_fp, b->subtree_fp);
+  EXPECT_EQ(a->hash, b->hash);  // The structural hash deliberately ignores it.
 }
 
 TEST_F(PlanFixture, ScanSpecializationChangesHash) {

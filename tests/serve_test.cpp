@@ -317,12 +317,12 @@ TEST_F(ServeFixture, LeafTierServesRepeatSearchesWithoutChangingOutcomes) {
   core::PlanSearch isolated(featurizer_, &b.neo->net());
   const core::SearchResult solo = isolated.FindPlan(q, cfg.search);
 
-  // Tiny score/activation caps force every search to re-score through the
-  // activation tiers with nothing retained in the main shared tier, so
-  // small-subtree rows can only be served by the leaf tier.
+  // A one-entry score tier forces every search to re-score its plans, and
+  // each search starts with an empty subtree table, so small-subtree rows
+  // can only be served by the leaf tier.
   core::SharedSearchCaches caches(
       static_cast<size_t>(b.neo->net().TotalConvChannels()), /*score_cap=*/1,
-      /*activation_cap=*/1, /*stripes=*/1, /*leaf_cap=*/1 << 16);
+      /*leaf_cap=*/1 << 16, /*stripes=*/1);
   core::PlanSearch first_search(featurizer_, &b.neo->net());
   first_search.SetSharedCaches(&caches, /*generation=*/1);
   const core::SearchResult first = first_search.FindPlan(q, cfg.search);
@@ -360,15 +360,14 @@ TEST_F(ServeFixture, LeafTierStatsSurfaceThroughServingCore) {
   const NeoConfig cfg = SmallConfig();
   const Query& q = *train[0];
 
-  // Shrink the main shared activation tier to nothing while keeping a real
-  // leaf tier, so leaf-tier traffic is guaranteed and must show up in the
-  // serving stats.
+  // A one-entry score tier makes the repeat serve re-score its plans; its
+  // search starts with an empty subtree table, so leaf-tier traffic is
+  // guaranteed and must show up in the serving stats.
   Rig b = MakeRig(train, cfg);
   ServingOptions sopt;
   sopt.workers = 1;
   sopt.search = cfg.search;
   sopt.shared_score_cap = 1;
-  sopt.shared_activation_cap = 1;
   sopt.shared_leaf_cap = 1 << 16;
   ServingCore core(b.neo.get(), sopt);
 
@@ -380,6 +379,10 @@ TEST_F(ServeFixture, LeafTierStatsSurfaceThroughServingCore) {
   EXPECT_GT(stats.leaf_tier_hits, 0u);
   EXPECT_GT(stats.leaf_cache.hits, 0u);
   EXPECT_GT(stats.leaf_cache.entries, 0u);
+  // The searches' subtree-table rows: served (leaf hits among them) and
+  // computed.
+  EXPECT_GE(stats.activation_cache.hits, stats.leaf_tier_hits);
+  EXPECT_GT(stats.activation_cache.misses, 0u);
 
   // Generation invalidation: the publish bumps the RCU generation (new leaf
   // salt), so post-publish serves must match a fresh isolated search on the

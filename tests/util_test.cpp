@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/util/arena.h"
 #include "src/util/flat_hash_set.h"
 #include "src/util/latency_histogram.h"
 #include "src/util/lru_map.h"
@@ -137,70 +136,6 @@ TEST(StringUtilTest, ContainsAndLower) {
   EXPECT_TRUE(Contains("hello world", "lo w"));
   EXPECT_FALSE(Contains("hello", "z"));
   EXPECT_EQ(ToLower("AbC-12"), "abc-12");
-}
-
-TEST(ArenaTest, PointerStabilityAndAlignmentWithinOneRequest) {
-  Arena a;
-  // Force several chained blocks; earlier pointers must stay valid and
-  // hold their bytes (no block is ever reallocated mid-request).
-  std::vector<std::pair<char*, size_t>> chunks;
-  for (size_t i = 0; i < 8; ++i) {
-    const size_t bytes = 3000 + i * 977;
-    char* p = static_cast<char*>(a.Allocate(bytes));
-    std::fill(p, p + bytes, static_cast<char>('a' + i));
-    chunks.push_back({p, bytes});
-  }
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    EXPECT_EQ(chunks[i].first[0], static_cast<char>('a' + i));
-    EXPECT_EQ(chunks[i].first[chunks[i].second - 1], static_cast<char>('a' + i));
-  }
-  double* d = a.AllocateArray<double>(5);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(d) % alignof(double), 0u);
-  float* f = static_cast<float*>(a.Allocate(4, 64));
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(f) % 64, 0u);
-}
-
-TEST(ArenaTest, ResetCoalescesToOneHighWaterBlockThenNeverAllocates) {
-  Arena a;
-  auto request = [&] {  // ~20 KiB across several allocations.
-    for (int i = 0; i < 5; ++i) a.Allocate(4000);
-  };
-  request();
-  EXPECT_GE(a.peak_bytes(), 20000u);
-  const size_t peak_after_warmup = a.peak_bytes();
-
-  // The first Reset coalesces the chain into one block >= the high-water
-  // mark; identical requests are then served with ZERO new heap blocks.
-  a.Reset();
-  EXPECT_GE(a.capacity_bytes(), peak_after_warmup);
-  const uint64_t blocks_after_coalesce = a.heap_blocks();
-  for (int round = 0; round < 10; ++round) {
-    request();
-    a.Reset();
-  }
-  EXPECT_EQ(a.heap_blocks(), blocks_after_coalesce);
-  EXPECT_EQ(a.peak_bytes(), peak_after_warmup);
-
-  // Outgrowing the previous peak chains a new block (pointer stability),
-  // and the NEXT Reset re-coalesces to the new high-water mark.
-  a.Allocate(2 * peak_after_warmup);
-  EXPECT_GT(a.heap_blocks(), blocks_after_coalesce);
-  a.Reset();
-  EXPECT_GE(a.capacity_bytes(), 2 * peak_after_warmup);
-  const uint64_t blocks_after_regrow = a.heap_blocks();
-  a.Allocate(2 * peak_after_warmup);
-  a.Reset();
-  EXPECT_EQ(a.heap_blocks(), blocks_after_regrow);
-}
-
-TEST(ArenaTest, MoveTransfersStorage) {
-  Arena a;
-  char* p = static_cast<char*>(a.Allocate(100));
-  p[0] = 'x';
-  const size_t peak = a.peak_bytes();
-  Arena b = std::move(a);
-  EXPECT_EQ(p[0], 'x');  // Storage ownership moved, bytes intact.
-  EXPECT_EQ(b.peak_bytes(), peak);
 }
 
 TEST(FlatHashSet64Test, InsertContainsAndDuplicates) {
