@@ -87,10 +87,10 @@ void BM_EncodeQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeQuery);
 
-/// Full best-first search. The per-query score cache persists across
-/// iterations, so after the first iteration this measures the fully-cached
-/// ("hot") search path: heap + hash lookups, no network forward passes.
-void BM_BestFirstSearchHot(benchmark::State& state) {
+/// Full best-first search on one reused PlanSearch: every buffer is at its
+/// high-water capacity after the first iteration, and every iteration does
+/// the full network work (a search keeps no scores between calls).
+void BM_BestFirstSearchWarm(benchmark::State& state) {
   Fixture& f = Fixture::Get();
   const query::Query& q = f.wl.query(static_cast<size_t>(state.range(0)));
   core::SearchOptions opt;
@@ -100,11 +100,11 @@ void BM_BestFirstSearchHot(benchmark::State& state) {
   }
   state.SetLabel(std::to_string(q.num_relations()) + " relations");
 }
-BENCHMARK(BM_BestFirstSearchHot)->Arg(0)->Arg(60);
+BENCHMARK(BM_BestFirstSearchWarm)->Arg(0)->Arg(60);
 
-/// Cold search: a fresh Neo (fresh network version => empty score cache) per
-/// iteration; only FindPlan is timed. Items processed = network evaluations,
-/// so items/sec is plans scored per second.
+/// Cold search: a fresh Neo (fresh network, cold buffers) per iteration;
+/// only FindPlan is timed. Items processed = network evaluations, so
+/// items/sec is plans scored per second.
 void BM_BestFirstSearchCold(benchmark::State& state) {
   Fixture& f = Fixture::Get();
   const query::Query& q = f.wl.query(60);
@@ -122,9 +122,8 @@ void BM_BestFirstSearchCold(benchmark::State& state) {
 }
 BENCHMARK(BM_BestFirstSearchCold);
 
-/// Cold greedy descent: a fresh Neo per iteration so the score cache never
-/// carries over from earlier benchmarks (the shared-fixture Neo would serve
-/// every child score from cache after BM_BestFirstSearchHot runs).
+/// Cold greedy descent: a fresh Neo (fresh network, cold buffers) per
+/// iteration; only the descent is timed.
 void BM_GreedyPlan(benchmark::State& state) {
   Fixture& f = Fixture::Get();
   const query::Query& q = f.wl.query(60);
@@ -149,8 +148,8 @@ struct ThroughputResult {
   size_t rows_reused = 0;
 };
 
-/// Repeatedly runs a cold best-first search (fresh network => empty cache,
-/// construction untimed) and reports plans scored per second.
+/// Repeatedly runs a cold best-first search (fresh network, construction
+/// untimed) and reports plans scored per second.
 ThroughputResult MeasureSearchThroughput(int reps) {
   Fixture& f = Fixture::Get();
   const query::Query& q = f.wl.query(60);

@@ -7,7 +7,7 @@
 //   both visible. Two acceptance probes ride along:
 //   single_client_bit_identical - a one-worker serving loop replays the exact
 //               latencies of the inline plan+execute+learn loop on a twin Neo
-//               (the RCU snapshot and shared caches must both be
+//               (the RCU snapshot and the shared score cache must both be
 //               bit-transparent), and
 //   retrain_overlap - background RetrainAndPublish cycles run while a client
 //               hammers the core; serving must keep completing during them.
@@ -38,7 +38,7 @@
 #include "src/util/alloc_counter.h"
 #include "src/util/fault_injector.h"
 #include "src/util/rng.h"
-#include "src/util/row_cache.h"
+#include "src/util/score_cache.h"
 #include "src/util/stopwatch.h"
 
 namespace {
@@ -106,13 +106,10 @@ void BM_HistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramRecord);
 
-/// Score-tier read: hits on a warm width-1 table.
-void BM_RowCacheGet(benchmark::State& state) {
-  util::RowCache cache(/*width=*/1, 1 << 16, /*stripes=*/16);
-  for (uint64_t k = 0; k < 4096; ++k) {
-    const float v = static_cast<float>(k);
-    cache.Insert(k, &v);
-  }
+/// Score-cache read: hits on a warm table.
+void BM_ScoreCacheGet(benchmark::State& state) {
+  util::ScoreCache cache(1 << 16, serve::kScoreCacheStripes);
+  for (uint64_t k = 0; k < 4096; ++k) cache.Insert(k, static_cast<float>(k));
   uint64_t k = 0;
   float out = 0.0f;
   for (auto _ : state) {
@@ -121,26 +118,24 @@ void BM_RowCacheGet(benchmark::State& state) {
     ++k;
   }
 }
-BENCHMARK(BM_RowCacheGet);
+BENCHMARK(BM_ScoreCacheGet);
 
-/// The serve-cold write pattern: fresh keys into a full table, so every
-/// insert evicts. Args: row width, cap (the serving defaults of the score
-/// tier and of an activation tier at the bench network's row width).
-void BM_RowCacheInsertEvict(benchmark::State& state) {
-  const size_t width = static_cast<size_t>(state.range(0));
-  const size_t cap = static_cast<size_t>(state.range(1));
-  util::RowCache cache(width, cap, /*stripes=*/16);
-  std::vector<float> row(width, 1.0f);
+/// The serve-cold write pattern: fresh keys into a full table at the serving
+/// default cap, so every insert evicts.
+void BM_ScoreCacheInsertEvict(benchmark::State& state) {
+  util::ScoreCache cache(serve::ServingOptions().shared_score_cap,
+                         serve::kScoreCacheStripes);
   // Two capacities of fresh keys leave ~1% of sets short of a full 8 ways.
   uint64_t k = 0;
-  while (k < 2 * cache.capacity()) cache.Insert(util::Mix64(k++), row.data());
+  while (k < 2 * cache.capacity()) cache.Insert(util::Mix64(k++), 1.0f);
   for (auto _ : state) {
-    row[0] = static_cast<float>(k);
-    benchmark::DoNotOptimize(cache.Insert(util::Mix64(k++), row.data()));
+    benchmark::DoNotOptimize(
+        cache.Insert(util::Mix64(k), static_cast<float>(k)));
+    ++k;
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_RowCacheInsertEvict)->Args({1, 1 << 20})->Args({48, 128 << 10});
+BENCHMARK(BM_ScoreCacheInsertEvict);
 
 /// Hot single-worker serve (cached search + memoized execution): the serving
 /// stack's per-request overhead over the inline loop of micro_guard.
@@ -169,10 +164,8 @@ struct ArmResult {
   uint64_t requests = 0;
   double qps = 0.0;  ///< Median over reps of the measured serving phase.
   double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0;
-  util::RowCacheStats score_cache;
-  util::RowCacheStats activation_cache;
-  util::RowCacheStats leaf_cache;
-  uint64_t leaf_tier_hits = 0;
+  util::CacheStats score_cache;
+  util::CacheStats activation_cache;
 };
 
 /// One serving arm: `clients` closed-loop threads issue `requests` total
@@ -188,7 +181,7 @@ ArmResult RunArm(int clients, int requests, int reps) {
   sopt.search = cfg.search;
   serve::ServingCore core(rig.neo.get(), sopt);
   core.PublishWeights();
-  // Warm pass: engine memo + shared caches, so arms compare steady state.
+  // Warm pass: engine memo + score cache, so arms compare steady state.
   for (const query::Query* q : f.train) core.ServeSync(*q, /*learn=*/false);
 
   std::vector<double> rep_qps;
@@ -222,13 +215,11 @@ ArmResult RunArm(int clients, int requests, int reps) {
   r.p99_ms = stats.total_latency.Percentile(99);
   r.score_cache = stats.score_cache;
   r.activation_cache = stats.activation_cache;
-  r.leaf_cache = stats.leaf_cache;
-  r.leaf_tier_hits = stats.leaf_tier_hits;
   return r;
 }
 
 /// Steady-state allocation probe over the serving scoring path: a warmed
-/// PlanSearch bound to SharedSearchCaches at the serving defaults, alternating
+/// PlanSearch bound to a score cache at the serving defaults, alternating
 /// over a few queries under a fresh weight generation per search, so every
 /// search re-salts and does full NN work (as a never-seen serve-cold query
 /// does) while all buffers sit at capacity. RegionAllocs() counts mallocs
@@ -245,19 +236,16 @@ SteadyState MeasureSteadyState() {
   const core::NeoConfig cfg = Fixture::Config();
   Rig rig = MakeRig(cfg);
   rig.neo->Retrain();
-  const serve::ServingOptions defaults;
-  core::SharedSearchCaches caches(
-      static_cast<size_t>(rig.neo->net().TotalConvChannels()),
-      defaults.shared_score_cap, defaults.shared_leaf_cap,
-      defaults.cache_shards);
+  util::ScoreCache cache(serve::ServingOptions().shared_score_cap,
+                         serve::kScoreCacheStripes);
   core::PlanSearch search(f.feat.get(), &rig.neo->net());
   uint64_t generation = 0;
   const size_t rotation = std::min<size_t>(4, f.train.size());
   for (size_t i = 0; i < 3 * rotation; ++i) {
-    search.SetSharedCaches(&caches, ++generation);
+    search.BindScoreCache(&cache, ++generation);
     search.FindPlan(*f.train[i % rotation], cfg.search);
   }
-  search.SetSharedCaches(&caches, ++generation);
+  search.BindScoreCache(&cache, ++generation);
   util::ArmAllocCounter(true);
   util::ResetRegionAllocs();
   search.FindPlan(*f.train[0], cfg.search);
@@ -523,16 +511,13 @@ void AppendArmJson(std::FILE* out, const ArmResult& r, bool last) {
                " \"requests\": %llu, \"qps\": %.2f,"
                " \"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f,"
                " \"score_cache_hits\": %llu, \"score_cache_misses\": %llu,"
-               " \"activation_cache_hits\": %llu,"
-               " \"leaf_tier_hits\": %llu, \"leaf_cache_hits\": %llu}%s\n",
+               " \"activation_cache_hits\": %llu}%s\n",
                r.clients, r.workers,
                static_cast<unsigned long long>(r.requests), r.qps, r.p50_ms,
                r.p95_ms, r.p99_ms,
                static_cast<unsigned long long>(r.score_cache.hits),
                static_cast<unsigned long long>(r.score_cache.misses),
                static_cast<unsigned long long>(r.activation_cache.hits),
-               static_cast<unsigned long long>(r.leaf_tier_hits),
-               static_cast<unsigned long long>(r.leaf_cache.hits),
                last ? "" : ",");
 }
 

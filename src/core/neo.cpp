@@ -240,73 +240,62 @@ EpisodeStats Neo::RunEpisode(const std::vector<const query::Query*>& queries) {
   stats.retrain_loss = Retrain();
   stats.nn_time_ms = nn_watch.ElapsedMs();
 
-  // Plan, execute, and learn from each training query (shuffled order).
+  // Plan every training query (shuffled order), then execute and learn from
+  // each. Planning runs against the network frozen by the Retrain above;
+  // planner 0 is this thread with search_, planners 1..n-1 are std::threads
+  // with episode_searches_, and each claims query indices from one counter.
+  // Execution and experience updates then run serially in the shuffled
+  // order, so the episode outcome does not depend on the planner count or
+  // on thread scheduling at all.
   std::vector<const query::Query*> order = queries;
   rng_.Shuffle(order);
   util::Stopwatch search_watch;
-  double search_ms = 0.0;
-  const int planners = std::min<int>(
-      {config_.threads, static_cast<int>(order.size()),
-       static_cast<int>(std::max(1u, std::thread::hardware_concurrency()))});
-  if (planners <= 1) {
-    for (const query::Query* q : order) {
-      search_watch.Restart();
-      const SearchResult found = search_.FindPlan(*q, config_.search);
-      search_ms += search_watch.ElapsedMs();
-      stats.train_total_latency_ms += ServeAndMaybeLearn(*q, found.plan, /*learn=*/true);
-    }
-  } else {
-    // Concurrent planning phase: the network is frozen between Retrain and
-    // the next episode, and planner w searches with its own
-    // episode_searches_[w], so searches are independent and each query's plan
-    // is identical to the serial path's. Planners claim query indices from one
-    // counter. Execution and experience updates then run serially in the
-    // shuffled order — stronger than a mutex: the episode outcome does not
-    // depend on thread scheduling at all.
-    while (episode_searches_.size() < static_cast<size_t>(planners)) {
-      episode_searches_.push_back(std::make_unique<PlanSearch>(featurizer_, net_.get()));
-    }
-    std::vector<SearchResult> found(order.size());
-    std::atomic<size_t> next{0};
-    // The first failure (a planner's exception, or a thread that would not
-    // start) stops the other planners and is rethrown once all have joined.
-    std::exception_ptr failure;
-    std::mutex failure_mu;
-    const auto fail = [&](std::exception_ptr e) {
-      next = order.size();
-      std::lock_guard<std::mutex> lock(failure_mu);
-      if (!failure) failure = std::move(e);
-    };
-    const auto plan = [&](PlanSearch* searcher) {
-      try {
-        for (size_t i = next++; i < order.size(); i = next++) {
-          found[i] = searcher->FindPlan(*order[i], config_.search);
-        }
-      } catch (...) {
-        fail(std::current_exception());
-      }
-    };
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(planners));
+  const int cores = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  const int planners = std::max(
+      1, std::min<int>({config_.threads, static_cast<int>(order.size()), cores}));
+  while (episode_searches_.size() + 1 < static_cast<size_t>(planners)) {
+    episode_searches_.push_back(std::make_unique<PlanSearch>(featurizer_, net_.get()));
+  }
+  std::vector<SearchResult> found(order.size());
+  std::atomic<size_t> next{0};
+  // The first failure (a planner's exception, or a thread that would not
+  // start) stops the other planners and is rethrown once all have joined.
+  std::exception_ptr failure;
+  std::mutex failure_mu;
+  const auto fail = [&](std::exception_ptr e) {
+    next = order.size();
+    std::lock_guard<std::mutex> lock(failure_mu);
+    if (!failure) failure = std::move(e);
+  };
+  const auto plan = [&](PlanSearch* searcher) {
     try {
-      for (int w = 0; w < planners; ++w) {
-        workers.emplace_back(plan, episode_searches_[w].get());
+      for (size_t i = next++; i < order.size(); i = next++) {
+        found[i] = searcher->FindPlan(*order[i], config_.search);
       }
     } catch (...) {
       fail(std::current_exception());
     }
-    for (std::thread& t : workers) t.join();
-    if (failure) std::rethrow_exception(failure);
-    search_ms = search_watch.ElapsedMs();  // Wall time of the planning phase.
-    // Guarded or not, serving decisions happen here in the serial phase —
-    // the breaker state machine advances in shuffled query order, identical
-    // to the serial path, so guardrails never break thread-count invariance.
-    for (size_t i = 0; i < order.size(); ++i) {
-      stats.train_total_latency_ms +=
-          ServeAndMaybeLearn(*order[i], found[i].plan, /*learn=*/true);
+  };
+  std::vector<std::thread> workers;
+  workers.reserve(static_cast<size_t>(planners - 1));
+  try {
+    for (int w = 1; w < planners; ++w) {
+      workers.emplace_back(plan, episode_searches_[static_cast<size_t>(w - 1)].get());
     }
+  } catch (...) {
+    fail(std::current_exception());
   }
-  stats.search_time_ms = search_ms;
+  plan(&search_);
+  for (std::thread& t : workers) t.join();
+  if (failure) std::rethrow_exception(failure);
+  stats.search_time_ms = search_watch.ElapsedMs();
+  // Guarded or not, serving decisions happen here in the serial phase — the
+  // breaker state machine advances in shuffled query order, so guardrails
+  // never break planner-count invariance.
+  for (size_t i = 0; i < order.size(); ++i) {
+    stats.train_total_latency_ms +=
+        ServeAndMaybeLearn(*order[i], found[i].plan, /*learn=*/true);
+  }
   stats.experience_states = experience_.NumStates();
   return stats;
 }

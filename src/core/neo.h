@@ -102,13 +102,14 @@ struct NeoConfig {
   size_t max_train_samples = 3000;
   SearchOptions search;
   /// Planning concurrency (1 = fully serial). RunEpisode plans up to this
-  /// many queries at once, one thread and one PlanSearch each, clamped to
-  /// the episode's query count and to std::thread::hardware_concurrency() so
-  /// planners never outnumber cores. Everything else (retraining, execution,
-  /// experience updates) runs on the calling thread. Results are identical
-  /// at any setting: planning happens against a frozen network and
-  /// execution + experience updates run serially in the shuffled query
-  /// order afterwards.
+  /// many queries at once, the calling thread plus threads - 1 std::threads,
+  /// one PlanSearch each, clamped to the episode's query count and to
+  /// std::thread::hardware_concurrency() so planners never outnumber cores.
+  /// Everything else (retraining, execution, experience updates) runs on the
+  /// calling thread. Results are identical at any setting: every query is
+  /// planned against the frozen network before any executes, and execution
+  /// + experience updates run serially in the shuffled query order
+  /// afterwards.
   int threads = 1;
   /// Latency clipping applied when adding experience (0 = off). Used by the
   /// no-demonstration experiment (§6.3.3): clipping destroys the reward
@@ -126,7 +127,7 @@ struct EpisodeStats {
   double train_total_latency_ms = 0.0;  ///< Executed latency over the episode.
   float retrain_loss = 0.0f;            ///< Final minibatch MSE.
   double nn_time_ms = 0.0;              ///< Wall time spent on network training.
-  double search_time_ms = 0.0;          ///< Wall time spent searching plans.
+  double search_time_ms = 0.0;          ///< Wall time of the planning phase.
   size_t experience_states = 0;
 };
 
@@ -255,9 +256,10 @@ class Neo {
   std::unique_ptr<nn::ValueNetwork> net_;
   Experience experience_;
   PlanSearch search_;
-  /// Extra PlanSearch instances for RunEpisode's concurrent planning phase
-  /// (created lazily; planner w uses entry w, so score caches and inference
-  /// scratch are never shared across threads).
+  /// The PlanSearch instances of RunEpisode's planners 1..n-1 (created
+  /// lazily; planner w uses entry w - 1, and planner 0, the calling thread,
+  /// uses search_), so subtree tables and inference scratch are never shared
+  /// across threads.
   std::vector<std::unique_ptr<PlanSearch>> episode_searches_;
   util::Rng rng_;
   std::unordered_map<int, double> baselines_;

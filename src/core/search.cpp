@@ -1,7 +1,6 @@
 #include "src/core/search.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "src/engine/latency_model.h"
 #include "src/util/alloc_counter.h"
@@ -37,12 +36,7 @@ const plan::PlanNode* FirstUnspecified(const plan::PlanNode& node) {
   return FirstUnspecified(*node.right);
 }
 
-/// Largest subtree (in nodes) eligible for the shared leaf tier: leaves and
-/// first-order joins — the rows every fresh search computes in its first
-/// expansion rounds.
-constexpr int kLeafTierMaxNodes = 3;
-
-/// Kernel dispatch arm folded into every shared-cache salt (bits 2+; bit 1
+/// Kernel dispatch arm folded into every score-cache salt (bits 2+; bit 1
 /// is unused); the low tag bit keeps any salt from colliding with a raw
 /// fingerprint.
 uint64_t KernelModeBits() {
@@ -234,47 +228,6 @@ void SubtreeTable::NotePeak() {
   peak_bytes_ = std::max(peak_bytes_, bytes);
 }
 
-void PlanSearch::SyncCache(const query::Query& query, const SearchOptions& options) {
-  const size_t cap = options.score_cache_cap > 0
-                         ? static_cast<size_t>(options.score_cache_cap)
-                         : 0;
-  if (cache_valid_ && cache_query_fp_ == query.fingerprint &&
-      cache_version_ == net_->version() &&
-      cache_kernel_isa_ == nn::ActiveKernelIsa() &&
-      cache_encoding_epoch_ == featurizer_->encoding_epoch() &&
-      (shared_ != nullptr || cache_cap_ == cap)) {
-    return;
-  }
-  // The table's rows depend on the query, the weights, the kernel arm and
-  // the encodings: any change drops them, in either cache mode.
-  table_.Clear(featurizer_->plan_dim(), net_->config().tree_channels);
-  if (shared_ == nullptr) {
-    // A changed cap also rebuilds: re-capping a live LRU is not worth the
-    // complexity for an option that changes between searches, not within one.
-    score_cache_.Clear(cap);
-    cache_cap_ = cap;
-  } else {
-    // Shared mode: the global tables are never cleared; staleness is
-    // handled by re-salting, so entries from other tuples are simply never
-    // probed. The kernel bits carry a low tag bit so a (fp, version) pair can
-    // never produce the same salt as a raw fingerprint.
-    NEO_CHECK(shared_->leaf_activations.width() ==
-              static_cast<size_t>(net_->TotalConvChannels()));
-    salt_ = util::Mix64(util::HashCombine(
-        util::HashCombine(
-            util::HashCombine(util::HashCombine(query.fingerprint,
-                                                net_->version()),
-                              KernelModeBits()),
-            shared_generation_),
-        featurizer_->encoding_epoch()));
-  }
-  cache_query_fp_ = query.fingerprint;
-  cache_version_ = net_->version();
-  cache_kernel_isa_ = nn::ActiveKernelIsa();
-  cache_encoding_epoch_ = featurizer_->encoding_epoch();
-  cache_valid_ = true;
-}
-
 void PlanSearch::BeginSearch(const query::Query& query) {
   const nn::Matrix query_vec = featurizer_->EncodeQuery(query);
   // Embeds through this instance's own pipeline scratch: concurrent searches
@@ -283,29 +236,22 @@ void PlanSearch::BeginSearch(const query::Query& query) {
   // here once instead of once per scoring round.
   net_->EmbedQueryInto(query_vec, &embed_scratch_, &embed_);
   net_->ProjectQueryInto(embed_, &query_proj_);
+  Restart(query);
+}
 
-  // Shared leaf-tier salt for this search: the embedding's BIT PATTERN (the
-  // rows' true query dependency) plus (version, kernel arm, generation).
-  // Gated on a fingerprint-pure featurizer — with a cardinality channel,
-  // node features depend on the query beyond subtree_fp and rows must not
-  // cross queries.
-  leaf_tier_enabled_ =
-      shared_ != nullptr &&
-      featurizer_->config().card_channel == featurize::CardChannel::kNone;
-  if (leaf_tier_enabled_) {
-    uint64_t ehash = 0x6c656166u;  // "leaf"
-    const float* e = embed_.Row(0);
-    for (int c = 0; c < embed_.cols(); ++c) {
-      uint32_t bits;
-      std::memcpy(&bits, &e[c], sizeof(bits));
-      ehash = util::HashCombine(ehash, bits);
-    }
-    leaf_salt_ = util::Mix64(util::HashCombine(
-        util::HashCombine(util::HashCombine(ehash, net_->version()),
-                          KernelModeBits()),
-        shared_generation_));
-    leaf_row_scratch_.resize(static_cast<size_t>(net_->TotalConvChannels()));
-  }
+void PlanSearch::Restart(const query::Query& query) {
+  // The table's rows depend on the query, the weights, the kernel arm and
+  // the encodings. The score cache is never cleared: a new salt simply stops
+  // probing entries of other tuples, and they are evicted as their sets
+  // fill. The kernel bits carry a low tag bit so a (fp, version) pair can
+  // never produce the same salt as a raw fingerprint.
+  encoding_epoch_ = featurizer_->encoding_epoch();
+  salt_ = util::Mix64(util::HashCombine(
+      util::HashCombine(
+          util::HashCombine(util::HashCombine(query.fingerprint, net_->version()),
+                            KernelModeBits()),
+          generation_),
+      encoding_epoch_));
   table_.Clear(featurizer_->plan_dim(), net_->config().tree_channels);
 }
 
@@ -329,42 +275,32 @@ int PlanSearch::Intern(const query::Query& query, const plan::PlanNode& node) {
 void PlanSearch::ScoreAll(const query::Query& query,
                           const std::vector<plan::PartialPlan>& plans,
                           const std::vector<uint64_t>* hashes,
-                          const SearchOptions& options, SearchResult* result,
-                          std::vector<float>* out) {
-  SyncCache(query, options);
+                          SearchResult* result, std::vector<float>* out) {
+  // A concurrent serve's cardinality correction re-encodes nodes: the rows
+  // built so far are stale.
+  if (featurizer_->encoding_epoch() != encoding_epoch_) Restart(query);
   NEO_CHECK(hashes == nullptr || hashes->size() == plans.size());
   std::vector<float>& scores = *out;
   scores.assign(plans.size(), 0.0f);
   std::vector<size_t>& miss_idx = miss_idx_scratch_;
-  std::vector<uint64_t>& miss_hash = miss_hash_scratch_;
+  std::vector<uint64_t>& miss_key = miss_key_scratch_;
   miss_idx.clear();
-  miss_hash.clear();
+  miss_key.clear();
   for (size_t i = 0; i < plans.size(); ++i) {
-    const uint64_t h = hashes != nullptr ? (*hashes)[i] : plans[i].Hash();
-    bool hit = false;
-    float v = 0.0f;
-    if (shared_ != nullptr) {
-      hit = shared_->scores.Get(util::HashCombine(h, salt_), &v);
-    } else if (const float* p = score_cache_.Find(h)) {
-      hit = true;
-      v = *p;
+    if (score_cache_ != nullptr) {
+      const uint64_t h = hashes != nullptr ? (*hashes)[i] : plans[i].Hash();
+      const uint64_t key = util::HashCombine(h, salt_);
+      if (score_cache_->Get(key, &scores[i])) {
+        ++result->cache_hits;
+        continue;
+      }
+      miss_key.push_back(key);
     }
-    if (hit) {
-      ++result->cache_hits;
-      scores[i] = v;
-    } else {
-      miss_idx.push_back(i);
-      miss_hash.push_back(h);
-    }
+    miss_idx.push_back(i);
   }
   if (miss_idx.empty()) return;
   result->evaluations += miss_idx.size();
 
-  const bool leaf_tier = shared_ != nullptr && leaf_tier_enabled_;
-  std::vector<float>& leaf_row = leaf_row_scratch_;
-  const auto leaf_key = [&](int row) {
-    return util::HashCombine(table_.fp[static_cast<size_t>(row)], leaf_salt_);
-  };
   {
     // The scoring round — intern, featurize, conv, pool, head. With a warmed
     // search it performs zero heap allocations (every buffer, the table
@@ -373,7 +309,8 @@ void PlanSearch::ScoreAll(const query::Query& query,
     util::AllocRegionScope alloc_region;
 
     // Intern every missed plan's roots. The rows from first_new on are new
-    // this round, each after its children.
+    // this round, each after its children, and all of them run through the
+    // conv stack.
     const int first_new = table_.size();
     size_t plan_rows = 0;
     root_rows_scratch_.clear();
@@ -385,39 +322,10 @@ void PlanSearch::ScoreAll(const query::Query& query,
       }
     }
     const int n_rows = table_.size();
-
-    // New small subtrees another request's search already computed come from
-    // the shared leaf tier; every other new row runs through the conv stack.
     conv_rows_scratch_.clear();
-    for (int r = first_new; r < n_rows; ++r) {
-      if (leaf_tier && table_.nodes[static_cast<size_t>(r)] <= kLeafTierMaxNodes &&
-          shared_->leaf_activations.Get(leaf_key(r), leaf_row.data())) {
-        const float* src = leaf_row.data();
-        for (nn::Matrix& layer : table_.layers) {
-          std::copy(src, src + layer.cols(), layer.Row(r));
-          src += layer.cols();
-        }
-        ++result->leaf_tier_hits;
-        continue;
-      }
-      conv_rows_scratch_.push_back(r);
-    }
+    for (int r = first_new; r < n_rows; ++r) conv_rows_scratch_.push_back(r);
     net_->ForwardRows(table_.tree, table_.features, conv_rows_scratch_,
                       query_proj_, &net_ctx_, &table_.layers);
-    if (leaf_tier) {
-      // Concurrent inserts of one key are idempotent: the salt pins
-      // (embedding bits, version, kernel arm, generation), so every writer
-      // computed bitwise-identical rows.
-      for (const int r : conv_rows_scratch_) {
-        if (table_.nodes[static_cast<size_t>(r)] > kLeafTierMaxNodes) continue;
-        float* dst = leaf_row.data();
-        for (const nn::Matrix& layer : table_.layers) {
-          std::copy(layer.Row(r), layer.Row(r) + layer.cols(), dst);
-          dst += layer.cols();
-        }
-        shared_->leaf_activations.Insert(leaf_key(r), leaf_row.data());
-      }
-    }
 
     // Max-pool each new subtree over (its own last-layer row, the left pool,
     // the right pool), then each plan over its roots in root order: the
@@ -458,12 +366,7 @@ void PlanSearch::ScoreAll(const query::Query& query,
 
   for (size_t m = 0; m < miss_idx.size(); ++m) {
     scores[miss_idx[m]] = predicted[m];
-    if (shared_ != nullptr) {
-      if (shared_->scores.Insert(util::HashCombine(miss_hash[m], salt_),
-                                 &predicted[m])) {
-        ++result->cache_evictions;
-      }
-    } else if (score_cache_.Insert(miss_hash[m], predicted[m])) {
+    if (score_cache_ != nullptr && score_cache_->Insert(miss_key[m], predicted[m])) {
       ++result->cache_evictions;
     }
   }
@@ -492,8 +395,7 @@ SearchResult PlanSearch::FindPlan(const query::Query& query,
   child_scratch_.push_back(plan::PartialPlan::Initial(query));
   child_hash_scratch_.assign(1, child_scratch_[0].Hash());
   visited_.Insert(child_hash_scratch_[0]);
-  ScoreAll(query, child_scratch_, &child_hash_scratch_, options, &result,
-           &scores_scratch_);
+  ScoreAll(query, child_scratch_, &child_hash_scratch_, &result, &scores_scratch_);
   arena.push_back(std::move(child_scratch_[0]));
   heap_push(scores_scratch_[0], 0);
 
@@ -502,17 +404,12 @@ SearchResult PlanSearch::FindPlan(const query::Query& query,
   plan::PartialPlan best_complete;
   size_t last_popped_idx = 0;
 
-  auto out_of_time = [&] {
-    return options.time_cutoff_ms > 0.0 && watch.ElapsedMs() >= options.time_cutoff_ms;
-  };
-
   // Best-first: each round pops the most promising state and scores its
   // unvisited children in one batch. max_expansions == 0 is pure hurry-up.
   while (!heap_.empty()) {
     if (options.max_expansions >= 0 && result.expansions >= options.max_expansions) {
       break;
     }
-    if (out_of_time()) break;
     const HeapEntry top = heap_.front();
     if (options.early_stop && have_complete && top.score >= best_complete_score) {
       break;
@@ -523,7 +420,7 @@ SearchResult PlanSearch::FindPlan(const query::Query& query,
     ++result.expansions;
 
     // Children deduped against `visited_` in place (order kept). The hashes
-    // computed for dedup are reused for the score-cache probes.
+    // computed for dedup are reused for the score-cache keys.
     ChildrenInto(query, arena[top.idx], &child_scratch_);
     child_hash_scratch_.clear();
     size_t kept = 0;
@@ -535,8 +432,7 @@ SearchResult PlanSearch::FindPlan(const query::Query& query,
       child_hash_scratch_.push_back(h);
     }
     child_scratch_.resize(kept);
-    ScoreAll(query, child_scratch_, &child_hash_scratch_, options, &result,
-             &scores_scratch_);
+    ScoreAll(query, child_scratch_, &child_hash_scratch_, &result, &scores_scratch_);
     const std::vector<float>& scores = scores_scratch_;
 
     for (size_t i = 0; i < child_scratch_.size(); ++i) {
@@ -557,14 +453,14 @@ SearchResult PlanSearch::FindPlan(const query::Query& query,
 
   if (!have_complete) {
     // Hurry-up mode (§4.2): greedily descend from the most promising state.
-    // Children the best-first phase already scored come out of the cache.
+    // Children the best-first phase already scored come out of the bound
+    // score cache, or re-score from the subtree table with no conv row.
     result.hurried = true;
     plan::PartialPlan current = arena[last_popped_idx];
     while (!current.IsComplete()) {
       ChildrenInto(query, current, &child_scratch_);
       NEO_CHECK_MSG(!child_scratch_.empty(), "search: dead-end state");
-      ScoreAll(query, child_scratch_, /*hashes=*/nullptr, options, &result,
-               &scores_scratch_);
+      ScoreAll(query, child_scratch_, /*hashes=*/nullptr, &result, &scores_scratch_);
       const std::vector<float>& scores = scores_scratch_;
       size_t best_idx = 0;
       for (size_t i = 1; i < scores.size(); ++i) {

@@ -33,9 +33,10 @@ enum class CardChannel { kNone, kEstimated, kTrue };
 /// (implemented by store::ExperienceStore). When attached, the kEstimated
 /// cardinality channel multiplies the histogram estimate for (query type,
 /// relation subset) by the learned correction factor. `epoch()` must advance
-/// whenever any correction changes materially — it is folded into the plan
-/// search's cache validity tuple so stale encodings become unreachable, the
-/// same discipline as network version / kernel arm.
+/// whenever any correction changes materially — plan search folds it into
+/// its score-cache salt and restarts its subtree table when it moves, so
+/// stale encodings become unreachable, the same discipline as network
+/// version / kernel arm.
 class CardCorrectionSource {
  public:
   virtual ~CardCorrectionSource() = default;
@@ -80,8 +81,8 @@ class Featurizer {
   void SetCardCorrections(const CardCorrectionSource* source) {
     card_corrections_ = source;
   }
-  /// Version of the attached correction state, folded into search cache
-  /// validity; 0 when no source is attached or the channel is off.
+  /// Version of the attached correction state, folded into plan search's
+  /// score-cache salt; 0 when no source is attached or the channel is off.
   uint64_t encoding_epoch() const {
     return (card_corrections_ != nullptr &&
             config_.card_channel == CardChannel::kEstimated)

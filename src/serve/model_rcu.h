@@ -26,8 +26,8 @@
 // Generations vs versions: RestoreSnapshot bumps the standby's own weight
 // version, but two different standbys can coincidentally carry equal version
 // numbers while holding different weights. The generation — unique across
-// publishes — is what shared caches must fold into their keys (see
-// core::SharedSearchCaches).
+// publishes — is what the shared score cache folds into its keys (see
+// core::PlanSearch::BindScoreCache).
 #pragma once
 
 #include <memory>

@@ -15,9 +15,7 @@ ServingCore::ServingCore(core::Neo* neo, ServingOptions options)
     : neo_(neo),
       options_(std::move(options)),
       rcu_(neo->net().config()),
-      caches_(static_cast<size_t>(neo->net().TotalConvChannels()),
-              options_.shared_score_cap, options_.shared_leaf_cap,
-              options_.cache_shards) {
+      score_cache_(options_.shared_score_cap, kScoreCacheStripes) {
   options_.workers = std::max(1, options_.workers);
   if (options_.store != nullptr) {
     // Every serve through the choke point records into the store; Decide()
@@ -363,9 +361,9 @@ ServeResult ServingCore::ServeOne(core::PlanSearch& search, const Task& task,
   NEO_CHECK(ref.net != nullptr);
   out.generation = ref.generation;
   // Rebind to this request's snapshot; the generation re-salts every
-  // shared-cache key so entries from other snapshots are never served.
+  // score-cache key so entries from other snapshots are never served.
   search.Rebind(ref.net.get());
-  search.SetSharedCaches(&caches_, ref.generation);
+  search.BindScoreCache(&score_cache_, ref.generation);
 
   const bool reduced_budget = level >= 1;
   if (reduced_budget) {
@@ -381,7 +379,6 @@ ServeResult ServingCore::ServeOne(core::PlanSearch& search, const Task& task,
   out.predicted_cost = found.predicted_cost;
   out.plan_hash = found.plan.Hash();
   out.total_ms = task.queued.ElapsedMs();
-  leaf_tier_hits_.fetch_add(found.leaf_tier_hits, std::memory_order_relaxed);
   activation_hits_.fetch_add(found.activation_hits, std::memory_order_relaxed);
   // rows_recomputed sums over the conv layers; the misses count node rows.
   activation_misses_.fetch_add(
@@ -429,11 +426,9 @@ ServingStats ServingCore::stats() const {
       degraded_pinned_serves_.load(std::memory_order_relaxed);
   s.worker_exceptions = worker_exceptions_.load(std::memory_order_relaxed);
   s.generation = rcu_.generation();
-  s.score_cache = caches_.scores.TotalStats();
+  s.score_cache = score_cache_.TotalStats();
   s.activation_cache.hits = activation_hits_.load(std::memory_order_relaxed);
   s.activation_cache.misses = activation_misses_.load(std::memory_order_relaxed);
-  s.leaf_cache = caches_.leaf_activations.TotalStats();
-  s.leaf_tier_hits = leaf_tier_hits_.load(std::memory_order_relaxed);
   if (options_.store != nullptr) {
     const store::StoreStats st = options_.store->stats();
     s.store_attached = true;

@@ -8,9 +8,10 @@
 //         worker 0                  worker 1        ...       worker N-1
 //        (dedicated std::thread, owns one core::PlanSearch)
 //             │ 1. ModelRcu::Acquire()      — wait-free weight snapshot
-//             │ 2. search.Rebind(snapshot)  — + shared-cache re-salt
+//             │ 2. search.Rebind(snapshot)  — + BindScoreCache(generation):
+//             │                               the score-cache key salt
 //             │ 3. FindPlan()               — scores through the shared
-//             │                               score and leaf caches
+//             │                               score cache
 //             │ 4. Neo::Serve()             — guarded execute/learn
 //             ▼
 //        per-request ServeResult
@@ -20,9 +21,10 @@
 //
 // 1. Request queue + worker threads. Requests enqueue without blocking and
 //    drain through a fixed pool of workers, each owning one PlanSearch (its
-//    inference scratch is never shared). Workers are dedicated std::threads,
-//    and a request's search runs serially on its worker, so request
-//    concurrency is the only parallelism in the serving core.
+//    inference scratch and subtree table are never shared). Workers are
+//    dedicated std::threads, and a request's search runs serially on its
+//    worker, so request concurrency is the only parallelism in the serving
+//    core.
 //
 // 2. One scoring path. Each worker's search scores its own candidate
 //    batches through the same subtree table and ValueNetwork row-set calls
@@ -31,19 +33,19 @@
 //    waiting to merge their batches costs more than a larger GEMM saves).
 //    Network inference writes only the worker's own scratch (after the
 //    snapshot's once-per-version weight-split refresh), so N workers score
-//    one RCU snapshot concurrently without locks.
+//    one RCU snapshot concurrently without locks. Within one search, each
+//    distinct subtree is scored once through the search's own table (see
+//    search.h), which the next search starts over.
 //
-// 3. Shared score and leaf caches (core::SharedSearchCaches). Every
-//    worker's search scores through process-global flat, fixed-capacity,
-//    8-way set-associative row tables (util::RowCache) with one lock per
-//    stripe of sets, so repeat queries hit scores cached by ANY worker and
-//    the small subtrees every search starts with share conv rows across
-//    requests. Hits are copied out under the stripe lock; no pointer into a
-//    table escapes. Keys are salted with (query fp or embedding bits, net
-//    version, kernel arm, RCU generation): invalidation is free — entries of
-//    dead snapshots simply stop being probed and are evicted as their sets
-//    fill. Within one search, each distinct subtree is scored once through
-//    the search's own table (see search.h), which no other worker touches.
+// 3. One shared score cache (util::ScoreCache), the only mutable state
+//    searches share. Every worker's search probes one process-global flat,
+//    fixed-capacity, 8-way set-associative score table with one lock per
+//    stripe of sets before scoring, and inserts what it scores, so repeat
+//    queries hit scores cached by ANY worker. Hits are copied out under the
+//    stripe lock; no pointer into the table escapes. Keys are salted with
+//    (query fp, net version, kernel arm, RCU generation, encoding epoch):
+//    invalidation is free — entries of dead snapshots simply stop being
+//    probed and are evicted as their sets fill.
 //
 // 4. RCU weight snapshots (model_rcu.h). Background retraining mutates only
 //    Neo's primary network; PublishWeights()/RetrainAndPublish() snapshot it
@@ -54,8 +56,8 @@
 // Determinism: a single-client (workers=1) serving loop is bit-identical to
 // calling FindPlan + ServeAndMaybeLearn inline on a twin Neo at the same
 // published weights; multi-client runs produce the same per-request
-// scores/plans whenever the cache state they observe is value-equal (both
-// caches only ever store bitwise-recomputable values).
+// scores/plans whenever the cache state they observe is value-equal (the
+// score cache only ever stores bitwise-recomputable values).
 //
 // Ordering: guarded execution (breaker/watchdog/experience) is serialized
 // inside Neo::Serve; the order concurrent requests reach it is scheduling-
@@ -129,25 +131,23 @@
 #include "src/store/experience_store.h"
 #include "src/util/fault_injector.h"
 #include "src/util/latency_histogram.h"
-#include "src/util/row_cache.h"
+#include "src/util/score_cache.h"
 #include "src/util/status.h"
 #include "src/util/stopwatch.h"
 
 namespace neo::serve {
 
+/// Lock-stripe count of the shared score cache.
+inline constexpr int kScoreCacheStripes = 16;
+
 struct ServingOptions {
   int workers = 2;  ///< Request worker threads (clamped to >= 1).
   bool coalesce = false;  ///< Ignored; kept so existing callers compile.
-  /// Entry caps of the shared score tier and the cross-query leaf
-  /// activation tier (see core::SharedSearchCaches): 1,048,576 scores and
-  /// 131,072 leaf rows by default. Each cap (>= 1) is an upper bound rounded
-  /// down to whole 8-way sets — a power-of-two number of them, so the
-  /// defaults are exact — and is exact below 8 (one set of `cap` ways).
+  /// Entry cap of the shared score cache: 1,048,576 scores by default. The
+  /// cap (>= 1) is an upper bound rounded down to whole 8-way sets — a
+  /// power-of-two number of them, so the default is exact — and is exact
+  /// below 8 (one set of `cap` ways).
   size_t shared_score_cap = 1 << 20;
-  size_t shared_leaf_cap = 128 * 1024;
-  /// Lock-stripe count of each shared tier (rounded up to a power of two,
-  /// at most one stripe per set).
-  int cache_shards = 16;
   core::SearchOptions search;
   /// Durable per-query-type experience store (see store/experience_store.h).
   /// Not owned; may be null (store-less serving is the literal unchanged
@@ -208,12 +208,10 @@ struct ServingStats {
   util::LatencyHistogram plan_latency;   ///< Per-request plan_ms.
   uint64_t requests = 0;
   uint64_t generation = 0;
-  util::RowCacheStats score_cache;
-  /// Node rows the workers' searches served from their subtree tables or
-  /// the leaf tier (hits) and computed (misses); the other fields stay 0.
-  util::RowCacheStats activation_cache;
-  util::RowCacheStats leaf_cache;     ///< Cross-query leaf activation tier.
-  uint64_t leaf_tier_hits = 0;        ///< Rows served from the leaf tier.
+  util::CacheStats score_cache;
+  /// Node rows the workers' searches served from their subtree tables
+  /// (hits) and computed (misses); the other fields stay 0.
+  util::CacheStats activation_cache;
   // Experience-store counters (zero when no store is attached), so mode
   // behavior is observable rather than inferred.
   bool store_attached = false;
@@ -320,7 +318,7 @@ class ServingCore {
   core::Neo* neo_;
   ServingOptions options_;
   ModelRcu rcu_;
-  core::SharedSearchCaches caches_;
+  util::ScoreCache score_cache_;
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
@@ -351,7 +349,6 @@ class ServingCore {
   std::atomic<uint64_t> degraded_budget_serves_{0};
   std::atomic<uint64_t> degraded_pinned_serves_{0};
   std::atomic<uint64_t> worker_exceptions_{0};
-  std::atomic<uint64_t> leaf_tier_hits_{0};
   std::atomic<uint64_t> activation_hits_{0};
   std::atomic<uint64_t> activation_misses_{0};
   std::atomic<uint64_t> store_pinned_serves_{0};

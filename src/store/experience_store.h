@@ -86,8 +86,9 @@
 // path); `ServingCore` consults Decide() before searching, syncs the WAL
 // every store_sync_every requests, and flushes on Drain()/Stop(). The store
 // implements featurize::CardCorrectionSource: learned corrections multiply
-// the kEstimated cardinality channel, and epoch() feeds the search-cache
-// validity tuple. One internal mutex serializes all public methods; WAL
+// the kEstimated cardinality channel, and epoch() is folded into the shared
+// score cache's salt (a search that sees it advance restarts its subtree
+// table). One internal mutex serializes all public methods; WAL
 // append order equals application order, which is what replay determinism
 // needs. File I/O runs through util::FaultInjector's kIoShortWrite /
 // kIoFailure / crash-budget sites when an injector is attached.

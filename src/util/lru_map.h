@@ -1,5 +1,4 @@
-// Exact-LRU bounded map: PlanSearch's private score cache and the execution
-// engine's latency memo.
+// Exact-LRU bounded map: the execution engine's latency memo.
 #pragma once
 
 #include <cstddef>

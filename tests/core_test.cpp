@@ -29,8 +29,7 @@ class PlanSearchTestPeer {
                                   const std::vector<plan::PartialPlan>& plans) {
     SearchResult result;
     std::vector<float> scores;
-    search->ScoreAll(q, plans, /*hashes=*/nullptr, SearchOptions{}, &result,
-                     &scores);
+    search->ScoreAll(q, plans, /*hashes=*/nullptr, &result, &scores);
     return scores;
   }
   static const SubtreeTable& Table(const PlanSearch& search) {
@@ -309,9 +308,9 @@ TEST_F(CoreFixture, SearchFindsCompleteValidPlan) {
 
 TEST_F(CoreFixture, WarmSearchScoringAllocatesNothing) {
   // Once warm, a search's scoring rounds (intern, featurize, conv, pool and
-  // head, counted inside ScoreAll) make no heap allocation, both with
-  // private caches and bound to SharedSearchCaches under a fresh generation
-  // per search, as micro_serve's steady-state probe runs it.
+  // head, counted inside ScoreAll) make no heap allocation, both unbound and
+  // bound to a score cache under a fresh generation per search, as
+  // micro_serve's steady-state probe runs it.
   if (!util::AllocCounterActive()) {
     GTEST_SKIP() << "allocation counter compiled out (sanitizer build)";
   }
@@ -330,14 +329,13 @@ TEST_F(CoreFixture, WarmSearchScoringAllocatesNothing) {
   neo.Retrain();
 
   // Warms `search` over a rotation of queries, then counts one more search of
-  // train[0]. Each search's query differs from the one before, so private
-  // caches drop; bound to `caches`, the fresh generation re-salts every
-  // search. Either way the counted search does full network work.
+  // train[0]. Bound to `cache`, the fresh generation re-salts every search,
+  // so the counted search does full network work either way.
   const auto counted_search_allocs = [&](PlanSearch* search,
-                                         SharedSearchCaches* caches) {
+                                         util::ScoreCache* cache) {
     uint64_t generation = 0;
     const auto find = [&](const Query& q) {
-      if (caches != nullptr) search->SetSharedCaches(caches, ++generation);
+      if (cache != nullptr) search->BindScoreCache(cache, ++generation);
       return search->FindPlan(q, cfg.search);
     };
     for (size_t i = 0; i < 3 * rotation; ++i) find(*train[i % rotation]);
@@ -349,13 +347,10 @@ TEST_F(CoreFixture, WarmSearchScoringAllocatesNothing) {
     EXPECT_GT(r.evaluations, 0u);
     return allocs;
   };
-  EXPECT_EQ(counted_search_allocs(&neo.search(), nullptr), 0u)
-      << "private caches";
-  SharedSearchCaches caches(
-      static_cast<size_t>(neo.net().TotalConvChannels()), /*score_cap=*/4096,
-      /*leaf_cap=*/1024, /*stripes=*/4);
-  PlanSearch shared(featurizer_, &neo.net());
-  EXPECT_EQ(counted_search_allocs(&shared, &caches), 0u) << "shared caches";
+  EXPECT_EQ(counted_search_allocs(&neo.search(), nullptr), 0u) << "unbound";
+  util::ScoreCache cache(/*cap=*/4096, /*stripes=*/4);
+  PlanSearch bound(featurizer_, &neo.net());
+  EXPECT_EQ(counted_search_allocs(&bound, &cache), 0u) << "bound score cache";
 }
 
 TEST_F(CoreFixture, GreedyModeCompletesWithoutHeapSearch) {
@@ -417,8 +412,7 @@ TEST_F(CoreFixture, ReusedSearchInstanceBitIdenticalToFreshAcrossRequests) {
   // the subtree table (cleared per search, capacity kept).
   // None of that reuse may change any outcome: every request on the warmed
   // instance must be bit-identical to the same request on a brand-new
-  // PlanSearch. Queries alternate so the per-query caches re-salt and clear
-  // between requests, forcing full recomputation through reused buffers.
+  // PlanSearch, whether the query alternates or repeats.
   engine::ExecutionEngine engine(ds_->schema, *ds_->db, EngineKind::kPostgres);
   const auto wl = query::MakeJobWorkload(ds_->schema, *ds_->db);
   Neo neo(featurizer_, &engine, SmallConfig());
@@ -441,6 +435,18 @@ TEST_F(CoreFixture, ReusedSearchInstanceBitIdenticalToFreshAcrossRequests) {
                 baseline.plan.ToString(ds_->schema));
     }
   }
+  // The same query twice in a row: nothing but buffer capacity carries over
+  // between FindPlan calls, so the repeat scores exactly what a fresh
+  // instance scores.
+  const Query& q = *rotation[0];
+  neo.search().FindPlan(q, opt);
+  const SearchResult repeat = neo.search().FindPlan(q, opt);
+  PlanSearch fresh(featurizer_, &neo.net());
+  const SearchResult baseline = fresh.FindPlan(q, opt);
+  EXPECT_EQ(repeat.evaluations, baseline.evaluations);
+  EXPECT_EQ(repeat.rows_recomputed, baseline.rows_recomputed);
+  EXPECT_EQ(repeat.plan.Hash(), baseline.plan.Hash());
+  EXPECT_EQ(repeat.predicted_cost, baseline.predicted_cost);  // Bitwise.
   // The reused instance's subtree table actually saw work (and therefore
   // the rounds above exercised high-water reuse, not an empty table).
   EXPECT_GT(neo.search().subtree_table_peak_bytes(), 0u);
@@ -603,26 +609,28 @@ TEST_F(CoreFixture, ScoreCacheLruEvictsAndRecomputes) {
   SearchOptions opt;
   opt.max_expansions = 20;
 
-  // Uncapped run: the reference plan, and a repeat search that is served
-  // fully from cache.
-  Neo uncapped(featurizer_, &engine, SmallConfig());
-  const SearchResult ref = uncapped.search().FindPlan(q, opt);
+  // Unbound run: the reference plan and score.
+  Neo neo(featurizer_, &engine, SmallConfig());
+  const SearchResult ref = neo.search().FindPlan(q, opt);
+  EXPECT_EQ(ref.cache_hits, 0u);
   EXPECT_EQ(ref.cache_evictions, 0u);
 
-  // Tiny cap: evictions must fire, the searched plan must not change (an
-  // evicted entry is simply re-scored, and scoring is deterministic), and a
-  // repeat search must recompute at least the evicted states.
-  Neo capped(featurizer_, &engine, SmallConfig());
-  SearchOptions small = opt;
-  small.score_cache_cap = 16;
-  const SearchResult first = capped.search().FindPlan(q, small);
+  // Bound to a 16-entry score cache: evictions must fire, the searched plan
+  // must not change (an evicted entry is simply re-scored, and scoring is
+  // deterministic), and a repeat search must recompute at least the evicted
+  // states.
+  util::ScoreCache tiny(/*cap=*/16, /*stripes=*/1);
+  PlanSearch bound(featurizer_, &neo.net());
+  bound.BindScoreCache(&tiny, /*generation=*/1);
+  const SearchResult first = bound.FindPlan(q, opt);
   EXPECT_GT(first.cache_evictions, 0u);
   EXPECT_EQ(first.plan.Hash(), ref.plan.Hash());
-  EXPECT_EQ(first.predicted_cost, ref.predicted_cost);
+  EXPECT_EQ(first.predicted_cost, ref.predicted_cost);  // Bitwise.
 
-  const SearchResult second = capped.search().FindPlan(q, small);
+  const SearchResult second = bound.FindPlan(q, opt);
   EXPECT_EQ(second.plan.Hash(), ref.plan.Hash());
-  // With only 16 cache slots the repeat search cannot be served fully from
+  EXPECT_EQ(second.predicted_cost, ref.predicted_cost);
+  // With only 16 slots the repeat search cannot be served fully from the
   // cache (contrast ScoreCacheServesRepeatSearches): evicted states really
   // are recomputed.
   EXPECT_GT(second.evaluations, 0u);
@@ -674,6 +682,8 @@ TEST_F(CoreFixture, ScoreCacheServesRepeatSearches) {
   const Query q = ThreeWay(58);
   SearchOptions opt;
   opt.max_expansions = 20;
+  util::ScoreCache cache(/*cap=*/4096, /*stripes=*/4);
+  neo.search().BindScoreCache(&cache, /*generation=*/1);
 
   const SearchResult first = neo.search().FindPlan(q, opt);
   EXPECT_GT(first.evaluations, 0u);
@@ -681,10 +691,12 @@ TEST_F(CoreFixture, ScoreCacheServesRepeatSearches) {
   // first pass scored comes out of the cache, not a fresh forward pass.
   const SearchResult second = neo.search().FindPlan(q, opt);
   EXPECT_EQ(second.plan.Hash(), first.plan.Hash());
+  EXPECT_EQ(second.predicted_cost, first.predicted_cost);  // Bitwise.
   EXPECT_EQ(second.evaluations, 0u);
   EXPECT_GT(second.cache_hits, 0u);
 
-  // Training bumps the network version, which must invalidate the cache.
+  // Training bumps the network version, which re-salts every key: the
+  // cached scores of the old weights are never served.
   const plan::PartialPlan complete = first.plan;
   neo.experience().AddCompletePlan(q, complete, 25.0);
   neo.Retrain();
@@ -695,18 +707,31 @@ TEST_F(CoreFixture, ScoreCacheServesRepeatSearches) {
 TEST_F(CoreFixture, HurryUpReusesBestFirstScores) {
   // A tiny expansion budget forces hurry-up completion; the greedy descent
   // starts from the last popped state, whose children the best-first phase
-  // already scored, so the descent's first step must be all cache hits.
+  // already scored. A bound score cache serves them; an unbound search
+  // re-scores them from its subtree table, which already holds every one of
+  // their subtrees, so it computes no extra conv row and lands on the same
+  // plan and score bit for bit.
   engine::ExecutionEngine engine(ds_->schema, *ds_->db, EngineKind::kPostgres);
   Neo neo(featurizer_, &engine, SmallConfig());
   const Query q = ThreeWay(59);
   SearchOptions opt;
   opt.max_expansions = 2;
   opt.early_stop = false;
-  const SearchResult r = neo.search().FindPlan(q, opt);
-  EXPECT_TRUE(r.plan.IsComplete());
+  util::ScoreCache cache(/*cap=*/4096, /*stripes=*/4);
+  PlanSearch bound_search(featurizer_, &neo.net());
+  bound_search.BindScoreCache(&cache, /*generation=*/1);
+  const SearchResult bound = bound_search.FindPlan(q, opt);
+  const SearchResult unbound = neo.search().FindPlan(q, opt);
+  EXPECT_TRUE(bound.plan.IsComplete());
   // Two expansions cannot complete a 3-relation plan, so hurry-up must fire.
-  ASSERT_TRUE(r.hurried);
-  EXPECT_GT(r.cache_hits, 0u);
+  ASSERT_TRUE(bound.hurried);
+  ASSERT_TRUE(unbound.hurried);
+  EXPECT_GT(bound.cache_hits, 0u);
+  EXPECT_EQ(unbound.cache_hits, 0u);
+  EXPECT_EQ(bound.plan.Hash(), unbound.plan.Hash());
+  EXPECT_EQ(bound.predicted_cost, unbound.predicted_cost);  // Bitwise.
+  EXPECT_EQ(bound.rows_recomputed, unbound.rows_recomputed);
+  EXPECT_EQ(unbound.evaluations, bound.evaluations + bound.cache_hits);
 }
 
 TEST_F(CoreFixture, SearchMoreBudgetNeverWorsePrediction) {

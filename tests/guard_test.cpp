@@ -538,7 +538,9 @@ TEST_F(GuardFixture, RetrainCorruptionRollsBackAndInvalidatesSearchCache) {
   neo.Retrain();  // Healthy: takes the last-good snapshot.
   ASSERT_TRUE(neo.health().has_snapshot());
 
-  // Warm the search's score cache so invalidation is observable.
+  // Bind a score cache and warm it, so invalidation is observable.
+  util::ScoreCache cache(/*cap=*/4096, /*stripes=*/4);
+  neo.search().BindScoreCache(&cache, /*generation=*/1);
   SearchOptions opt;
   opt.max_expansions = 20;
   const SearchResult warm = neo.search().FindPlan(q, opt);
@@ -556,9 +558,9 @@ TEST_F(GuardFixture, RetrainCorruptionRollsBackAndInvalidatesSearchCache) {
   EXPECT_EQ(neo.guard_stats().health_rollbacks, 1);
   EXPECT_FALSE(neo.net().HasNonFiniteParams());
 
-  // The rollback bumped the net version: the repeat search re-evaluates
-  // instead of serving score-cache entries from the corrupted-then-restored
-  // weight history.
+  // The rollback bumped the net version, which re-salts the cache keys: the
+  // repeat search re-evaluates instead of serving score-cache entries from
+  // the corrupted-then-restored weight history.
   const SearchResult after = neo.search().FindPlan(q, opt);
   EXPECT_GT(after.evaluations, 0u);
   EXPECT_TRUE(after.plan.IsComplete());

@@ -1,5 +1,5 @@
 // Serving-core tests: the single-client serving == inline-loop parity
-// contract, concurrent inference on one shared network, shared-cache
+// contract, concurrent inference on one shared network, shared-score-cache
 // exactness under concurrency, RCU generation invalidation, retraining
 // overlapped with serving, the engine memo's concurrent counter exactness,
 // and the guarded-serve latency bound under fault injection. The asan/tsan
@@ -114,7 +114,8 @@ TEST_F(ServeFixture, SingleClientServingBitIdenticalToInlineGuardedLoop) {
   }
 
   // Twin B: the same requests through a single-worker serving core (RCU
-  // snapshot + shared caches installed, both of which must be transparent).
+  // snapshot + shared score cache installed, both of which must be
+  // transparent).
   Rig b = MakeRig(train, cfg);
   std::vector<double> served_lat;
   {
@@ -188,6 +189,10 @@ TEST_F(ServeFixture, ConcurrentServingMatchesSerialReference) {
   EXPECT_EQ(stats.generation, 1u);
   // Repeat passes of identical queries must hit the shared score cache.
   EXPECT_GT(stats.score_cache.hits, 0u);
+  // The searches' subtree-table rows, served and computed, surface through
+  // the serving stats.
+  EXPECT_GT(stats.activation_cache.hits, 0u);
+  EXPECT_GT(stats.activation_cache.misses, 0u);
 }
 
 // ---- Concurrent inference on one shared network ----------------------------
@@ -250,14 +255,14 @@ TEST_F(ServeFixture, ConcurrentEmbedAndSearchOnFreshNetworkMatchesSerialTwin) {
   }
 }
 
-// ---- Shared caches ---------------------------------------------------------
+// ---- Shared score cache ----------------------------------------------------
 
 TEST_F(ServeFixture, SharedCachesStayExactAcrossConcurrentSameQuerySearches) {
   const std::vector<const Query*> train = TrainSet();
   const NeoConfig cfg = SmallConfig();
   const Query& q = *train[0];
 
-  // Isolated reference: a fresh search with private caches on the primary net.
+  // Isolated reference: a fresh unbound search on the primary net.
   Rig ref = MakeRig(train, cfg);
   core::PlanSearch isolated(featurizer_, &ref.neo->net());
   const core::SearchResult solo = isolated.FindPlan(q, cfg.search);
@@ -301,94 +306,6 @@ TEST_F(ServeFixture, PublishedGenerationInvalidatesWithoutStaleScores) {
   // A fresh isolated search on the retrained primary net is the no-stale
   // oracle: if any generation-1 shared-cache entry leaked into the second
   // serve, its plan/score could not match this one bitwise.
-  core::PlanSearch isolated(featurizer_, &b.neo->net());
-  const core::SearchResult fresh = isolated.FindPlan(q, cfg.search);
-  EXPECT_EQ(after.plan_hash, fresh.plan.Hash());
-  EXPECT_EQ(after.predicted_cost, fresh.predicted_cost);  // Bitwise.
-}
-
-TEST_F(ServeFixture, LeafTierServesRepeatSearchesWithoutChangingOutcomes) {
-  const std::vector<const Query*> train = TrainSet();
-  const NeoConfig cfg = SmallConfig();
-  const Query& q = *train[0];
-  Rig b = MakeRig(train, cfg);
-
-  // Oracle: a fresh private-cache search on the same net.
-  core::PlanSearch isolated(featurizer_, &b.neo->net());
-  const core::SearchResult solo = isolated.FindPlan(q, cfg.search);
-
-  // A one-entry score tier forces every search to re-score its plans, and
-  // each search starts with an empty subtree table, so small-subtree rows
-  // can only be served by the leaf tier.
-  core::SharedSearchCaches caches(
-      static_cast<size_t>(b.neo->net().TotalConvChannels()), /*score_cap=*/1,
-      /*leaf_cap=*/1 << 16, /*stripes=*/1);
-  core::PlanSearch first_search(featurizer_, &b.neo->net());
-  first_search.SetSharedCaches(&caches, /*generation=*/1);
-  const core::SearchResult first = first_search.FindPlan(q, cfg.search);
-  EXPECT_EQ(first.plan.Hash(), solo.plan.Hash());
-  EXPECT_EQ(first.predicted_cost, solo.predicted_cost);  // Bitwise.
-
-  // A different search instance over the same query (same embedding bits,
-  // same weights, same generation) must be served leaf rows the first search
-  // already paid for — and still land on the bit-identical result.
-  const uint64_t hits_before = caches.leaf_activations.TotalStats().hits;
-  core::PlanSearch second_search(featurizer_, &b.neo->net());
-  second_search.SetSharedCaches(&caches, /*generation=*/1);
-  const core::SearchResult second = second_search.FindPlan(q, cfg.search);
-  EXPECT_GT(second.leaf_tier_hits, 0u);
-  EXPECT_GT(caches.leaf_activations.TotalStats().hits, hits_before);
-  EXPECT_EQ(second.plan.Hash(), solo.plan.Hash());
-  EXPECT_EQ(second.predicted_cost, solo.predicted_cost);  // Bitwise.
-
-  // Version invalidation: retraining bumps the net version, so the warm
-  // leaf entries (salted with the old version + embedding bits) must never
-  // be served again. A fresh isolated search on the retrained net is the
-  // no-stale oracle — one stale activation row would shift its scores.
-  b.neo->Retrain();
-  core::PlanSearch post_search(featurizer_, &b.neo->net());
-  post_search.SetSharedCaches(&caches, /*generation=*/1);
-  const core::SearchResult post = post_search.FindPlan(q, cfg.search);
-  core::PlanSearch oracle(featurizer_, &b.neo->net());
-  const core::SearchResult fresh = oracle.FindPlan(q, cfg.search);
-  EXPECT_EQ(post.plan.Hash(), fresh.plan.Hash());
-  EXPECT_EQ(post.predicted_cost, fresh.predicted_cost);  // Bitwise.
-}
-
-TEST_F(ServeFixture, LeafTierStatsSurfaceThroughServingCore) {
-  const std::vector<const Query*> train = TrainSet();
-  const NeoConfig cfg = SmallConfig();
-  const Query& q = *train[0];
-
-  // A one-entry score tier makes the repeat serve re-score its plans; its
-  // search starts with an empty subtree table, so leaf-tier traffic is
-  // guaranteed and must show up in the serving stats.
-  Rig b = MakeRig(train, cfg);
-  ServingOptions sopt;
-  sopt.workers = 1;
-  sopt.search = cfg.search;
-  sopt.shared_score_cap = 1;
-  sopt.shared_leaf_cap = 1 << 16;
-  ServingCore core(b.neo.get(), sopt);
-
-  const ServeResult r1 = core.ServeSync(q, /*learn=*/false);
-  const ServeResult r2 = core.ServeSync(q, /*learn=*/false);
-  EXPECT_EQ(r1.plan_hash, r2.plan_hash);
-  EXPECT_EQ(r1.predicted_cost, r2.predicted_cost);  // Bitwise.
-  const ServingStats stats = core.stats();
-  EXPECT_GT(stats.leaf_tier_hits, 0u);
-  EXPECT_GT(stats.leaf_cache.hits, 0u);
-  EXPECT_GT(stats.leaf_cache.entries, 0u);
-  // The searches' subtree-table rows: served (leaf hits among them) and
-  // computed.
-  EXPECT_GE(stats.activation_cache.hits, stats.leaf_tier_hits);
-  EXPECT_GT(stats.activation_cache.misses, 0u);
-
-  // Generation invalidation: the publish bumps the RCU generation (new leaf
-  // salt), so post-publish serves must match a fresh isolated search on the
-  // retrained primary net bitwise — no stale generation-1 leaf rows.
-  core.RetrainAndPublish();
-  const ServeResult after = core.ServeSync(q, /*learn=*/false);
   core::PlanSearch isolated(featurizer_, &b.neo->net());
   const core::SearchResult fresh = isolated.FindPlan(q, cfg.search);
   EXPECT_EQ(after.plan_hash, fresh.plan.Hash());

@@ -11,7 +11,7 @@
 #include "src/util/latency_histogram.h"
 #include "src/util/lru_map.h"
 #include "src/util/rng.h"
-#include "src/util/row_cache.h"
+#include "src/util/score_cache.h"
 #include "src/util/status.h"
 #include "src/util/string_util.h"
 
@@ -353,70 +353,67 @@ TEST(LatencyHistogramTest, MergeEqualsCombinedRecording) {
   }
 }
 
-TEST(RowCacheTest, ExactCountersAndOverwriteNeitherDuplicatesNorEvicts) {
-  RowCache cache(/*width=*/1, /*cap=*/1024, /*stripes=*/4);
+TEST(ScoreCacheTest, ExactCountersAndOverwriteNeitherDuplicatesNorEvicts) {
+  ScoreCache cache(/*cap=*/1024, /*stripes=*/4);
   EXPECT_EQ(cache.num_stripes(), 4);
   EXPECT_EQ(cache.capacity(), 1024u);
   float out = 0.0f;
   EXPECT_FALSE(cache.Get(7, &out));
-  const float v42 = 42.0f, v43 = 43.0f;
-  EXPECT_FALSE(cache.Insert(7, &v42));
+  EXPECT_FALSE(cache.Insert(7, 42.0f));
   EXPECT_TRUE(cache.Get(7, &out));
   EXPECT_EQ(out, 42.0f);
   // Overwrite touches, not duplicates.
-  EXPECT_FALSE(cache.Insert(7, &v43));
+  EXPECT_FALSE(cache.Insert(7, 43.0f));
   EXPECT_TRUE(cache.Get(7, &out));
   EXPECT_EQ(out, 43.0f);
-  const RowCacheStats s = cache.TotalStats();
+  const CacheStats s = cache.TotalStats();
   EXPECT_EQ(s.hits, 2u);
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.entries, 1u);
   EXPECT_EQ(s.evictions, 0u);
 }
 
-TEST(RowCacheTest, StripesRoundUpToPowerOfTwoAndCapRoundsDownToSets) {
-  RowCache cache(/*width=*/1, /*cap=*/1024, /*stripes=*/5);
+TEST(ScoreCacheTest, StripesRoundUpToPowerOfTwoAndCapRoundsDownToSets) {
+  ScoreCache cache(/*cap=*/1024, /*stripes=*/5);
   EXPECT_EQ(cache.num_stripes(), 8);
   // 100 entries fit 8 sets of 8 ways; the cap stays an upper bound.
-  EXPECT_EQ(RowCache(1, /*cap=*/100, 1).capacity(), 64u);
+  EXPECT_EQ(ScoreCache(/*cap=*/100, 1).capacity(), 64u);
   // Never more stripes than sets, and never fewer than one.
-  EXPECT_EQ(RowCache(1, /*cap=*/16, /*stripes=*/16).num_stripes(), 2);
-  EXPECT_EQ(RowCache(1, /*cap=*/64, /*stripes=*/0).num_stripes(), 1);
-  EXPECT_EQ(RowCache(1, /*cap=*/64, /*stripes=*/-3).num_stripes(), 1);
+  EXPECT_EQ(ScoreCache(/*cap=*/16, /*stripes=*/16).num_stripes(), 2);
+  EXPECT_EQ(ScoreCache(/*cap=*/64, /*stripes=*/0).num_stripes(), 1);
+  EXPECT_EQ(ScoreCache(/*cap=*/64, /*stripes=*/-3).num_stripes(), 1);
 }
 
-TEST(RowCacheTest, OneSetEvictsLeastRecentlyUsedAndGetRefreshes) {
+TEST(ScoreCacheTest, OneSetEvictsLeastRecentlyUsedAndGetRefreshes) {
   // cap < 8: one set of `cap` ways, an exact LRU.
-  RowCache cache(/*width=*/1, /*cap=*/3, /*stripes=*/4);
+  ScoreCache cache(/*cap=*/3, /*stripes=*/4);
   EXPECT_EQ(cache.capacity(), 3u);
   EXPECT_EQ(cache.num_stripes(), 1);
-  const float vals[] = {0, 1, 2, 3, 4};
   float out = 0.0f;
-  EXPECT_FALSE(cache.Insert(1, &vals[1]));
-  EXPECT_FALSE(cache.Insert(2, &vals[2]));
-  EXPECT_FALSE(cache.Insert(3, &vals[3]));
-  EXPECT_TRUE(cache.Get(1, &out));         // 1 becomes most recent; 2 is LRU.
-  EXPECT_TRUE(cache.Insert(4, &vals[4]));  // Evicts 2.
+  EXPECT_FALSE(cache.Insert(1, 1.0f));
+  EXPECT_FALSE(cache.Insert(2, 2.0f));
+  EXPECT_FALSE(cache.Insert(3, 3.0f));
+  EXPECT_TRUE(cache.Get(1, &out));      // 1 becomes most recent; 2 is LRU.
+  EXPECT_TRUE(cache.Insert(4, 4.0f));   // Evicts 2.
   EXPECT_FALSE(cache.Get(2, &out));
   EXPECT_TRUE(cache.Get(3, &out));  // Order now (oldest first): 1, 4, 3.
-  EXPECT_TRUE(cache.Insert(2, &vals[2]));  // Evicts 1.
+  EXPECT_TRUE(cache.Insert(2, 2.0f));   // Evicts 1.
   EXPECT_FALSE(cache.Get(1, &out));
   EXPECT_TRUE(cache.Get(4, &out));
   EXPECT_EQ(out, 4.0f);
-  const RowCacheStats s = cache.TotalStats();
+  const CacheStats s = cache.TotalStats();
   EXPECT_EQ(s.evictions, 2u);
   EXPECT_EQ(s.entries, 3u);
 }
 
-TEST(RowCacheTest, KeysSharingASetNeverAliasAndKeyZeroIsStored) {
+TEST(ScoreCacheTest, KeysSharingASetNeverAliasAndKeyZeroIsStored) {
   // One 8-way set: every key shares it.
-  RowCache cache(/*width=*/1, /*cap=*/8, /*stripes=*/1);
+  ScoreCache cache(/*cap=*/8, /*stripes=*/1);
   ASSERT_EQ(cache.capacity(), 8u);
   float out = -1.0f;
   EXPECT_FALSE(cache.Get(0, &out));
   for (uint64_t k = 0; k < 8; ++k) {
-    const float v = static_cast<float>(k) + 0.5f;
-    EXPECT_FALSE(cache.Insert(k, &v));
+    EXPECT_FALSE(cache.Insert(k, static_cast<float>(k) + 0.5f));
   }
   for (uint64_t k = 0; k < 8; ++k) {
     ASSERT_TRUE(cache.Get(k, &out)) << k;
@@ -428,57 +425,46 @@ TEST(RowCacheTest, KeysSharingASetNeverAliasAndKeyZeroIsStored) {
   EXPECT_EQ(cache.TotalStats().entries, 8u);
 }
 
-TEST(RowCacheTest, HitCopiesWholeRowAndMissLeavesOutUntouched) {
-  constexpr size_t kWidth = 5;
-  RowCache cache(kWidth, /*cap=*/64, /*stripes=*/2);
-  const float row[kWidth] = {1, 2, 3, 4, 5};
-  cache.Insert(9, row);
-  float out[kWidth] = {0, 0, 0, 0, 0};
-  ASSERT_TRUE(cache.Get(9, out));
-  EXPECT_EQ(std::vector<float>(out, out + kWidth),
-            std::vector<float>(row, row + kWidth));
-  float sentinel[kWidth] = {-1, -1, -1, -1, -1};
-  EXPECT_FALSE(cache.Get(10, sentinel));
-  for (const float v : sentinel) EXPECT_EQ(v, -1.0f);
+TEST(ScoreCacheTest, HitReturnsScoreAndMissLeavesOutUntouched) {
+  ScoreCache cache(/*cap=*/64, /*stripes=*/2);
+  cache.Insert(9, 1.25f);
+  float out = 0.0f;
+  ASSERT_TRUE(cache.Get(9, &out));
+  EXPECT_EQ(out, 1.25f);
+  float sentinel = -1.0f;
+  EXPECT_FALSE(cache.Get(10, &sentinel));
+  EXPECT_EQ(sentinel, -1.0f);
 }
 
-TEST(RowCacheTest, ConcurrentMixedUseNeverTearsRowsAndKeepsCountsExact) {
-  constexpr size_t kWidth = 16;
+TEST(ScoreCacheTest, ConcurrentMixedUseNeverMisplacesScoresAndKeepsCountsExact) {
   constexpr size_t kCap = 256;
-  RowCache cache(kWidth, kCap, /*stripes=*/8);
+  ScoreCache cache(kCap, /*stripes=*/8);
   constexpr int kThreads = 4;
   constexpr int kOps = 4000;
-  std::atomic<int> wrong_rows{0};
+  std::atomic<int> wrong_scores{0};
   std::atomic<uint64_t> gets{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       Rng rng(static_cast<uint64_t>(t) + 1);
-      float row[kWidth];
       for (int i = 0; i < kOps; ++i) {
         const uint64_t key = rng.Next() % 1024;
         gets.fetch_add(1, std::memory_order_relaxed);
-        if (cache.Get(key, row)) {
-          // Every float derives from the key; a torn or misplaced row would
-          // surface here (and as a tsan report in the sanitizer arm).
-          for (size_t c = 0; c < kWidth; ++c) {
-            if (row[c] != static_cast<float>(key * kWidth + c)) {
-              wrong_rows.fetch_add(1);
-              break;
-            }
-          }
+        float score = 0.0f;
+        if (cache.Get(key, &score)) {
+          // Every score derives from its key; a score stored under another
+          // key would surface here (and a race as a tsan report in the
+          // sanitizer arm).
+          if (score != static_cast<float>(key) + 0.5f) wrong_scores.fetch_add(1);
         } else {
-          for (size_t c = 0; c < kWidth; ++c) {
-            row[c] = static_cast<float>(key * kWidth + c);
-          }
-          cache.Insert(key, row);
+          cache.Insert(key, static_cast<float>(key) + 0.5f);
         }
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(wrong_rows.load(), 0);
-  const RowCacheStats s = cache.TotalStats();
+  EXPECT_EQ(wrong_scores.load(), 0);
+  const CacheStats s = cache.TotalStats();
   EXPECT_EQ(s.hits + s.misses, gets.load());
   EXPECT_LE(s.entries, kCap);
   EXPECT_GT(s.evictions, 0u);
