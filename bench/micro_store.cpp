@@ -8,12 +8,10 @@
 //   recovery_ms / replay_records_per_sec - cold Open() replaying the full
 //               WAL through the live state machine,
 //   snapshot_ms / snapshot_recovery_ms - serialize+atomic-publish cost and
-//               the Open() that loads the snapshot instead of replaying,
-//   recovery_lossless - an in-bench kill-point sweep: the WAL is truncated
-//               at every frame boundary and at mid-record offsets, and every
-//               cut must recover cleanly (kOk, exact complete-frame prefix,
-//               state equal to the pre-crash reference at that boundary).
-//               CI hard-fails on false — this is the crash-safety gate.
+//               the Open() that loads the snapshot instead of replaying.
+//
+// The crash-safety verdict (the WAL kill-point sweep) is a test:
+// StoreFixture.KillPointSweepLosesOnlyTheTornTail in tests/store_test.cpp.
 //
 // The google-benchmark suite runs after the JSON measurement; pass
 // --benchmark_filter etc. as usual.
@@ -25,7 +23,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,7 +38,6 @@ namespace {
 using namespace neo;
 using store::ExperienceStore;
 using store::StoreOptions;
-using store::TypeView;
 
 struct Fixture {
   datagen::Dataset ds;
@@ -153,85 +149,6 @@ BENCHMARK(BM_StoreDecidePinned);
 
 // ---- BENCH_store.json ------------------------------------------------------
 
-bool ViewsEqual(const TypeView& a, const TypeView& b) {
-  return a.type_hash == b.type_hash && a.mode == b.mode &&
-         a.serves == b.serves && a.exploit_run_len == b.exploit_run_len &&
-         a.ewma == b.ewma && a.baseline_mean == b.baseline_mean &&
-         a.baseline_n == b.baseline_n && a.has_best == b.has_best &&
-         a.best_latency_ms == b.best_latency_ms &&
-         a.best_plan_hash == b.best_plan_hash &&
-         a.num_corrections == b.num_corrections;
-}
-
-bool AllViewsEqual(const std::vector<TypeView>& a,
-                   const std::vector<TypeView>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!ViewsEqual(a[i], b[i])) return false;
-  }
-  return true;
-}
-
-void WriteRawFile(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return;
-  if (!bytes.empty()) {
-    (void)std::fwrite(bytes.data(), 1, bytes.size(), f);
-  }
-  std::fclose(f);
-}
-
-/// Kill-point sweep: cut the canonical WAL at every frame boundary and at
-/// offsets inside every frame; every cut must mount kOk with exactly the
-/// complete-frame prefix and the reference state at that boundary. Returns
-/// false on ANY deviation — the bench's hard acceptance gate.
-bool SweepKillPoints(const std::vector<uint8_t>& wal,
-                     const std::map<uint64_t, std::vector<TypeView>>& reference,
-                     uint64_t* cuts_out) {
-  std::vector<uint64_t> boundaries = {8};
-  uint64_t off = 8;
-  while (off + 24 <= wal.size()) {
-    uint32_t len = 0;
-    std::memcpy(&len, wal.data() + off, 4);
-    off += 24 + len;
-    if (off > wal.size()) return false;  // Canonical WAL must parse whole.
-    boundaries.push_back(off);
-  }
-  if (off != wal.size()) return false;
-
-  TempDir scratch;
-  StoreOptions opt;
-  opt.dir = scratch.path();
-  opt.snapshot_every = 0;
-  uint64_t cuts = 0;
-  for (size_t k = 0; k + 1 < boundaries.size(); ++k) {
-    const uint64_t frame_len = boundaries[k + 1] - boundaries[k];
-    const uint64_t offsets[] = {boundaries[k], boundaries[k] + 1,
-                                boundaries[k] + frame_len / 2,
-                                boundaries[k] + frame_len - 1};
-    for (const uint64_t cut : offsets) {
-      WriteRawFile(scratch.path() + "/wal.log",
-                   std::vector<uint8_t>(wal.begin(), wal.begin() + cut));
-      ExperienceStore b(opt);
-      if (!b.Open().ok()) return false;
-      if (b.recovery().wal_corrupt) return false;
-      if (b.recovery().wal_frames_replayed != k) return false;
-      const auto it = reference.find(k);
-      if (it != reference.end() && !AllViewsEqual(b.View(), it->second)) {
-        return false;
-      }
-      ++cuts;
-    }
-  }
-  // The untruncated file replays to the final reference state.
-  WriteRawFile(scratch.path() + "/wal.log", wal);
-  ExperienceStore full(opt);
-  if (!full.Open().ok()) return false;
-  if (!AllViewsEqual(full.View(), reference.rbegin()->second)) return false;
-  *cuts_out = cuts;
-  return true;
-}
-
 void WriteStoreJson(const std::string& path) {
   Fixture& f = Fixture::Get();
 
@@ -286,34 +203,6 @@ void WriteStoreJson(const std::string& path) {
     const double snap_recovery_secs = reopen_watch.ElapsedSeconds();
     const bool snapshot_loaded = reopened.recovery().snapshot_loaded;
 
-    // 4. Kill-point sweep on a small deterministic script (fresh dir).
-    TempDir sweep_dir;
-    StoreOptions sopt;
-    sopt.dir = sweep_dir.path();
-    sopt.snapshot_every = 0;
-    std::map<uint64_t, std::vector<TypeView>> reference;
-    std::vector<uint8_t> sweep_wal;
-    {
-      ExperienceStore s(sopt);
-      (void)s.Open();
-      reference[0] = s.View();
-      for (int i = 0; i < 120; ++i) {
-        const size_t qi = static_cast<size_t>(i) % 4;
-        // Mix improving serves (2 frames), plain serves, and corrections.
-        s.RecordServe(f.queries[qi], f.plans[qi], 50.0 - 0.1 * i,
-                      /*from_search=*/true);
-        reference.emplace(s.stats().wal_records, s.View());
-        if (i % 10 == 0) {
-          s.RecordCardCorrection(f.queries[qi], 1, 100.0, 150.0 + i);
-          reference.emplace(s.stats().wal_records, s.View());
-        }
-      }
-      (void)s.Sync();
-      (void)store::ReadFileBytes(s.wal_path(), &sweep_wal);
-    }
-    uint64_t kill_points = 0;
-    const bool lossless = SweepKillPoints(sweep_wal, reference, &kill_points);
-
     const double append_rps = append_secs > 0 ? appended / append_secs : 0.0;
     const double append_mbps =
         append_secs > 0 ? wal_bytes / (1e6 * append_secs) : 0.0;
@@ -337,28 +226,22 @@ void WriteStoreJson(const std::string& path) {
                  "  \"snapshot_ms\": %.3f,\n"
                  "  \"snapshot_ok\": %s,\n"
                  "  \"snapshot_recovery_ms\": %.3f,\n"
-                 "  \"snapshot_loaded\": %s,\n"
-                 "  \"kill_points_swept\": %llu,\n"
-                 "  \"recovery_lossless\": %s\n"
+                 "  \"snapshot_loaded\": %s\n"
                  "}\n",
                  f.queries.size(), static_cast<unsigned long long>(appended),
                  static_cast<unsigned long long>(wal_bytes), append_rps,
                  append_mbps, recovery_secs * 1e3, replay_rps,
                  snapshot_secs * 1e3, snap_ok ? "true" : "false",
-                 snap_recovery_secs * 1e3, snapshot_loaded ? "true" : "false",
-                 static_cast<unsigned long long>(kill_points),
-                 lossless ? "true" : "false");
+                 snap_recovery_secs * 1e3, snapshot_loaded ? "true" : "false");
     std::fclose(out);
 
     std::printf(
         "store: %llu wal records appended at %.0f rec/s (%.2f MB/s);"
         " cold recovery %.3f ms (%.0f rec/s replay); snapshot %.3f ms,"
-        " snapshot recovery %.3f ms; %llu kill points swept, lossless: %s"
-        " -> %s\n",
+        " snapshot recovery %.3f ms -> %s\n",
         static_cast<unsigned long long>(appended), append_rps, append_mbps,
         recovery_secs * 1e3, replay_rps, snapshot_secs * 1e3,
-        snap_recovery_secs * 1e3, static_cast<unsigned long long>(kill_points),
-        lossless ? "yes" : "NO", path.c_str());
+        snap_recovery_secs * 1e3, path.c_str());
   }
 }
 

@@ -21,8 +21,6 @@ void Experience::AddCompletePlan(const query::Query& query,
                                  const plan::PartialPlan& plan, double cost) {
   NEO_CHECK(plan.IsComplete());
   ++num_complete_;
-  auto [bit, inserted] = best_cost_.emplace(query.id, cost);
-  if (!inserted) bit->second = std::min(bit->second, cost);
 
   auto [qit, fresh] = queries_.try_emplace(query.fingerprint);
   QueryExperience& entry = qit->second;
@@ -59,9 +57,12 @@ void Experience::EvictLeastRecent() {
   queries_.erase(it);
 }
 
-double Experience::BestCost(int query_id) const {
-  auto it = best_cost_.find(query_id);
-  return it == best_cost_.end() ? std::numeric_limits<double>::infinity() : it->second;
+double Experience::BestCost(const query::Query& query) const {
+  double best = std::numeric_limits<double>::infinity();
+  const auto it = queries_.find(query.fingerprint);
+  if (it == queries_.end()) return best;
+  for (const auto& [hash, stored] : it->second.plans) best = std::min(best, stored.cost);
+  return best;
 }
 
 namespace {

@@ -50,9 +50,9 @@ class Experience {
   void AddCompletePlan(const query::Query& query, const plan::PartialPlan& plan,
                        double cost);
 
-  /// Best (minimum) recorded cost of complete plans for a query; +inf if
-  /// none.
-  double BestCost(int query_id) const;
+  /// Minimum cost over the held plans of `query` (by fingerprint); +inf when
+  /// the query is not held.
+  double BestCost(const query::Query& query) const;
 
   /// One training state drawn by Sample. It holds its query, so it stays
   /// valid after the query is evicted.
@@ -102,7 +102,6 @@ class Experience {
   /// Key: (query fingerprint, state hash). One map across queries, so the
   /// sampling order depends only on the sequence of inserts.
   std::unordered_map<uint64_t, State> states_;
-  std::unordered_map<int, double> best_cost_;
   size_t num_complete_ = 0;
   double target_mean_ = 0.0;
   double target_std_ = 1.0;
@@ -110,9 +109,9 @@ class Experience {
 
 /// Encodes the states one retrain draws, over all its epochs. Each distinct
 /// (query, state) is encoded at most once, and so is each distinct query's
-/// vector, which all samples of that query share. The featurizer's state at
-/// encoding time applies (with CardChannel::kEstimated, the current
-/// cardinality corrections).
+/// vector, which all samples of that query share. Encodings are pure
+/// functions of the featurizer's config, the query and the state, so a
+/// cached sample never goes stale.
 class SampleEncoder {
  public:
   explicit SampleEncoder(const featurize::Featurizer* featurizer)

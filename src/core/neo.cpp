@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 
@@ -28,12 +27,6 @@ Neo::Neo(const featurize::Featurizer* featurizer, engine::ExecutionEngine* engin
   health_ = nn::ModelHealthMonitor(config_.guards.health);
 }
 
-bool Neo::GuardsActive() const {
-  const GuardrailConfig& g = config_.guards;
-  return g.watchdog.deadline_ms > 0.0 || g.watchdog.baseline_factor > 0.0 ||
-         g.breaker.enabled || g.health.enabled;
-}
-
 double Neo::EffectiveDeadline(const query::Query& query) const {
   const WatchdogOptions& w = config_.guards.watchdog;
   double deadline = w.deadline_ms > 0.0 ? w.deadline_ms : 0.0;
@@ -55,54 +48,9 @@ double Neo::Serve(const query::Query& query, const plan::PartialPlan& learned_pl
   return ServeAndMaybeLearn(query, learned_plan, learn, from_search);
 }
 
-void Neo::RecordStoreFeedback(const query::Query& query,
-                              const plan::PartialPlan& plan, double latency_ms,
-                              bool from_search) {
-  store_->RecordServe(query, plan, latency_ms, from_search);
-  // Observed-vs-estimated cardinality corrections for the executed plan's
-  // join subsets, fed back into the featurizer's kEstimated channel.
-  const featurize::FeaturizerConfig& fc = featurizer_->config();
-  if (fc.card_channel != featurize::CardChannel::kEstimated ||
-      featurizer_->hist_estimator() == nullptr) {
-    return;
-  }
-  std::vector<uint64_t> masks;
-  std::function<void(const plan::PlanNode&)> collect =
-      [&](const plan::PlanNode& node) {
-        if (!node.is_join) return;
-        if (std::find(masks.begin(), masks.end(), node.rel_mask) ==
-            masks.end()) {
-          masks.push_back(node.rel_mask);
-        }
-        collect(*node.left);
-        collect(*node.right);
-      };
-  for (const auto& root : plan.roots) collect(*root);
-  for (uint64_t mask : masks) {
-    const double estimated =
-        featurizer_->hist_estimator()->EstimateSubset(query, mask);
-    const double observed = engine_->oracle().Cardinality(query, mask);
-    store_->RecordCardCorrection(query, mask, estimated, observed);
-  }
-}
-
 double Neo::ServeAndMaybeLearn(const query::Query& query,
                                const plan::PartialPlan& learned_plan, bool learn,
                                bool from_search) {
-  if (!GuardsActive()) {
-    // Parity fast path: the exact pre-guardrail serve (see the guardrail
-    // notes in neo.h — guards off must stay bit-identical).
-    const double latency = engine_->ExecutePlan(query, learned_plan);
-    if (learn) {
-      std::lock_guard<std::mutex> lock(experience_mu_);
-      experience_.AddCompletePlan(query, learned_plan, CostOf(query, latency));
-    }
-    if (store_ != nullptr) {
-      RecordStoreFeedback(query, learned_plan, latency, from_search);
-    }
-    return latency;
-  }
-
   // The breaker engages only for fingerprints with a recorded expert
   // fallback; otherwise there is nothing safe to serve instead.
   const auto fb = fallback_plans_.find(query.fingerprint);
@@ -136,7 +84,7 @@ double Neo::ServeAndMaybeLearn(const query::Query& query,
   if (store_ != nullptr) {
     // A breaker-fallback serve did not come from a live search, whatever the
     // caller believed.
-    RecordStoreFeedback(query, plan, result.latency_ms,
+    store_->RecordServe(query, plan, result.latency_ms,
                         from_search && serve_learned);
   }
   return result.latency_ms;

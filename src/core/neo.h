@@ -41,9 +41,12 @@
 // Determinism: guards change only *which* plan executes and *how* its
 // latency is accounted, decided serially at execution time; the planning
 // phase always searches the learned plan (even when a breaker is open), so
-// episode results remain bit-identical at any thread count. With every
-// guard disabled (the default) the serve path is the exact pre-guardrail
-// code path — parity by construction.
+// episode results remain bit-identical at any thread count. There is one
+// serve path. With every guard disabled (the default) it runs the learned
+// plan with the latency an unguarded execution reports: the deadline is 0,
+// and a disabled breaker admits every serve and records nothing. The serve
+// counters still count (GuardStats::learned_serves, and injected_failures
+// when the engine has a fault injector).
 #pragma once
 
 #include <memory>
@@ -84,7 +87,7 @@ struct GuardrailConfig {
 /// Aggregate guardrail counters (local serve counters + breaker stats +
 /// health-monitor rollbacks), for tests and the micro_guard bench.
 struct GuardStats {
-  int64_t learned_serves = 0;     ///< Guarded serves that ran the learned plan.
+  int64_t learned_serves = 0;     ///< Serves that ran the learned plan.
   int64_t fallback_serves = 0;    ///< Serves answered with the expert plan.
   int64_t timeouts = 0;           ///< Serves cut off by the watchdog.
   int64_t injected_failures = 0;  ///< Serves that died to an injected fault.
@@ -169,8 +172,7 @@ class Neo {
   /// breaker/watchdog state machines, guard counters, and engine accounting
   /// all advance atomically per serve; experience inserts additionally
   /// synchronize with Retrain's sampling via a second internal mutex.
-  /// A single caller sees exactly ServeAndMaybeLearn's semantics (guards off
-  /// = the pre-guardrail execute path, bit-identical).
+  /// A single caller sees exactly ServeAndMaybeLearn's semantics.
   /// `from_search` distinguishes live search results from pinned/fallback
   /// plans for the experience store's mode machine (see store/).
   double Serve(const query::Query& query, const plan::PartialPlan& learned_plan,
@@ -209,19 +211,15 @@ class Neo {
   void SetFaultInjector(util::FaultInjector* injector) { fault_injector_ = injector; }
 
   /// Attaches the durable per-query-type experience store: every serve
-  /// through the choke point is recorded (latency + best-plan + cardinality
-  /// corrections). nullptr detaches — with no store attached the serve path
-  /// is the literal unchanged code. Not owned; must outlive this object or
-  /// be detached first.
+  /// through the choke point is recorded (ExperienceStore::RecordServe: its
+  /// latency, and the plan when it is the type's new best). nullptr
+  /// detaches; a detached store records nothing. Not owned; must outlive
+  /// this object or be detached first.
   void SetExperienceStore(store::ExperienceStore* store) { store_ = store; }
-  store::ExperienceStore* experience_store() const { return store_; }
 
   GuardStats guard_stats() const;
   CircuitBreaker& breaker() { return breaker_; }
   nn::ModelHealthMonitor& health() { return health_; }
-  /// True when any guardrail layer is enabled (the guarded serve path runs);
-  /// false = the exact pre-guardrail serve code path.
-  bool GuardsActive() const;
 
  private:
   double CostOf(const query::Query& query, double latency_ms) const;
@@ -231,24 +229,16 @@ class Neo {
   double EffectiveDeadline(const query::Query& query) const;
 
   /// The single serve choke point: every execution of a searched plan
-  /// (RunEpisode, PlanAndExecute, ExecuteAndLearn) funnels through here.
-  /// Guards inactive: executes `learned_plan` exactly as the pre-guardrail
-  /// code did. Guards active: consults the breaker for the plan to serve
-  /// (learned vs the query's bootstrap fallback), executes it under the
-  /// watchdog deadline, reports the outcome back to the breaker, and — when
-  /// `learn` — feeds the (possibly deadline-clipped) observation of the plan
-  /// that actually ran into experience. Returns the incurred latency.
+  /// (RunEpisode, PlanAndExecute, ExecuteAndLearn) funnels through here. It
+  /// consults the breaker for the plan to serve (learned vs the query's
+  /// bootstrap fallback), executes it under the watchdog deadline, reports
+  /// the outcome back to the breaker, feeds the (possibly deadline-clipped)
+  /// observation of the plan that actually ran into experience when `learn`,
+  /// and records the serve in the attached store. Returns the incurred
+  /// latency.
   double ServeAndMaybeLearn(const query::Query& query,
                             const plan::PartialPlan& learned_plan, bool learn,
                             bool from_search = true);
-
-  /// Feeds one executed serve into the attached experience store (no-op when
-  /// detached): the observation itself, plus observed-vs-estimated
-  /// cardinality corrections for the executed plan's join subsets when the
-  /// featurizer runs the kEstimated channel.
-  void RecordStoreFeedback(const query::Query& query,
-                           const plan::PartialPlan& plan, double latency_ms,
-                           bool from_search);
 
   const featurize::Featurizer* featurizer_;
   engine::ExecutionEngine* engine_;

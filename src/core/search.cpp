@@ -236,22 +236,15 @@ void PlanSearch::BeginSearch(const query::Query& query) {
   // here once instead of once per scoring round.
   net_->EmbedQueryInto(query_vec, &embed_scratch_, &embed_);
   net_->ProjectQueryInto(embed_, &query_proj_);
-  Restart(query);
-}
-
-void PlanSearch::Restart(const query::Query& query) {
-  // The table's rows depend on the query, the weights, the kernel arm and
-  // the encodings. The score cache is never cleared: a new salt simply stops
-  // probing entries of other tuples, and they are evicted as their sets
-  // fill. The kernel bits carry a low tag bit so a (fp, version) pair can
-  // never produce the same salt as a raw fingerprint.
-  encoding_epoch_ = featurizer_->encoding_epoch();
+  // The table's rows depend on the query, the weights and the kernel arm.
+  // The score cache is never cleared: a new salt simply stops probing
+  // entries of other tuples, and they are evicted as their sets fill. The
+  // kernel bits carry a low tag bit so a (fp, version) pair can never
+  // produce the same salt as a raw fingerprint.
   salt_ = util::Mix64(util::HashCombine(
-      util::HashCombine(
-          util::HashCombine(util::HashCombine(query.fingerprint, net_->version()),
-                            KernelModeBits()),
-          generation_),
-      encoding_epoch_));
+      util::HashCombine(util::HashCombine(query.fingerprint, net_->version()),
+                        KernelModeBits()),
+      generation_));
   table_.Clear(featurizer_->plan_dim(), net_->config().tree_channels);
 }
 
@@ -276,9 +269,6 @@ void PlanSearch::ScoreAll(const query::Query& query,
                           const std::vector<plan::PartialPlan>& plans,
                           const std::vector<uint64_t>* hashes,
                           SearchResult* result, std::vector<float>* out) {
-  // A concurrent serve's cardinality correction re-encodes nodes: the rows
-  // built so far are stale.
-  if (featurizer_->encoding_epoch() != encoding_epoch_) Restart(query);
   NEO_CHECK(hashes == nullptr || hashes->size() == plans.size());
   std::vector<float>& scores = *out;
   scores.assign(plans.size(), 0.0f);

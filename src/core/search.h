@@ -18,8 +18,8 @@
 // such a plan is already a table row, so a re-score costs a pool and a head
 // row, no conv row. A search bound to a shared score cache (BindScoreCache;
 // the serving core's workers) probes it first and inserts every score it
-// computes, so repeat requests across workers are served without a forward
-// pass.
+// computes, under keys salted once per search (see Validity), so repeat
+// requests across workers are served without a forward pass.
 //
 // Concurrent searches
 // -------------------
@@ -54,24 +54,26 @@
 // independent, so every score is bit-identical to ValueNetwork::PredictBatch
 // over the encoded plans (for finite rows; NaN rows pool differently).
 //
-// Validity: the table belongs to one search. FindPlan clears it and salts
+// Validity: the table belongs to one search. BeginSearch clears it and salts
 // the score-cache keys once, from (query fingerprint, network version, kernel
-// dispatch arm, RCU generation, encoding epoch). Only the encoding epoch can
-// change while a search runs (a concurrent serve's cardinality correction
-// advances it), so every scoring round checks it and, when it moved, clears
-// the table and re-salts. Nothing else survives a FindPlan call except buffer
-// capacity. The table's size is bounded by the search's own work: a scored
-// child adds at most one new root-to-leaf spine, so it needs no cap. One
-// table per PlanSearch, so it takes no lock.
+// dispatch arm, RCU generation). Nothing a search reads changes before
+// FindPlan returns: the featurizer's encodings are pure functions of the
+// query and the plan, and the network's weights are fixed while it searches
+// (an RCU snapshot, or the primary network with no training running). So no
+// scoring round re-checks anything, and nothing survives a FindPlan call
+// except buffer capacity. The table's size is bounded by the search's own
+// work: a scored child adds at most one new root-to-leaf spine, so it needs no
+// cap. One table per PlanSearch, so it takes no lock.
 //
 // ---- Memory model (zero-alloc steady state) --------------------------------
 // Every per-round buffer of FindPlan/ScoreAll is instance-owned and capacity-
 // reused: the state arena, heap, visited set (util::FlatHashSet64), child and
-// miss scratch, score vectors, and the subtree table (Clear keeps its slot
-// array and row matrices). A scoring round — intern, featurize, conv, pool,
-// head — runs inside util::AllocRegionScope, and with a warmed search it
-// allocates nothing (see the memory-model notes atop value_network.h); bench
-// harnesses report the counted allocations as steady_state_heap_allocs.
+// miss scratch, score vectors, and the subtree table (BeginSearch's Clear
+// keeps its slot array and row matrices). A scoring round — intern,
+// featurize, conv, pool, head — runs inside util::AllocRegionScope, and with
+// a warmed search it allocates nothing (see the memory-model notes atop
+// value_network.h); bench harnesses report the counted allocations as
+// steady_state_heap_allocs.
 // Plan-node construction (Children's shared_ptr trees) and score-cache
 // probes and inserts are intentionally OUTSIDE the counted region: they are
 // proportional to new states discovered, not to NN work (the cache's slots
@@ -208,12 +210,9 @@ class PlanSearch {
   friend class PlanSearchTestPeer;
 
   /// Prepares a search of `query`: embeds it, projects the embedding for
-  /// the conv stack, and starts the subtree table (Restart).
+  /// the conv stack, clears the subtree table and salts the score-cache keys
+  /// for (query, network, kernel arm, generation).
   void BeginSearch(const query::Query& query);
-
-  /// Clears the subtree table and salts the score-cache keys for the
-  /// current (query, network, kernel arm, generation, encoding epoch).
-  void Restart(const query::Query& query);
 
   /// Scores `plans` into `out` (resized; capacity-reused): bound score-cache
   /// hits are served, and the rest are scored as one round through the
@@ -233,14 +232,9 @@ class PlanSearch {
 
   /// Distinct subtrees of the current search.
   SubtreeTable table_;
-  /// Featurizer::encoding_epoch() the table's rows and salt_ were built
-  /// under: the experience store's cardinality corrections change node
-  /// encodings, and a concurrent serve can advance it mid-search.
-  uint64_t encoding_epoch_ = 0;
 
   /// The bound shared score cache (null: unbound) and the salt mixing
-  /// (query fp, net version, kernel arm, generation_, encoding epoch) into
-  /// each of its keys.
+  /// (query fp, net version, kernel arm, generation_) into each of its keys.
   util::ScoreCache* score_cache_ = nullptr;
   uint64_t generation_ = 0;
   uint64_t salt_ = 0;

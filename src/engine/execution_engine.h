@@ -64,8 +64,8 @@ class ExecutionEngine {
   /// Executes a complete plan, returning its latency in (simulated) ms.
   /// Deterministic; memoized on (query, plan) so RL retraining loops are
   /// cheap, but every call still accrues simulated execution time. Equivalent
-  /// to ExecutePlanGuarded with no deadline (kept as the unguarded seam: the
-  /// legacy call sites and the guards-off parity path use it unchanged).
+  /// to ExecutePlanGuarded with no deadline (the unguarded seam: Bootstrap's
+  /// expert executions, the benches and the tests use it).
   double ExecutePlan(const query::Query& query, const plan::PartialPlan& plan);
 
   /// Executes under a watchdog deadline (<= 0 disables it). When the plan's

@@ -123,12 +123,6 @@ double Featurizer::CardFeature(const query::Query& query, uint64_t rel_mask) con
   double card = 1.0;
   if (config_.card_channel == CardChannel::kEstimated) {
     card = hist_estimator_->EstimateSubset(query, rel_mask);
-    if (card_corrections_ != nullptr) {
-      // Observed-vs-estimated feedback from the experience store; 1.0 when
-      // the store has nothing for this (type, subset), so the no-feedback
-      // encoding is bit-identical to the correction-free path.
-      card *= card_corrections_->CorrectionFor(query, rel_mask);
-    }
   } else if (config_.card_channel == CardChannel::kTrue) {
     card = oracle_->Cardinality(query, rel_mask);
   }

@@ -27,26 +27,12 @@ namespace neo::featurize {
 enum class PredicateEncoding { k1Hot, kHistogram, kRVector };
 const char* PredicateEncodingName(PredicateEncoding e);
 
+/// The optional per-node cardinality channel. Neo itself needs no
+/// cardinality input (§3); the channel serves the Fig. 14 robustness
+/// experiment. kEstimated carries the histogram estimator's estimate for the
+/// node's relation set, kTrue the oracle's exact count; either may be skewed
+/// by FeaturizerConfig::card_error_orders.
 enum class CardChannel { kNone, kEstimated, kTrue };
-
-/// Feedback interface for observed-vs-estimated cardinality corrections
-/// (implemented by store::ExperienceStore). When attached, the kEstimated
-/// cardinality channel multiplies the histogram estimate for (query type,
-/// relation subset) by the learned correction factor. `epoch()` must advance
-/// whenever any correction changes materially — plan search folds it into
-/// its score-cache salt and restarts its subtree table when it moves, so
-/// stale encodings become unreachable, the same discipline as network
-/// version / kernel arm.
-class CardCorrectionSource {
- public:
-  virtual ~CardCorrectionSource() = default;
-  /// Multiplicative correction for the estimator's output on this subset of
-  /// `query` (1.0 = no information).
-  virtual double CorrectionFor(const query::Query& query,
-                               uint64_t rel_mask) const = 0;
-  /// Monotonic version of the correction state.
-  virtual uint64_t epoch() const = 0;
-};
 
 struct FeaturizerConfig {
   PredicateEncoding encoding = PredicateEncoding::k1Hot;
@@ -71,24 +57,6 @@ class Featurizer {
   int plan_dim() const { return plan_dim_; }
   const FeaturizerConfig& config() const { return config_; }
   const catalog::Schema& schema() const { return schema_; }
-  optim::CardinalityEstimator* hist_estimator() const {
-    return hist_estimator_;
-  }
-
-  /// Attaches (or detaches, nullptr) a correction feedback source for the
-  /// kEstimated cardinality channel. Not owned. With no source attached —
-  /// or a source with no data — encodings are bit-identical to before.
-  void SetCardCorrections(const CardCorrectionSource* source) {
-    card_corrections_ = source;
-  }
-  /// Version of the attached correction state, folded into plan search's
-  /// score-cache salt; 0 when no source is attached or the channel is off.
-  uint64_t encoding_epoch() const {
-    return (card_corrections_ != nullptr &&
-            config_.card_channel == CardChannel::kEstimated)
-               ? card_corrections_->epoch()
-               : 0;
-  }
 
   /// Query-level encoding (1 x query_dim).
   nn::Matrix EncodeQuery(const query::Query& query) const;
@@ -123,7 +91,6 @@ class Featurizer {
   optim::CardinalityEstimator* hist_estimator_;
   const embedding::RowEmbedding* row_embedding_;
   engine::CardinalityOracle* oracle_;
-  const CardCorrectionSource* card_corrections_ = nullptr;
   int query_dim_ = 0;
   int plan_dim_ = 0;
   int adjacency_dim_ = 0;

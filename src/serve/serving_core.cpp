@@ -293,98 +293,87 @@ ServeResult ServingCore::ServeOne(core::PlanSearch& search, const Task& task,
   out.queue_ms = task.picked_wait_ms;
   out.ladder_level = level;
 
+  // 1. Choose the plan: a pinned plan (no search), else a search.
+  plan::PartialPlan pinned;
+  double pinned_latency_ms = 0.0;
+  bool have_pinned = false;
   store::ExperienceStore* store = options_.store;
   if (store != nullptr) {
     store::Decision decision = store->Decide(*task.query);
     if (decision.use_pinned) {
-      // Exploit/frozen type: serve the best-known plan, skip search. The
-      // serve still flows through Neo's guarded choke point (watchdog,
-      // breaker, experience, store recording) with from_search=false.
+      // Exploit/frozen type: serve the best-known plan, skip search.
       out.served_from_store = true;
       out.store_probe = decision.is_probe;
-      out.latency_ms = neo_->Serve(*task.query, decision.pinned, task.learn,
-                                   /*from_search=*/false);
-      out.predicted_cost = static_cast<float>(decision.pinned_latency_ms);
-      out.plan_hash = decision.pinned.Hash();
-      out.generation = rcu_.generation();
-      out.total_ms = task.queued.ElapsedMs();
-      store_pinned_serves_.fetch_add(1, std::memory_order_relaxed);
-      MaybeSyncStore();
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        total_hist_.Record(out.total_ms);
-        plan_hist_.Record(out.plan_ms);
-      }
-      return out;
+      pinned = std::move(decision.pinned);
+      pinned_latency_ms = decision.pinned_latency_ms;
+      have_pinned = true;
     }
   }
-
-  if (level >= 2) {
+  if (!have_pinned && level >= 2) {
     // Ladder level 2: no search. Serve the store's best-known plan, else
-    // the query's bootstrap expert plan, through the guarded choke point
-    // (from_search=false so the store's mode machine sees it as pinned).
-    plan::PartialPlan pinned;
-    double pinned_latency_ms = 0.0;
-    bool have = store != nullptr &&
-                store->BestPlanFor(*task.query, &pinned, &pinned_latency_ms);
-    if (!have) {
+    // the query's bootstrap expert plan. With neither, fall through to a
+    // reduced-budget search — still strictly cheaper than full service.
+    have_pinned = store != nullptr &&
+                  store->BestPlanFor(*task.query, &pinned, &pinned_latency_ms);
+    if (!have_pinned) {
       const plan::PartialPlan* fb = neo_->FallbackPlan(task.query->fingerprint);
       if (fb != nullptr) {
         pinned = *fb;  // cheap: shared_ptr roots
         pinned.query = task.query;
         pinned_latency_ms = neo_->Baseline(task.query->id);
-        have = true;
+        have_pinned = true;
       }
     }
-    if (have) {
+    out.degraded = have_pinned;
+  }
+
+  const bool searched = !have_pinned;
+  ModelRcu::Ref ref;
+  core::SearchResult found;
+  if (searched) {
+    ref = rcu_.Acquire();
+    NEO_CHECK(ref.net != nullptr);
+    out.generation = ref.generation;
+    // Rebind to this request's snapshot; the generation re-salts every
+    // score-cache key so entries from other snapshots are never served.
+    search.Rebind(ref.net.get());
+    search.BindScoreCache(&score_cache_, ref.generation);
+
+    const bool reduced_budget = level >= 1;
+    if (reduced_budget) {
       out.degraded = true;
-      out.latency_ms = neo_->Serve(*task.query, pinned, task.learn,
-                                   /*from_search=*/false);
-      out.predicted_cost = static_cast<float>(pinned_latency_ms);
-      out.plan_hash = pinned.Hash();
-      out.generation = rcu_.generation();
-      out.total_ms = task.queued.ElapsedMs();
-      degraded_pinned_serves_.fetch_add(1, std::memory_order_relaxed);
-      MaybeSyncStore();
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        total_hist_.Record(out.total_ms);
-        plan_hist_.Record(out.plan_ms);
-      }
-      return out;
+      degraded_budget_serves_.fetch_add(1, std::memory_order_relaxed);
     }
-    // No pinned plan known for this type: fall through to a reduced-budget
-    // search — still strictly cheaper than full service.
+    util::Stopwatch plan_watch;
+    found = search.FindPlan(*task.query,
+                            reduced_budget ? degraded_search_ : options_.search);
+    out.plan_ms = plan_watch.ElapsedMs();
   }
 
-  const ModelRcu::Ref ref = rcu_.Acquire();
-  NEO_CHECK(ref.net != nullptr);
-  out.generation = ref.generation;
-  // Rebind to this request's snapshot; the generation re-salts every
-  // score-cache key so entries from other snapshots are never served.
-  search.Rebind(ref.net.get());
-  search.BindScoreCache(&score_cache_, ref.generation);
-
-  const bool reduced_budget = level >= 1;
-  if (reduced_budget) {
-    out.degraded = true;
-    degraded_budget_serves_.fetch_add(1, std::memory_order_relaxed);
-  }
-  util::Stopwatch plan_watch;
-  core::SearchResult found = search.FindPlan(
-      *task.query, reduced_budget ? degraded_search_ : options_.search);
-  out.plan_ms = plan_watch.ElapsedMs();
-
-  out.latency_ms = neo_->Serve(*task.query, found.plan, task.learn);
-  out.predicted_cost = found.predicted_cost;
-  out.plan_hash = found.plan.Hash();
+  // 2. One tail. Every serve flows through Neo's guarded choke point
+  // (watchdog, breaker, experience, store recording); a pinned serve tells
+  // the store's mode machine it did not come from a search.
+  const plan::PartialPlan& plan = searched ? found.plan : pinned;
+  out.latency_ms =
+      neo_->Serve(*task.query, plan, task.learn, /*from_search=*/searched);
+  out.predicted_cost =
+      searched ? found.predicted_cost : static_cast<float>(pinned_latency_ms);
+  out.plan_hash = plan.Hash();
+  if (!searched) out.generation = rcu_.generation();
+  // Stamped before the periodic store sync: the request that pays for a sync
+  // leaves it out of total_ms (neobench's serve.handoff shows it).
   out.total_ms = task.queued.ElapsedMs();
-  activation_hits_.fetch_add(found.activation_hits, std::memory_order_relaxed);
-  // rows_recomputed sums over the conv layers; the misses count node rows.
-  activation_misses_.fetch_add(
-      found.rows_recomputed / ref.net->config().tree_channels.size(),
-      std::memory_order_relaxed);
-  out.search = std::move(found);
+  if (searched) {
+    activation_hits_.fetch_add(found.activation_hits, std::memory_order_relaxed);
+    // rows_recomputed sums over the conv layers; the misses count node rows.
+    activation_misses_.fetch_add(
+        found.rows_recomputed / ref.net->config().tree_channels.size(),
+        std::memory_order_relaxed);
+    out.search = std::move(found);
+  } else {
+    (out.served_from_store ? store_pinned_serves_ : degraded_pinned_serves_)
+        .fetch_add(1, std::memory_order_relaxed);
+  }
   MaybeSyncStore();
 
   {

@@ -43,9 +43,9 @@
 //    stripe of sets before scoring, and inserts what it scores, so repeat
 //    queries hit scores cached by ANY worker. Hits are copied out under the
 //    stripe lock; no pointer into the table escapes. Keys are salted with
-//    (query fp, net version, kernel arm, RCU generation, encoding epoch):
-//    invalidation is free — entries of dead snapshots simply stop being
-//    probed and are evicted as their sets fill.
+//    (query fp, net version, kernel arm, RCU generation): invalidation is
+//    free — entries of dead snapshots simply stop being probed and are
+//    evicted as their sets fill.
 //
 // 4. RCU weight snapshots (model_rcu.h). Background retraining mutates only
 //    Neo's primary network; PublishWeights()/RetrainAndPublish() snapshot it

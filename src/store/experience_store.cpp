@@ -1,7 +1,6 @@
 #include "src/store/experience_store.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include <errno.h>
 #include <sys/stat.h>
@@ -13,7 +12,6 @@ namespace neo::store {
 namespace {
 constexpr uint8_t kFlagFromSearch = 1u << 0;
 constexpr uint8_t kFlagImproved = 1u << 1;
-constexpr double kCorrectionClamp = 1e4;  ///< Ratio clamp, both directions.
 }  // namespace
 
 const char* TypeModeName(TypeMode mode) {
@@ -104,16 +102,17 @@ util::Status ExperienceStore::ReplayWalLocked(uint64_t snapshot_lsn) {
     max_lsn = std::max(max_lsn, rec.lsn);
     if (rec.lsn <= snapshot_lsn) continue;  // already folded into snapshot
     ++recovery_.wal_frames_replayed;
+    // The type is looked up only for a frame that applies, so a frame of an
+    // unknown type or with an undecodable payload creates no empty type.
     ByteReader r(rec.payload.data(), rec.payload.size());
     const uint64_t type_hash = r.GetU64();
-    if (!r.ok()) continue;
-    TypeState& t = types_[type_hash];
     switch (rec.type) {
       case kObservation: {
         const double latency = r.GetF64();
         const uint8_t flags = r.GetU8();
         if (r.ok()) {
-          ApplyObservation(&t, latency, (flags & kFlagFromSearch) != 0,
+          ApplyObservation(&types_[type_hash], latency,
+                           (flags & kFlagFromSearch) != 0,
                            (flags & kFlagImproved) != 0);
         }
         break;
@@ -125,25 +124,20 @@ util::Status ExperienceStore::ReplayWalLocked(uint64_t snapshot_lsn) {
         if (r.ok() && len <= rec.payload.size()) {
           std::vector<uint8_t> bytes(rec.payload.end() - len,
                                      rec.payload.end());
-          ApplyBestPlan(&t, latency, plan_hash, std::move(bytes));
+          ApplyBestPlan(&types_[type_hash], latency, plan_hash,
+                        std::move(bytes));
         }
         break;
       }
       case kModeSet: {
         const uint8_t mode = r.GetU8();
         if (r.ok() && mode <= static_cast<uint8_t>(TypeMode::kFrozen)) {
-          ApplyModeSet(&t, static_cast<TypeMode>(mode));
+          ApplyModeSet(&types_[type_hash], static_cast<TypeMode>(mode));
         }
         break;
       }
-      case kCardCorrection: {
-        const uint64_t rel_mask = r.GetU64();
-        const double log_ratio = r.GetF64();
-        if (r.ok()) ApplyCardCorrection(&t, rel_mask, log_ratio);
-        break;
-      }
       default:
-        break;  // unknown frame type from a future version: skip
+        break;  // Unknown frame type (an earlier or a future version's): skip.
     }
   }
   replaying_ = false;
@@ -264,29 +258,6 @@ void ExperienceStore::ApplyBestPlan(TypeState* t, double latency_ms,
 
 void ExperienceStore::ApplyModeSet(TypeState* t, TypeMode mode) {
   TransitionLocked(t, mode, /*from_drift=*/false);
-}
-
-void ExperienceStore::ApplyCardCorrection(TypeState* t, uint64_t rel_mask,
-                                          double log_ratio) {
-  auto it = t->corrections.find(rel_mask);
-  if (it == t->corrections.end()) {
-    if (static_cast<int>(t->corrections.size()) >=
-        options_.max_corrections_per_type) {
-      return;
-    }
-    it = t->corrections.emplace(rel_mask, Correction{}).first;
-  }
-  Correction& c = it->second;
-  c.log_sum += log_ratio;
-  ++c.n;
-  if (!replaying_) ++stats_.card_corrections;
-  const double mean = c.log_sum / static_cast<double>(c.n);
-  // Epoch bumps only on material movement so search caches are not
-  // invalidated by every serve's jitter.
-  if (std::fabs(mean - c.published_mean) > options_.epoch_min_delta) {
-    c.published_mean = mean;
-    if (!replaying_) epoch_.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 void ExperienceStore::AppendWalLocked(uint32_t type,
@@ -416,38 +387,6 @@ void ExperienceStore::RecordServe(const query::Query& query,
   }
 }
 
-void ExperienceStore::RecordCardCorrection(const query::Query& query,
-                                           uint64_t rel_mask,
-                                           double estimated,
-                                           double observed) {
-  if (!(estimated > 0.0) || !(observed >= 0.0)) return;
-  const double ratio = std::min(
-      kCorrectionClamp, std::max(1.0 / kCorrectionClamp,
-                                 std::max(observed, 1e-6) / estimated));
-  const double log_ratio = std::log(ratio);
-  std::lock_guard<std::mutex> lock(mu_);
-  TypeState& t = types_[query.type_hash];
-  if (t.mode == TypeMode::kFrozen) return;
-  ByteWriter payload;
-  payload.PutU64(query.type_hash);
-  payload.PutU64(rel_mask);
-  payload.PutF64(log_ratio);
-  AppendWalLocked(kCardCorrection, payload);
-  ApplyCardCorrection(&t, rel_mask, log_ratio);
-}
-
-double ExperienceStore::CorrectionFor(const query::Query& query,
-                                      uint64_t rel_mask) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = types_.find(query.type_hash);
-  if (it == types_.end()) return 1.0;
-  auto cit = it->second.corrections.find(rel_mask);
-  if (cit == it->second.corrections.end() || cit->second.n == 0) return 1.0;
-  // Serve the *published* mean, not the running one: encodings only change
-  // when the epoch does, keeping cached search results coherent.
-  return std::exp(cit->second.published_mean);
-}
-
 util::Status ExperienceStore::Sync() {
   std::lock_guard<std::mutex> lock(mu_);
   if (!durable() || io_dead_) return util::Status::Ok();
@@ -502,18 +441,6 @@ void ExperienceStore::SerializeLocked(ByteWriter* out) const {
     out->PutU64(t.best_plan_hash);
     out->PutU32(static_cast<uint32_t>(t.best_plan_bytes.size()));
     out->PutBytes(t.best_plan_bytes.data(), t.best_plan_bytes.size());
-    std::vector<uint64_t> masks;
-    masks.reserve(t.corrections.size());
-    for (const auto& [mask, c] : t.corrections) masks.push_back(mask);
-    std::sort(masks.begin(), masks.end());
-    out->PutU32(static_cast<uint32_t>(masks.size()));
-    for (uint64_t mask : masks) {
-      const Correction& c = t.corrections.at(mask);
-      out->PutU64(mask);
-      out->PutF64(c.log_sum);
-      out->PutU64(c.n);
-      out->PutF64(c.published_mean);
-    }
   }
   out->PutU64(Fnv1a(out->bytes().data(), out->size()));
 }
@@ -570,18 +497,6 @@ util::Status ExperienceStore::DeserializeSnapshot(
     }
     t.best_plan_bytes.resize(plan_len);
     for (uint32_t b = 0; b < plan_len; ++b) t.best_plan_bytes[b] = r.GetU8();
-    const uint32_t num_corr = r.GetU32();
-    if (!r.ok() || num_corr > (1u << 20)) {
-      return util::Status::DataLoss("bad correction count in snapshot");
-    }
-    for (uint32_t c = 0; c < num_corr; ++c) {
-      const uint64_t mask = r.GetU64();
-      Correction corr;
-      corr.log_sum = r.GetF64();
-      corr.n = r.GetU64();
-      corr.published_mean = r.GetF64();
-      t.corrections[mask] = corr;
-    }
     if (!r.ok()) return util::Status::DataLoss("truncated snapshot record");
     types_[hash] = std::move(t);
   }
@@ -666,7 +581,6 @@ TypeView ExperienceStore::ViewLocked(uint64_t hash,
   v.has_best = t.has_best;
   v.best_latency_ms = t.best_latency_ms;
   v.best_plan_hash = t.best_plan_hash;
-  v.num_corrections = t.corrections.size();
   return v;
 }
 

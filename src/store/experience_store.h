@@ -8,9 +8,9 @@
 // constant-insensitive normalization of `Query::fingerprint` (predicate
 // literals dropped), so all instantiations of one parameterized query —
 // "differ only in constants" — share a record. Each type accumulates:
-// observed serve latencies (EWMA + a baseline window), observed-vs-estimated
-// cardinality corrections per relation subset, the best-known complete plan
-// with its observed latency, regression counters, and a serving mode.
+// observed serve latencies (EWMA + a baseline window), the best-known
+// complete plan with its observed latency, regression counters, and a
+// serving mode.
 //
 // ## Durability: WAL + snapshots
 //
@@ -18,14 +18,19 @@
 //
 //   wal.log       'NEOL' v1 header, then append-only frames
 //                 [u32 payload_len][u32 type][u64 lsn][payload][u64 fnv1a]
-//   snapshot.bin  'NEOT' v1: [magic][version][last_lsn][num_types]
+//   snapshot.bin  'NEOT' v2: [magic][version][last_lsn][num_types]
 //                 [per-type records][u64 fnv1a over all preceding bytes],
-//                 published atomically (tmp + fflush + fsync + rename)
+//                 published atomically (tmp + fflush + fsync + rename). A
+//                 per-type record is the type's mode, drift and best-plan
+//                 state; v1 also carried a per-type correction list, and a
+//                 v1 snapshot now reads as an unsupported version.
 //
 // Record types: kObservation (one serve's latency + flags), kBestPlan (a
 // better complete plan was found), kMode (a *manual* mode set — automatic
-// transitions are never logged, see "replay determinism"), kCardCorrection
-// (one observed/estimated cardinality ratio).
+// transitions are never logged, see "replay determinism"). Replay counts a
+// frame of any other type (4, the cardinality correction v1 stores logged,
+// or one from a future version) and skips it without touching any type's
+// state; so does a known frame whose payload fails to decode.
 //
 // ### Recovery invariant
 //
@@ -82,25 +87,22 @@
 // ## Integration & threading
 //
 // `Neo::ServeAndMaybeLearn` records every serve (store attached via
-// `Neo::SetExperienceStore`; nullptr detached = the literal unchanged code
-// path); `ServingCore` consults Decide() before searching, syncs the WAL
-// every store_sync_every requests, and flushes on Drain()/Stop(). The store
-// implements featurize::CardCorrectionSource: learned corrections multiply
-// the kEstimated cardinality channel, and epoch() is folded into the shared
-// score cache's salt (a search that sees it advance restarts its subtree
-// table). One internal mutex serializes all public methods; WAL
-// append order equals application order, which is what replay determinism
-// needs. File I/O runs through util::FaultInjector's kIoShortWrite /
-// kIoFailure / crash-budget sites when an injector is attached.
+// `Neo::SetExperienceStore`; nullptr detaches, and a detached store records
+// nothing); `ServingCore` consults Decide() before searching, syncs the WAL
+// every store_sync_every requests, and flushes on Drain()/Stop(). Nothing
+// the store holds feeds the featurizer or plan search: it changes which plan
+// a serve runs (Decide, BestPlanFor), never how a plan is scored. One
+// internal mutex serializes all public methods; WAL append order equals
+// application order, which is what replay determinism needs. File I/O runs
+// through util::FaultInjector's kIoShortWrite / kIoFailure / crash-budget
+// sites when an injector is attached.
 #pragma once
 
-#include <atomic>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "src/featurize/featurizer.h"
 #include "src/plan/plan.h"
 #include "src/query/query.h"
 #include "src/store/store_file.h"
@@ -142,11 +144,6 @@ struct StoreOptions {
   /// Take a snapshot (and reset the WAL) once this many frames accumulate;
   /// checked at Sync()/Flush() boundaries. 0 = only explicit Snapshot().
   int snapshot_every = 1024;
-  /// Cap on distinct relation subsets with corrections per type.
-  int max_corrections_per_type = 64;
-  /// Corrections whose running log-mean moved less than this do not bump
-  /// the encoding epoch (avoids invalidating search caches per serve).
-  double epoch_min_delta = 0.01;
 };
 
 /// Process-lifetime counters (not persisted; per-type durable state lives in
@@ -163,7 +160,6 @@ struct StoreStats {
   uint64_t repromotions = 0;
   uint64_t stability_promotions = 0;
   uint64_t exploit_escapes = 0;
-  uint64_t card_corrections = 0;
   uint64_t wal_records = 0;
   uint64_t wal_append_failures = 0;
   uint64_t snapshots = 0;
@@ -202,7 +198,6 @@ struct TypeView {
   bool has_best = false;
   double best_latency_ms = 0.0;
   uint64_t best_plan_hash = 0;
-  size_t num_corrections = 0;
 };
 
 /// The serving decision for one query.
@@ -217,10 +212,10 @@ struct Decision {
   double pinned_latency_ms = 0.0;
 };
 
-class ExperienceStore : public featurize::CardCorrectionSource {
+class ExperienceStore {
  public:
   explicit ExperienceStore(StoreOptions options);
-  ~ExperienceStore() override;
+  ~ExperienceStore();
 
   ExperienceStore(const ExperienceStore&) = delete;
   ExperienceStore& operator=(const ExperienceStore&) = delete;
@@ -252,16 +247,6 @@ class ExperienceStore : public featurize::CardCorrectionSource {
   void RecordServe(const query::Query& query, const plan::PartialPlan& plan,
                    double latency_ms, bool from_search);
 
-  /// Records one observed-vs-estimated cardinality pair for a relation
-  /// subset of the query's type.
-  void RecordCardCorrection(const query::Query& query, uint64_t rel_mask,
-                            double estimated, double observed);
-
-  // featurize::CardCorrectionSource:
-  double CorrectionFor(const query::Query& query,
-                       uint64_t rel_mask) const override;
-  uint64_t epoch() const override { return epoch_; }
-
   /// fsyncs the WAL (the durability boundary) and snapshots when
   /// snapshot_every frames have accumulated.
   util::Status Sync();
@@ -288,12 +273,6 @@ class ExperienceStore : public featurize::CardCorrectionSource {
   std::string snapshot_path() const;
 
  private:
-  struct Correction {
-    double log_sum = 0.0;
-    uint64_t n = 0;
-    double published_mean = 0.0;  ///< log-mean at the last epoch bump.
-  };
-
   struct TypeState {
     TypeMode mode = TypeMode::kLearn;
     bool exploit_from_drift = false;
@@ -316,14 +295,12 @@ class ExperienceStore : public featurize::CardCorrectionSource {
     /// per-type-stable: all queries of a type share the relation set).
     plan::PartialPlan decoded_best;
     bool decoded_valid = false;
-    std::unordered_map<uint64_t, Correction> corrections;
   };
 
   enum RecordType : uint32_t {
     kObservation = 1,
     kBestPlan = 2,
     kModeSet = 3,
-    kCardCorrection = 4,
   };
 
   // The deterministic state machine (used live and in replay; see "Replay
@@ -333,7 +310,6 @@ class ExperienceStore : public featurize::CardCorrectionSource {
   void ApplyBestPlan(TypeState* t, double latency_ms, uint64_t plan_hash,
                      std::vector<uint8_t> plan_bytes);
   void ApplyModeSet(TypeState* t, TypeMode mode);
-  void ApplyCardCorrection(TypeState* t, uint64_t rel_mask, double log_ratio);
 
   void TransitionLocked(TypeState* t, TypeMode to, bool from_drift);
   double BaselineLocked(const TypeState& t) const;
@@ -355,8 +331,6 @@ class ExperienceStore : public featurize::CardCorrectionSource {
   util::FaultInjector* injector_ = nullptr;  ///< Not owned; may be null.
   uint64_t next_lsn_ = 1;
   uint64_t frames_since_snapshot_ = 0;
-  /// Correction-state version for search-cache invalidation (process-local).
-  std::atomic<uint64_t> epoch_{0};
   /// True while Open() replays the WAL: Apply* skip process-lifetime stats
   /// so stats_ reflects live activity only.
   bool replaying_ = false;

@@ -181,7 +181,7 @@ class WalWriter {
 inline constexpr uint32_t kWalMagic = 0x4c4f454eu;       // "NEOL"
 inline constexpr uint32_t kSnapshotMagic = 0x544f454eu;  // "NEOT"
 inline constexpr uint32_t kWalVersion = 1;
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 /// Sanity cap on a frame's payload length; anything larger is treated as
 /// corruption, not an allocation request.
 inline constexpr uint32_t kMaxPayloadLen = 16u << 20;

@@ -120,7 +120,7 @@ TEST_F(CoreFixture, ExperienceLabelsAreMinOverContainingPlans) {
                              scan(ti))};
   exp.AddCompletePlan(q, p1, 100.0);
   exp.AddCompletePlan(q, p2, 40.0);
-  EXPECT_DOUBLE_EQ(exp.BestCost(q.id), 40.0);
+  EXPECT_DOUBLE_EQ(exp.BestCost(q), 40.0);
   EXPECT_EQ(exp.NumCompletePlans(), 2u);
   EXPECT_EQ(exp.NumQueries(), 1u);
   // Shared states were deduplicated. p1 contributes 6 states (5 subtrees +
@@ -276,6 +276,11 @@ TEST_F(CoreFixture, ExperienceEvictsLeastRecentQueryWhole) {
   EXPECT_EQ(states_of[queries[2].fingerprint], kStatesPerQuery);
   EXPECT_EQ(states_of[queries[kCap].fingerprint], kStatesPerQuery);
   EXPECT_EQ(states_of.size(), kCap);
+  // BestCost goes with the evicted query's plans, although every variant
+  // shares one Query::id.
+  EXPECT_EQ(exp.BestCost(queries[1]), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(exp.BestCost(queries[0]), 10.0);
+  EXPECT_EQ(exp.BestCost(queries[kCap]), 10.0);
 }
 
 TEST_F(CoreFixture, SearchChildrenRespectSubplanRelation) {
@@ -772,7 +777,7 @@ TEST_F(CoreFixture, BootstrapSeedsExperienceAndBaselines) {
   EXPECT_EQ(neo.experience().NumCompletePlans(), 1u);
   EXPECT_GT(neo.experience().NumStates(), 3u);
   EXPECT_GT(neo.Baseline(q.id), 0.0);
-  EXPECT_LT(neo.experience().BestCost(q.id),
+  EXPECT_LT(neo.experience().BestCost(q),
             std::numeric_limits<double>::infinity());
 }
 
@@ -785,7 +790,7 @@ TEST_F(CoreFixture, RelativeCostFunctionNormalizesByBaseline) {
   const Query q = ThreeWay(56);
   neo.Bootstrap({&q}, native.optimizer.get());
   // The bootstrap plan's relative cost is exactly 1.
-  EXPECT_NEAR(neo.experience().BestCost(q.id), 1.0, 1e-9);
+  EXPECT_NEAR(neo.experience().BestCost(q), 1.0, 1e-9);
 }
 
 TEST_F(CoreFixture, EndToEndLearningImprovesOverBootstrap) {

@@ -107,7 +107,6 @@ TEST_F(ServeFixture, SingleClientServingBitIdenticalToInlineGuardedLoop) {
 
   // Twin A: the pre-serving inline loop (plan + guarded execute + learn).
   Rig a = MakeRig(train, cfg);
-  ASSERT_TRUE(a.neo->GuardsActive());
   std::vector<double> inline_lat;
   for (int pass = 0; pass < 2; ++pass) {
     for (const Query* q : train) inline_lat.push_back(a.neo->ExecuteAndLearn(*q));
@@ -136,7 +135,7 @@ TEST_F(ServeFixture, SingleClientServingBitIdenticalToInlineGuardedLoop) {
   }
   EXPECT_EQ(a.neo->experience().NumStates(), b.neo->experience().NumStates());
   for (const Query* q : train) {
-    EXPECT_EQ(a.neo->experience().BestCost(q->id), b.neo->experience().BestCost(q->id));
+    EXPECT_EQ(a.neo->experience().BestCost(*q), b.neo->experience().BestCost(*q));
   }
   const core::GuardStats ga = a.neo->guard_stats();
   const core::GuardStats gb = b.neo->guard_stats();

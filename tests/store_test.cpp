@@ -1,17 +1,18 @@
 // Experience-store tests: constant-insensitive type hashing, the on-disk WAL
 // and snapshot primitives, plan codec round trips, the per-type mode state
-// machine (drift demotion, probes, re-promotion, stability, frozen), epoch-
-// gated cardinality corrections and their featurizer integration, and the
-// crash-safety contract — WAL/snapshot restart round trips, a kill-point
-// sweep over every frame boundary and mid-record offset, bit-flip corruption
-// detection, injected I/O faults, and crash-budget truncation through
-// util::FaultInjector. The faults CI arm runs this file under NEO_FAULT_*
-// injection, so the recovery paths are exercised both ways.
+// machine (drift demotion, probes, re-promotion, stability, frozen), and the
+// crash-safety contract — WAL/snapshot restart round trips, replay of WAL
+// frames the store does not apply, the snapshot version check, a kill-point
+// sweep over every frame boundary and mid-record offset of two scripts,
+// bit-flip corruption detection, injected I/O faults, and crash-budget
+// truncation through util::FaultInjector. The faults CI arm runs this file
+// under NEO_FAULT_* injection, so the recovery paths are exercised both ways.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -22,7 +23,6 @@
 #include <vector>
 
 #include "src/datagen/imdb_gen.h"
-#include "src/featurize/featurizer.h"
 #include "src/query/builder.h"
 #include "src/store/experience_store.h"
 #include "src/store/plan_codec.h"
@@ -73,20 +73,40 @@ void WriteRawFile(const std::string& path, const std::vector<uint8_t>& bytes) {
   std::fclose(f);
 }
 
+bool ViewsEqual(const TypeView& a, const TypeView& b) {
+  return a.type_hash == b.type_hash && a.mode == b.mode &&
+         a.exploit_from_drift == b.exploit_from_drift &&
+         a.serves == b.serves && a.search_serves == b.search_serves &&
+         a.exploit_run_len == b.exploit_run_len && a.ewma == b.ewma &&
+         a.baseline_mean == b.baseline_mean &&
+         a.baseline_n == b.baseline_n && a.stable_run == b.stable_run &&
+         a.healthy_run == b.healthy_run &&
+         a.exploit_bad_run == b.exploit_bad_run &&
+         a.demotions == b.demotions && a.has_best == b.has_best &&
+         a.best_latency_ms == b.best_latency_ms &&
+         a.best_plan_hash == b.best_plan_hash;
+}
+
+void ExpectViewsEqual(const std::vector<TypeView>& a,
+                      const std::vector<TypeView>& b,
+                      const std::string& context) {
+  ASSERT_EQ(a.size(), b.size()) << context;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(ViewsEqual(a[i], b[i]))
+        << context << ": type " << i << " diverged (hash " << a[i].type_hash
+        << ", serves " << a[i].serves << " vs " << b[i].serves << ", ewma "
+        << a[i].ewma << " vs " << b[i].ewma << ")";
+  }
+}
+
 class StoreFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     datagen::GenOptions opt;
     opt.scale = 0.04;
     ds_ = new datagen::Dataset(datagen::GenerateImdb(opt));
-    stats_ = new catalog::Statistics(ds_->schema, *ds_->db);
-    hist_ = new optim::HistogramEstimator(ds_->schema, *stats_, *ds_->db);
   }
-  static void TearDownTestSuite() {
-    delete hist_;
-    delete stats_;
-    delete ds_;
-  }
+  static void TearDownTestSuite() { delete ds_; }
 
   /// One relation + one integer predicate: the parameterized-query template.
   /// All years share one type (the constants differ, the structure does not).
@@ -127,41 +147,10 @@ class StoreFixture : public ::testing::Test {
     return p;
   }
 
-  static bool ViewsEqual(const TypeView& a, const TypeView& b) {
-    return a.type_hash == b.type_hash && a.mode == b.mode &&
-           a.exploit_from_drift == b.exploit_from_drift &&
-           a.serves == b.serves && a.search_serves == b.search_serves &&
-           a.exploit_run_len == b.exploit_run_len && a.ewma == b.ewma &&
-           a.baseline_mean == b.baseline_mean &&
-           a.baseline_n == b.baseline_n && a.stable_run == b.stable_run &&
-           a.healthy_run == b.healthy_run &&
-           a.exploit_bad_run == b.exploit_bad_run &&
-           a.demotions == b.demotions && a.has_best == b.has_best &&
-           a.best_latency_ms == b.best_latency_ms &&
-           a.best_plan_hash == b.best_plan_hash &&
-           a.num_corrections == b.num_corrections;
-  }
-
-  static void ExpectViewsEqual(const std::vector<TypeView>& a,
-                               const std::vector<TypeView>& b,
-                               const std::string& context) {
-    ASSERT_EQ(a.size(), b.size()) << context;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_TRUE(ViewsEqual(a[i], b[i]))
-          << context << ": type " << i << " diverged (hash " << a[i].type_hash
-          << ", serves " << a[i].serves << " vs " << b[i].serves << ", ewma "
-          << a[i].ewma << " vs " << b[i].ewma << ")";
-    }
-  }
-
   static datagen::Dataset* ds_;
-  static catalog::Statistics* stats_;
-  static optim::HistogramEstimator* hist_;
 };
 
 datagen::Dataset* StoreFixture::ds_ = nullptr;
-catalog::Statistics* StoreFixture::stats_ = nullptr;
-optim::HistogramEstimator* StoreFixture::hist_ = nullptr;
 
 // ---- Query type hashing ----------------------------------------------------
 
@@ -535,7 +524,6 @@ TEST_F(StoreFixture, FrozenModePinsForeverAndRecordsNothing) {
   TypeView before;
   ASSERT_TRUE(store.ViewOf(q.type_hash, &before));
   for (int i = 0; i < 10; ++i) store.RecordServe(q, plan, 500.0, false);
-  store.RecordCardCorrection(q, 1, 100.0, 1000.0);
   TypeView after;
   ASSERT_TRUE(store.ViewOf(q.type_hash, &after));
   EXPECT_TRUE(ViewsEqual(before, after));
@@ -560,101 +548,35 @@ TEST_F(StoreFixture, ManualModeControlValidates) {
             util::Status::Code::kFailedPrecondition);
 }
 
-// ---- Cardinality corrections ------------------------------------------------
-
-TEST_F(StoreFixture, CardCorrectionsPublishEpochGatedLogMeans) {
-  ExperienceStore store(StoreOptions{});
-  ASSERT_TRUE(store.Open().ok());
-  const Query q = SingleRel(1, 1990);
-
-  EXPECT_EQ(store.CorrectionFor(q, 1), 1.0);  // No data: exact identity.
-  EXPECT_EQ(store.epoch(), 0u);
-
-  store.RecordCardCorrection(q, 1, 100.0, 1000.0);  // Observed 10x estimate.
-  EXPECT_EQ(store.epoch(), 1u);
-  EXPECT_NEAR(store.CorrectionFor(q, 1), 10.0, 1e-9);
-
-  // The same ratio again moves the mean by zero: no epoch bump, caches stay.
-  store.RecordCardCorrection(q, 1, 100.0, 1000.0);
-  EXPECT_EQ(store.epoch(), 1u);
-  EXPECT_NEAR(store.CorrectionFor(q, 1), 10.0, 1e-9);
-
-  // Ratios clamp at 1e4 in both directions.
-  store.RecordCardCorrection(q, 2, 1.0, 1e9);
-  EXPECT_NEAR(store.CorrectionFor(q, 2), 1e4, 1e-6);
-  store.RecordCardCorrection(q, 4, 1e9, 1.0);
-  EXPECT_NEAR(store.CorrectionFor(q, 4), 1e-4, 1e-12);
-
-  // Unknown subsets and unknown types stay at 1.0.
-  EXPECT_EQ(store.CorrectionFor(q, 1ULL << 40), 1.0);
-  EXPECT_EQ(store.CorrectionFor(ThreeWay(2, "love"), 1), 1.0);
-  EXPECT_EQ(store.stats().card_corrections, 4u);
-}
-
-TEST_F(StoreFixture, CorrectionsFeedFeaturizerCardChannelAndEpoch) {
-  featurize::FeaturizerConfig cfg;
-  cfg.card_channel = featurize::CardChannel::kEstimated;
-  featurize::Featurizer feat(ds_->schema, *ds_->db, cfg, hist_);
-  const Query q = SingleRel(1, 1990);
-  const PartialPlan plan = OneScanPlan(q);
-  const int card_col = feat.plan_dim() - 1;
-
-  // Unattached baseline.
-  nn::TreeStructure tree;
-  nn::Matrix before;
-  feat.EncodePlan(q, plan, &tree, &before);
-
-  ExperienceStore store(StoreOptions{});
-  ASSERT_TRUE(store.Open().ok());
-  feat.SetCardCorrections(&store);
-  EXPECT_EQ(feat.encoding_epoch(), 0u);
-
-  // Attached but empty: encodings must be bit-identical to unattached.
-  nn::TreeStructure tree2;
-  nn::Matrix attached;
-  feat.EncodePlan(q, plan, &tree2, &attached);
-  EXPECT_EQ(attached.At(0, card_col), before.At(0, card_col));
-
-  // A learned 10x correction on this subset shifts the channel and bumps the
-  // epoch the search cache keys on.
-  store.RecordCardCorrection(q, 1ULL << 0, 100.0, 1000.0);
-  EXPECT_EQ(feat.encoding_epoch(), 1u);
-  nn::TreeStructure tree3;
-  nn::Matrix corrected;
-  feat.EncodePlan(q, plan, &tree3, &corrected);
-  EXPECT_NE(corrected.At(0, card_col), before.At(0, card_col));
-
-  // The channel is log1p-scaled in encoders downstream of CardFeature; at
-  // minimum the corrected feature must reflect a strictly larger estimate.
-  EXPECT_GT(corrected.At(0, card_col), before.At(0, card_col));
-
-  feat.SetCardCorrections(nullptr);
-  EXPECT_EQ(feat.encoding_epoch(), 0u);
-  nn::TreeStructure tree4;
-  nn::Matrix detached;
-  feat.EncodePlan(q, plan, &tree4, &detached);
-  EXPECT_EQ(detached.At(0, card_col), before.At(0, card_col));
-}
-
 // ---- Durability: restart round trips ----------------------------------------
 
-/// Drives a deterministic mixed workload (two types, an improving serve, a
-/// drift demotion, corrections) against `store`. The same script is used to
-/// produce reference states and WAL byte streams across tests.
+/// One RecordServe call of a scripted workload.
+struct ScriptedServe {
+  const Query* query;
+  const PartialPlan* plan;
+  double latency_ms;
+  bool from_search;
+};
+
+/// A deterministic mixed workload: two types, an improving serve of each, a
+/// drift demotion and unsearched serves. The same script produces reference
+/// states and WAL byte streams across tests.
+std::vector<ScriptedServe> MixedScript(const Query& q1, const PartialPlan& p1,
+                                       const Query& q2, const PartialPlan& p2) {
+  std::vector<ScriptedServe> serves;
+  for (int i = 0; i < 8; ++i) serves.push_back({&q1, &p1, 10.0 + 0.25 * i, true});
+  for (int i = 0; i < 5; ++i) serves.push_back({&q2, &p2, 40.0 + i, true});
+  serves.push_back({&q1, &p1, 120.0, true});  // Demotes q1.
+  for (int i = 0; i < 3; ++i) serves.push_back({&q1, &p1, 10.0, false});
+  return serves;
+}
+
+/// Runs MixedScript against `store`.
 void DriveScript(ExperienceStore* store, const Query& q1,
                  const PartialPlan& p1, const Query& q2,
                  const PartialPlan& p2) {
-  for (int i = 0; i < 8; ++i) {
-    store->RecordServe(q1, p1, 10.0 + 0.25 * i, /*from_search=*/true);
-  }
-  store->RecordCardCorrection(q1, 1, 100.0, 700.0);
-  for (int i = 0; i < 5; ++i) {
-    store->RecordServe(q2, p2, 40.0 + i, /*from_search=*/true);
-  }
-  store->RecordCardCorrection(q2, 3, 50.0, 10.0);
-  store->RecordServe(q1, p1, 120.0, /*from_search=*/true);  // Demotes q1.
-  for (int i = 0; i < 3; ++i) {
-    store->RecordServe(q1, p1, 10.0, /*from_search=*/false);
+  for (const ScriptedServe& s : MixedScript(q1, p1, q2, p2)) {
+    store->RecordServe(*s.query, *s.plan, s.latency_ms, s.from_search);
   }
 }
 
@@ -692,8 +614,6 @@ TEST_F(StoreFixture, WalReplayReproducesStateExactly) {
   const Decision d = b.Decide(q1);
   EXPECT_TRUE(d.use_pinned);
   EXPECT_EQ(d.pinned.Hash(), p1.Hash());
-  EXPECT_NEAR(b.CorrectionFor(q1, 1), 7.0, 1e-9);
-  EXPECT_NEAR(b.CorrectionFor(q2, 3), 0.2, 1e-9);
 }
 
 TEST_F(StoreFixture, SnapshotRoundTripWithLsnGatedTail) {
@@ -768,51 +688,181 @@ TEST_F(StoreFixture, StaleWalFramesBehindSnapshotLsnAreSkipped) {
   ExpectViewsEqual(b.View(), expected, "lsn gate");
 }
 
-// ---- Kill-point sweep (the crash-safety acceptance test) --------------------
+// ---- Frames and snapshots recovery does not apply ---------------------------
 
-TEST_F(StoreFixture, KillPointSweepLosesOnlyTheTornTail) {
-  TempDir master;
+TEST_F(StoreFixture, UnknownAndUndecodableWalFramesCreateNoType) {
+  // Frames replay cannot apply sit between valid frames, each for a type no
+  // other frame names: a type-4 frame laid out as the cardinality correction
+  // earlier versions logged ([u64 type hash][u64 relation mask][f64 log
+  // ratio]), a frame of type 99, which no version writes, and an observation
+  // frame too short to decode. Replay counts them all and leaves the state
+  // of a store that never saw them.
   const Query q1 = SingleRel(1, 1990);
   const Query q2 = ThreeWay(2, "love");
   const PartialPlan p1 = OneScanPlan(q1);
   const PartialPlan p2 = ThreeWayPlan(q2);
-
-  // 1. Produce the canonical WAL and capture the in-memory reference state
-  //    at every frame count that ends a store call (an improving serve emits
-  //    two frames atomically from the caller's view, so interior counts have
-  //    no call-boundary reference — they are covered by the frame-count and
-  //    boundary-equivalence asserts instead).
   StoreOptions opt;
-  opt.dir = master.path();
   opt.snapshot_every = 0;
-  std::map<uint64_t, std::vector<TypeView>> reference;
-  std::vector<uint8_t> wal;
+
+  TempDir clean_dir;
+  opt.dir = clean_dir.path();
+  std::vector<TypeView> expected;
+  size_t expected_types = 0;
   {
     ExperienceStore a(opt);
     ASSERT_TRUE(a.Open().ok());
-    reference[0] = a.View();
-    const auto checkpoint = [&] { reference[a.stats().wal_records] = a.View(); };
-    for (int i = 0; i < 8; ++i) {
-      a.RecordServe(q1, p1, 10.0 + 0.25 * i, true);
-      checkpoint();
-    }
-    a.RecordCardCorrection(q1, 1, 100.0, 700.0);
-    checkpoint();
-    for (int i = 0; i < 5; ++i) {
-      a.RecordServe(q2, p2, 40.0 + i, true);
-      checkpoint();
-    }
-    a.RecordServe(q1, p1, 120.0, true);
-    checkpoint();
-    for (int i = 0; i < 3; ++i) {
-      a.RecordServe(q1, p1, 10.0, false);
-      checkpoint();
-    }
+    DriveScript(&a, q1, p1, q2, p2);
     ASSERT_TRUE(a.Sync().ok());
-    ASSERT_TRUE(ReadFileBytes(a.wal_path(), &wal).ok());
+    expected = a.View();
+    expected_types = a.NumTypes();
+  }
+  WalReadResult clean;
+  ASSERT_TRUE(ReadWal(clean_dir.path() + "/wal.log", &clean).ok());
+  ASSERT_GE(clean.records.size(), 4u);
+
+  ByteWriter correction;
+  correction.PutU64(0xc0ffee01ULL);  // Type hash.
+  correction.PutU64(0x3ULL);         // Relation mask.
+  correction.PutF64(std::log(7.0));  // Log of observed / estimated.
+  ByteWriter future;
+  future.PutU64(0xc0ffee02ULL);
+  future.PutF64(1.0);
+  ByteWriter short_observation;
+  short_observation.PutU64(0xc0ffee03ULL);  // No latency, no flags.
+
+  // The clean frames, renumbered, with the three spliced in.
+  TempDir spliced_dir;
+  {
+    WalWriter w;
+    ASSERT_TRUE(w.Open(spliced_dir.path() + "/wal.log", 0).ok());
+    uint64_t lsn = 1;
+    const auto append = [&](uint32_t type, const ByteWriter& payload) {
+      return w.AppendRecord(type, lsn++, payload.bytes().data(), payload.size());
+    };
+    for (size_t i = 0; i < clean.records.size(); ++i) {
+      if (i == 2) {
+        ASSERT_TRUE(append(4, correction).ok());
+      }
+      if (i == 3) {
+        ASSERT_TRUE(append(99, future).ok());
+      }
+      if (i + 1 == clean.records.size()) {
+        ASSERT_TRUE(append(1, short_observation).ok());
+      }
+      const WalRecord& r = clean.records[i];
+      ASSERT_TRUE(
+          w.AppendRecord(r.type, lsn++, r.payload.data(), r.payload.size()).ok());
+    }
+    ASSERT_TRUE(w.Sync().ok());
+    w.Close();
   }
 
-  // 2. Frame boundaries from the canonical bytes.
+  opt.dir = spliced_dir.path();
+  ExperienceStore b(opt);
+  const util::Status s = b.Open();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(b.recovery().wal_frames_seen, clean.records.size() + 3);
+  EXPECT_EQ(b.recovery().wal_frames_replayed, clean.records.size() + 3);
+  EXPECT_EQ(b.NumTypes(), expected_types);
+  ExpectViewsEqual(b.View(), expected, "spliced frames");
+}
+
+TEST_F(StoreFixture, SnapshotOfAnotherVersionIsDataLossAndWalStillReplays) {
+  // A snapshot of another version (here 1, whose type records carried a
+  // correction list) is reported, never decoded: kDataLoss, snapshot_corrupt,
+  // and recovery replays the WAL frames past it. The rewrite keeps a valid
+  // checksum, so the version check is what rejects it; the same rewrite at
+  // the current version loads.
+  TempDir tmp;
+  const Query q1 = SingleRel(1, 1990);
+  const Query q2 = ThreeWay(2, "love");
+  const PartialPlan p1 = OneScanPlan(q1);
+  const PartialPlan p2 = ThreeWayPlan(q2);
+  StoreOptions opt;
+  opt.dir = tmp.path();
+  opt.snapshot_every = 0;
+  {
+    ExperienceStore a(opt);
+    ASSERT_TRUE(a.Open().ok());
+    DriveScript(&a, q1, p1, q2, p2);
+    ASSERT_TRUE(a.Snapshot().ok());
+    a.RecordServe(q2, p2, 44.0, true);  // One post-snapshot frame.
+    ASSERT_TRUE(a.Sync().ok());
+  }
+  std::vector<uint8_t> snap;
+  ASSERT_TRUE(ReadFileBytes(tmp.path() + "/snapshot.bin", &snap).ok());
+  ASSERT_GT(snap.size(), 16u);
+  const auto with_version = [&](uint32_t version) {
+    std::vector<uint8_t> body(snap.begin(), snap.end() - 8);
+    ByteWriter v;
+    v.PutU32(version);
+    // The version follows the 4-byte magic.
+    std::copy(v.bytes().begin(), v.bytes().end(), body.begin() + 4);
+    ByteWriter out;
+    out.PutBytes(body.data(), body.size());
+    out.PutU64(Fnv1a(body.data(), body.size()));
+    return out.bytes();
+  };
+
+  WriteRawFile(tmp.path() + "/snapshot.bin", with_version(kSnapshotVersion));
+  {
+    ExperienceStore b(opt);
+    ASSERT_TRUE(b.Open().ok());
+    EXPECT_TRUE(b.recovery().snapshot_loaded);
+    EXPECT_EQ(b.NumTypes(), 2u);
+  }
+
+  WriteRawFile(tmp.path() + "/snapshot.bin", with_version(1));
+  ExperienceStore c(opt);
+  const util::Status s = c.Open();
+  EXPECT_EQ(s.code(), util::Status::Code::kDataLoss);
+  EXPECT_TRUE(c.recovery().snapshot_corrupt);
+  EXPECT_FALSE(c.recovery().snapshot_loaded);
+  EXPECT_EQ(c.recovery().wal_frames_seen, 1u);
+  EXPECT_EQ(c.recovery().wal_frames_replayed, 1u);
+  EXPECT_EQ(c.NumTypes(), 1u);
+  TypeView v;
+  ASSERT_TRUE(c.ViewOf(q2.type_hash, &v));
+  EXPECT_EQ(v.serves, 1u);
+}
+
+// ---- Kill-point sweep (the crash-safety acceptance test) --------------------
+
+/// Reference states of a script: the store's View() at every frame count
+/// that ends a RecordServe call. An improving serve appends two frames
+/// atomically from the caller's view, so the count between them has no
+/// call-boundary reference; it is covered by the frame-count asserts instead.
+using ReferenceStates = std::map<uint64_t, std::vector<TypeView>>;
+
+/// Drives `serves` through a fresh WAL-only store and returns the WAL it
+/// wrote, with its reference states in `reference`.
+void RecordScript(const std::vector<ScriptedServe>& serves,
+                  std::vector<uint8_t>* wal, ReferenceStates* reference) {
+  TempDir dir;
+  StoreOptions opt;
+  opt.dir = dir.path();
+  opt.snapshot_every = 0;
+  ExperienceStore a(opt);
+  ASSERT_TRUE(a.Open().ok());
+  reference->clear();
+  (*reference)[0] = a.View();
+  for (const ScriptedServe& s : serves) {
+    a.RecordServe(*s.query, *s.plan, s.latency_ms, s.from_search);
+    (*reference)[a.stats().wal_records] = a.View();
+  }
+  ASSERT_TRUE(a.Sync().ok());
+  ASSERT_TRUE(ReadFileBytes(a.wal_path(), wal).ok());
+}
+
+/// Kills the store at every frame boundary of `wal` AND at four offsets
+/// inside every frame. Recovery must load exactly the complete-frame prefix:
+/// kOk (a torn tail is crash debris, not corruption), frames_replayed == k,
+/// and state equal to the pre-crash reference at k frames. Adds the frames
+/// and the cuts it made to `frames` and `cuts`.
+void SweepKillPoints(const std::vector<uint8_t>& wal,
+                     const ReferenceStates& reference, size_t* frames,
+                     size_t* cuts) {
+  // Frame boundaries from the canonical bytes.
   std::vector<uint64_t> boundaries = {8};  // Past the file header.
   {
     uint64_t off = 8;
@@ -827,23 +877,20 @@ TEST_F(StoreFixture, KillPointSweepLosesOnlyTheTornTail) {
   }
   ASSERT_EQ(boundaries.size(), reference.rbegin()->first + 1);
 
-  // 3. Kill at every frame boundary AND at mid-record offsets inside every
-  //    frame. Recovery must load exactly the complete-frame prefix: kOk (a
-  //    torn tail is crash debris, not corruption), frames_replayed == k, and
-  //    state equal to the pre-crash reference at k frames.
   TempDir scratch;
   StoreOptions sopt;
   sopt.dir = scratch.path();
   sopt.snapshot_every = 0;
-  size_t sweeps = 0;
   for (size_t k = 0; k + 1 < boundaries.size(); ++k) {
-    std::vector<uint64_t> cuts = {boundaries[k]};
     const uint64_t frame_len = boundaries[k + 1] - boundaries[k];
-    cuts.push_back(boundaries[k] + 1);               // Torn length field.
-    cuts.push_back(boundaries[k] + 17);              // Torn frame header.
-    cuts.push_back(boundaries[k] + frame_len / 2);   // Torn payload.
-    cuts.push_back(boundaries[k] + frame_len - 1);   // One byte short.
-    for (const uint64_t cut : cuts) {
+    const uint64_t offsets[] = {
+        boundaries[k],                  // Frame boundary.
+        boundaries[k] + 1,              // Torn length field.
+        boundaries[k] + 17,             // Torn frame header.
+        boundaries[k] + frame_len / 2,  // Torn payload.
+        boundaries[k] + frame_len - 1,  // One byte short.
+    };
+    for (const uint64_t cut : offsets) {
       WriteRawFile(scratch.path() + "/wal.log",
                    std::vector<uint8_t>(wal.begin(), wal.begin() + cut));
       ExperienceStore b(sopt);
@@ -853,25 +900,72 @@ TEST_F(StoreFixture, KillPointSweepLosesOnlyTheTornTail) {
       EXPECT_FALSE(b.recovery().wal_corrupt) << "cut at " << cut;
       const auto it = reference.find(k);
       if (it != reference.end()) {
-        ExpectViewsEqual(b.View(), it->second,
-                         "cut at " + std::to_string(cut));
+        ExpectViewsEqual(b.View(), it->second, "cut at " + std::to_string(cut));
       }
-      ++sweeps;
+      ++*cuts;
     }
   }
+  *frames += boundaries.size() - 1;
+
   // Cut inside the 8-byte header: a fresh (empty) store, not an error.
   WriteRawFile(scratch.path() + "/wal.log",
                std::vector<uint8_t>(wal.begin(), wal.begin() + 3));
-  ExperienceStore b(sopt);
-  EXPECT_TRUE(b.Open().ok());
-  EXPECT_EQ(b.NumTypes(), 0u);
-  EXPECT_GT(sweeps, 60u);  // The sweep actually swept.
+  {
+    ExperienceStore b(sopt);
+    EXPECT_TRUE(b.Open().ok());
+    EXPECT_EQ(b.NumTypes(), 0u);
+  }
 
-  // 4. Full file: everything replays.
+  // Full file: everything replays.
   WriteRawFile(scratch.path() + "/wal.log", wal);
   ExperienceStore full(sopt);
   ASSERT_TRUE(full.Open().ok());
   ExpectViewsEqual(full.View(), reference.rbegin()->second, "full file");
+}
+
+TEST_F(StoreFixture, KillPointSweepLosesOnlyTheTornTail) {
+  // Script 1: MixedScript (two types, improving serves, a drift demotion,
+  // unsearched serves).
+  const Query q1 = SingleRel(1, 1990);
+  const Query q2 = ThreeWay(2, "love");
+  const PartialPlan p1 = OneScanPlan(q1);
+  const PartialPlan p2 = ThreeWayPlan(q2);
+
+  // Script 2: a longer run of four single-relation types (1 to 4
+  // predicates), 120 serves round-robin, each improving on its type's best
+  // plan, so each appends two frames.
+  const PredOp ops[] = {PredOp::kGe, PredOp::kLe, PredOp::kGt, PredOp::kLt};
+  std::vector<Query> types;
+  for (int n = 0; n < 4; ++n) {
+    QueryBuilder b(ds_->schema, *ds_->db, "sweep");
+    b.Rel("title");
+    for (int p = 0; p <= n; ++p) {
+      b.Pred("title", "production_year", ops[(n + p) % 4], 1950 + 10 * p);
+    }
+    types.push_back(b.Build());
+    types.back().id = n + 1;
+  }
+  std::vector<PartialPlan> plans;
+  for (const Query& q : types) plans.push_back(OneScanPlan(q));
+  std::vector<ScriptedServe> improving;
+  for (int i = 0; i < 120; ++i) {
+    improving.push_back({&types[i % 4], &plans[i % 4], 50.0 - 0.1 * i, true});
+  }
+
+  const std::vector<std::vector<ScriptedServe>> scripts = {
+      MixedScript(q1, p1, q2, p2), improving};
+  const size_t expected_frames[] = {19, 240};
+  for (size_t i = 0; i < scripts.size(); ++i) {
+    SCOPED_TRACE("script " + std::to_string(i + 1));
+    std::vector<uint8_t> wal;
+    ReferenceStates reference;
+    RecordScript(scripts[i], &wal, &reference);
+    size_t frames = 0;
+    size_t cuts = 0;
+    SweepKillPoints(wal, reference, &frames, &cuts);
+    EXPECT_EQ(frames, expected_frames[i]);
+    EXPECT_EQ(cuts, 5 * frames);  // The sweep actually swept.
+  }
 }
 
 TEST_F(StoreFixture, BitFlipsAreDetectedNeverSilentlyLoaded) {
