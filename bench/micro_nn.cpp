@@ -1,12 +1,15 @@
 // Micro-benchmarks (google-benchmark): neural network primitives. Also
 // emits BENCH_train.json — packed-forest TrainBatch throughput at two shapes
-// (sparse_train: the default widths; neobench_train: the repository
-// benchmark's retrain shapes), with per-layer conv flop/byte counters and
-// the steady-state allocation probe — so the training-path perf trajectory
-// stays tracked (the inference counterpart lives in micro_search's
-// BENCH_search.json).
+// (sparse_train: the default widths on dense query vectors; neobench_train:
+// the repository benchmark's retrain shapes, with minibatches drawn over 40
+// JOB-shaped sparse query vectors), the query columns the first Linear
+// keeps per step, per-layer conv flop/byte counters and the steady-state
+// allocation probe — so the training-path perf trajectory stays tracked (the
+// inference counterpart lives in micro_search's BENCH_search.json).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -257,6 +260,7 @@ struct TrainThroughput {
   int batch = 0;
   double samples_per_sec = 0.0;
   double step_ms_mean = 0.0;
+  double kept_columns_mean = 0.0;  ///< Query columns the first Linear keeps.
   float first_loss = 0.0f;
   float final_loss = 0.0f;
   size_t peak_scratch_bytes = 0;
@@ -265,17 +269,25 @@ struct TrainThroughput {
   std::vector<int> conv_in, conv_out;
 };
 
-/// One training arm's shapes: the network, the minibatch size and the tree
-/// sizes (left-deep-ish trees of `min_nodes` + [0, `node_span`) nodes).
+/// One training arm's shapes: the network, the minibatch size, the tree
+/// sizes (left-deep-ish trees of `min_nodes` + [0, `node_span`) nodes) and
+/// the query vectors: `queries` = 0 trains one fixed minibatch whose samples
+/// each carry a dense random query vector; otherwise the steps cycle through
+/// kMinibatches minibatches, each of `batch` draws uniform over `queries`
+/// fixed JobQueryVectors.
 struct TrainShapes {
   ValueNetConfig cfg;
   int batch = 0;
   int min_nodes = 0;
   int node_span = 0;
+  int queries = 0;
 };
 
+constexpr int kMinibatches = 16;
+
 /// sparse_train: the default widths (paper-shaped 64/32/16 conv stack) on a
-/// batch-64 set of 9-17-node trees.
+/// batch-64 set of 9-17-node trees, dense query vectors: the arm where the
+/// query stack's first Linear keeps every column.
 TrainShapes SparseTrainShapes() {
   TrainShapes shapes;
   shapes.cfg.query_dim = 66;
@@ -287,9 +299,9 @@ TrainShapes SparseTrainShapes() {
 }
 
 /// neobench_train: the shapes the repository benchmark's `train` workload
-/// retrains at (quick config, 711-wide query vectors, batch 32, trees of
-/// about 9 nodes), so the retrain step has an A/B number steadier than the
-/// end-to-end train_s.
+/// retrains at (quick config, 711-wide query vectors, batch 32 drawn over
+/// its 40 training queries, trees of about 9 nodes), so the retrain step has
+/// an A/B number steadier than the end-to-end train_s.
 TrainShapes NeobenchTrainShapes() {
   TrainShapes shapes;
   shapes.cfg.query_dim = 711;
@@ -300,49 +312,136 @@ TrainShapes NeobenchTrainShapes() {
   shapes.batch = 32;
   shapes.min_nodes = 5;
   shapes.node_span = 9;
+  shapes.queries = 40;
   return shapes;
 }
 
-/// Steps a fresh network `steps` times on one fixed minibatch of `shapes`
-/// and reports samples/sec.
+/// `queries` query vectors shaped like JOB's under R-Vector featurization.
+/// Counted on neobench's train workload at seed 7: a query vector is 9.4%
+/// non-zero (about 67 of 711), only 180 of the 711 columns are non-zero for
+/// any of the 132 JOB queries, and a minibatch of 32 draws over the 40
+/// training queries holds 22.2 distinct queries whose non-zero columns
+/// number 170.0 (227.3 in aligned groups of four). Here the 180 columns are
+/// 18 runs of 10 adjacent columns; 20 of them belong to one query each, and
+/// every query draws the rest of its 67 non-zeros from the other 160, so a
+/// draw of 32 keeps about 171.
+std::vector<Matrix> JobQueryVectors(int query_dim, int queries,
+                                    neo::util::Rng& rng) {
+  constexpr int kRuns = 18, kRunWidth = 10, kOwned = 20, kNonZeros = 67;
+  std::vector<int> slots(static_cast<size_t>(query_dim / kRunWidth));
+  for (size_t i = 0; i < slots.size(); ++i) slots[i] = static_cast<int>(i);
+  rng.Shuffle(slots);
+  std::vector<int> columns;
+  for (int run = 0; run < kRuns; ++run) {
+    for (int j = 0; j < kRunWidth; ++j) {
+      columns.push_back(slots[static_cast<size_t>(run)] * kRunWidth + j);
+    }
+  }
+  rng.Shuffle(columns);
+  const std::vector<int> owned(columns.begin(), columns.begin() + kOwned);
+  std::vector<int> shared(columns.begin() + kOwned, columns.end());
+  std::vector<Matrix> out;
+  for (int q = 0; q < queries; ++q) {
+    Matrix v(1, query_dim);
+    int want = kNonZeros;
+    if (q < kOwned) {
+      v.At(0, owned[static_cast<size_t>(q)]) =
+          static_cast<float>(rng.NextUniform(0.05, 1));
+      --want;
+    }
+    rng.Shuffle(shared);
+    for (int i = 0; i < want; ++i) {
+      v.At(0, shared[static_cast<size_t>(i)]) =
+          static_cast<float>(rng.NextUniform(0.05, 1));
+    }
+    out.push_back(std::move(v));
+  }
+  return out;
+}
+
+/// Columns of the minibatch's query vectors the query stack's first Linear
+/// keeps: the aligned groups of DroppableKGroupWidth() columns that hold a
+/// non-zero entry.
+int KeptQueryColumns(const std::vector<const Matrix*>& query_vecs) {
+  const int dim = query_vecs[0]->cols();
+  const int group = DroppableKGroupWidth();
+  int kept = 0;
+  for (int c0 = 0; c0 < dim; c0 += group) {
+    const int c1 = std::min(dim, c0 + group);
+    bool any = false;
+    for (const Matrix* q : query_vecs) {
+      for (int c = c0; c < c1; ++c) any |= q->At(0, c) != 0.0f;
+    }
+    if (any) kept += c1 - c0;
+  }
+  return kept;
+}
+
+/// Steps a fresh network `steps` times on `shapes`' minibatches and reports
+/// samples/sec. Every minibatch trains twice before the clock starts, so
+/// the timed steps run at the buffers' high-water marks.
 TrainThroughput MeasureTrainThroughput(const TrainShapes& shapes, int steps) {
   const ValueNetConfig& cfg = shapes.cfg;
   ValueNetwork net(cfg);
 
   neo::util::Rng rng(5);
-  std::vector<PlanSample> samples(static_cast<size_t>(shapes.batch));
+  const std::vector<Matrix> job_queries =
+      shapes.queries > 0 ? JobQueryVectors(cfg.query_dim, shapes.queries, rng)
+                         : std::vector<Matrix>();
+  const int minibatches = shapes.queries > 0 ? kMinibatches : 1;
+  const size_t total = static_cast<size_t>(minibatches) * shapes.batch;
+  std::vector<PlanSample> samples(total);
+  std::vector<const Matrix*> query_vecs(total);
   std::vector<const PlanSample*> ptrs;
   std::vector<float> targets;
-  for (auto& s : samples) {
+  for (size_t i = 0; i < total; ++i) {
+    PlanSample& s = samples[i];
     const int nodes = shapes.min_nodes +
                       static_cast<int>(rng.NextBounded(shapes.node_span));
-    s.query_vec = RandomMatrix(1, cfg.query_dim, rng);
+    if (shapes.queries > 0) {
+      query_vecs[i] = &job_queries[rng.NextBounded(job_queries.size())];
+    } else {
+      s.query_vec = RandomMatrix(1, cfg.query_dim, rng);
+      query_vecs[i] = &s.query_vec;
+    }
     s.node_features = RandomMatrix(nodes, cfg.plan_dim, rng);
     s.tree.left.assign(static_cast<size_t>(nodes), -1);
     s.tree.right.assign(static_cast<size_t>(nodes), -1);
-    for (int i = 0; i + 2 < nodes; i += 2) {
-      s.tree.left[static_cast<size_t>(i)] = i + 1;
-      s.tree.right[static_cast<size_t>(i)] = i + 2;
+    for (int j = 0; j + 2 < nodes; j += 2) {
+      s.tree.left[static_cast<size_t>(j)] = j + 1;
+      s.tree.right[static_cast<size_t>(j)] = j + 2;
     }
     ptrs.push_back(&s);
     targets.push_back(static_cast<float>(rng.NextUniform(-1, 1)));
   }
+  const auto train = [&](int mb) {
+    const size_t at = static_cast<size_t>(mb) * shapes.batch;
+    return net.TrainBatch(&ptrs[at], &targets[at],
+                          static_cast<size_t>(shapes.batch), &query_vecs[at]);
+  };
 
   TrainThroughput out;
   out.batch = shapes.batch;
-  out.first_loss = net.TrainBatch(ptrs, targets);  // Warm-up step (untimed).
-  out.final_loss = net.TrainBatch(ptrs, targets);  // Buffers now at capacity.
+  for (int mb = 0; mb < minibatches; ++mb) {
+    const std::vector<const Matrix*> batch_queries(
+        query_vecs.begin() + static_cast<ptrdiff_t>(mb) * shapes.batch,
+        query_vecs.begin() + static_cast<ptrdiff_t>(mb + 1) * shapes.batch);
+    out.kept_columns_mean += KeptQueryColumns(batch_queries);
+  }
+  out.kept_columns_mean /= minibatches;
+  out.first_loss = train(0);  // Warm-up passes (untimed).
+  for (int i = 1; i < 2 * minibatches; ++i) out.final_loss = train(i % minibatches);
   // Steady-state alloc probe: TrainBatch brackets its own work in an
   // AllocRegionScope, so RegionAllocs() counts exactly the step's heap
   // traffic. It must be zero once warm.
   neo::util::ArmAllocCounter(true);
   neo::util::ResetRegionAllocs();
-  out.final_loss = net.TrainBatch(ptrs, targets);
+  out.final_loss = train(0);
   out.steady_allocs = neo::util::RegionAllocs();
   neo::util::ArmAllocCounter(false);
   net.ResetConvTrainStats();
   neo::util::Stopwatch watch;
-  for (int i = 0; i < steps; ++i) out.final_loss = net.TrainBatch(ptrs, targets);
+  for (int i = 0; i < steps; ++i) out.final_loss = train(i % minibatches);
   const double total_s = watch.ElapsedSeconds();
   out.samples_per_sec = static_cast<double>(steps) * shapes.batch / total_s;
   out.step_ms_mean = total_s * 1000.0 / steps;
@@ -367,12 +466,12 @@ void PrintTrainArm(std::FILE* out, const char* name, const TrainThroughput& r,
                    const char* trailing_comma) {
   std::fprintf(out,
                "  \"%s\": {\"batch_size\": %d, \"samples_per_sec\": %.1f,"
-               " \"step_ms_mean\": %.3f,"
+               " \"step_ms_mean\": %.3f, \"query_kept_columns_mean\": %.1f,"
                " \"first_loss\": %.6f, \"final_loss\": %.6f,"
                " \"peak_train_scratch_bytes\": %zu,"
                " \"steady_state_heap_allocs\": %llu}%s\n",
                name, r.batch, r.samples_per_sec, r.step_ms_mean,
-               static_cast<double>(r.first_loss),
+               r.kept_columns_mean, static_cast<double>(r.first_loss),
                static_cast<double>(r.final_loss), r.peak_scratch_bytes,
                static_cast<unsigned long long>(r.steady_allocs),
                trailing_comma);
@@ -434,12 +533,14 @@ void WriteTrainJson(const std::string& path, int steps) {
   std::fprintf(out, "  \"steady_state_zero_alloc\": %s\n}\n",
                zero_alloc ? "true" : "false");
   std::fclose(out);
-  std::printf("TrainBatch throughput: sparse_train (batch %d) %.0f samples/s,"
-              " neobench_train (batch %d) %.0f samples/s (%.3f ms/step);"
+  std::printf("TrainBatch throughput: sparse_train (batch %d) %.0f samples/s"
+              " (%.3f ms/step), neobench_train (batch %d) %.0f samples/s"
+              " (%.3f ms/step, %.1f query columns kept);"
               " steady-state allocs/step %llu -> %s\n",
               sparse_train.batch, sparse_train.samples_per_sec,
-              neobench_train.batch, neobench_train.samples_per_sec,
-              neobench_train.step_ms_mean,
+              sparse_train.step_ms_mean, neobench_train.batch,
+              neobench_train.samples_per_sec, neobench_train.step_ms_mean,
+              neobench_train.kept_columns_mean,
               static_cast<unsigned long long>(steady_allocs), path.c_str());
 }
 

@@ -48,15 +48,17 @@ struct Fixture {
     datagen::GenOptions opt;
     opt.scale = 0.02;
     ds = datagen::GenerateImdb(opt);
-    // 16 structurally distinct single-relation templates (predicate-count and
-    // operator shape vary, so every one hashes to its own type).
+    // 16 structurally distinct single-relation templates: template n has
+    // n % 4 + 1 predicates whose operators cycle from ops[n / 4], so no two
+    // share their (count, operator sequence) and each hashes to its own type
+    // (the type hash drops literals but keeps the predicates' order).
     const query::PredOp ops[] = {query::PredOp::kGe, query::PredOp::kLe,
                                  query::PredOp::kGt, query::PredOp::kLt};
     for (int n = 0; n < 16; ++n) {
       query::QueryBuilder b(ds.schema, *ds.db, "bench");
       b.Rel("title");
       for (int p = 0; p <= n % 4; ++p) {
-        b.Pred("title", "production_year", ops[(n + p) % 4], 1950 + 10 * p);
+        b.Pred("title", "production_year", ops[(n / 4 + p) % 4], 1950 + 10 * p);
       }
       queries.push_back(b.Build());
       queries.back().id = n + 1;
@@ -161,6 +163,7 @@ void WriteStoreJson(const std::string& path) {
   opt.snapshot_every = 0;
   double append_secs = 0.0;
   uint64_t appended = 0, wal_bytes = 0;
+  size_t types = 0;
   {
     ExperienceStore store(opt);
     if (!store.Open().ok()) {
@@ -176,6 +179,7 @@ void WriteStoreJson(const std::string& path) {
     (void)store.Sync();
     append_secs = watch.ElapsedSeconds();
     appended = store.stats().wal_records;
+    types = store.NumTypes();
     std::vector<uint8_t> bytes;
     if (store::ReadFileBytes(store.wal_path(), &bytes).ok()) {
       wal_bytes = bytes.size();
@@ -228,7 +232,7 @@ void WriteStoreJson(const std::string& path) {
                  "  \"snapshot_recovery_ms\": %.3f,\n"
                  "  \"snapshot_loaded\": %s\n"
                  "}\n",
-                 f.queries.size(), static_cast<unsigned long long>(appended),
+                 types, static_cast<unsigned long long>(appended),
                  static_cast<unsigned long long>(wal_bytes), append_rps,
                  append_mbps, recovery_secs * 1e3, replay_rps,
                  snapshot_secs * 1e3, snap_ok ? "true" : "false",

@@ -1,6 +1,8 @@
 #include "src/nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace neo::nn {
 
@@ -13,28 +15,67 @@ Linear::Linear(int in_dim, int out_dim, util::Rng& rng) {
 }
 
 Matrix Linear::Forward(const Matrix& x) {
-  last_input_ = x;
-  return Apply(x, /*use_packed=*/false, &gemm_scratch_);
+  Matrix y;
+  ForwardInto(x, &y);
+  return y;
 }
 
 Matrix Linear::ForwardInference(const Matrix& x) const {
-  return Apply(x, packed_fresh_, /*scratch=*/nullptr);
+  Matrix y;
+  ForwardInferenceInto(x, &y);
+  return y;
 }
 
 void Linear::ForwardInto(const Matrix& x, Matrix* y) {
-  last_input_ = x;  // Copy-assign: reuses capacity once warm.
-  ApplyInto(x, /*use_packed=*/false, &gemm_scratch_, y);
+  NEO_CHECK(x.cols() == in_dim());
+  const int n = x.rows(), in = x.cols();
+  // K: every aligned group of `group` columns with a non-zero entry. A
+  // column's OR of bits, sign bit aside, is non-zero iff some entry is.
+  column_bits_.assign(static_cast<size_t>(in), 0u);
+  uint32_t* bits = column_bits_.data();
+  for (int r = 0; r < n; ++r) {
+    const float* row = x.Row(r);
+    for (int c = 0; c < in; ++c) {
+      uint32_t u;
+      std::memcpy(&u, &row[c], sizeof u);
+      bits[c] |= u << 1;
+    }
+  }
+  const int group = DroppableKGroupWidth();
+  kept_.reserve(static_cast<size_t>(in));  // Once: K never outgrows it.
+  kept_.clear();
+  for (int c0 = 0; c0 < in; c0 += group) {
+    const int c1 = std::min(in, c0 + group);
+    uint32_t any = 0;
+    for (int c = c0; c < c1; ++c) any |= bits[c];
+    if (any == 0) continue;
+    for (int c = c0; c < c1; ++c) kept_.push_back(c);
+  }
+  // Every column kept: x itself, and the full GEMM (a null row list).
+  const bool all = static_cast<int>(kept_.size()) == in;
+  if (all) {
+    last_input_ = x;  // Copy-assign: reuses capacity once warm.
+  } else {
+    const int k = static_cast<int>(kept_.size());
+    last_input_.Reshape(n, k);
+    for (int r = 0; r < n; ++r) {
+      const float* src = x.Row(r);
+      float* dst = last_input_.Row(r);
+      for (int j = 0; j < k; ++j) dst[j] = src[kept_[static_cast<size_t>(j)]];
+    }
+  }
+  MatMulGatherBInto(last_input_, weight_.value, all ? nullptr : kept_.data(),
+                    y, &gemm_scratch_);
+  AddBias(y);
 }
 
 void Linear::ForwardInferenceInto(const Matrix& x, Matrix* y) const {
-  ApplyInto(x, packed_fresh_, /*scratch=*/nullptr, y);
-}
-
-Matrix Linear::Apply(const Matrix& x, bool use_packed,
-                     GemmScratch* scratch) const {
-  Matrix y;
-  ApplyInto(x, use_packed, scratch, &y);
-  return y;
+  if (packed_fresh_) {
+    MatMulPackedInto(x, packed_weight_, y);
+  } else {
+    MatMulInto(x, weight_.value, y);
+  }
+  AddBias(y);
 }
 
 void Linear::GemmInto(const Matrix& x, GemmScratch* scratch, Matrix* y) const {
@@ -45,13 +86,7 @@ void Linear::GemmInto(const Matrix& x, GemmScratch* scratch, Matrix* y) const {
   }
 }
 
-void Linear::ApplyInto(const Matrix& x, bool use_packed, GemmScratch* scratch,
-                       Matrix* y) const {
-  if (use_packed) {
-    MatMulPackedInto(x, packed_weight_, y);
-  } else {
-    MatMulInto(x, weight_.value, y, scratch);
-  }
+void Linear::AddBias(Matrix* y) const {
   const float* b = bias_.value.Row(0);
   const int cols = y->cols();
   for (int r = 0; r < y->rows(); ++r) {
@@ -76,10 +111,28 @@ void Linear::BackwardInto(const Matrix& grad_out, Matrix* grad_in) {
   // ForwardInference cannot silently multiply stale weights (same discipline
   // as TreeConv::BackwardTrain and its split blocks).
   packed_fresh_ = false;
-  // dW += x^T g (scatter-added in place — no product temporary); db +=
-  // sum_rows(g) ; dx = g W^T, skipped when grad_in is null.
-  MatMulTransposeAInto(last_input_, grad_out, weight_.grad.data(),
-                       &gemm_scratch_);
+  // dW[K] += x[:, K]^T g (accumulated in place — no product temporary); db +=
+  // sum_rows(g) ; dx = g W^T, skipped when grad_in is null. Each weight-
+  // gradient element is one chain over the batch rows seeded from dW, so
+  // rows K accumulate in a compact copy exactly as they would in place.
+  const int k = last_input_.cols();
+  const int m = out_dim();
+  if (k == in_dim()) {
+    MatMulTransposeAInto(last_input_, grad_out, weight_.grad.data(),
+                         &gemm_scratch_);
+  } else if (k > 0) {
+    grad_rows_.Reshape(k, m);
+    for (int j = 0; j < k; ++j) {
+      const float* src = weight_.grad.Row(kept_[static_cast<size_t>(j)]);
+      std::copy(src, src + m, grad_rows_.Row(j));
+    }
+    MatMulTransposeAInto(last_input_, grad_out, grad_rows_.data(),
+                         &gemm_scratch_);
+    for (int j = 0; j < k; ++j) {
+      const float* src = grad_rows_.Row(j);
+      std::copy(src, src + m, weight_.grad.Row(kept_[static_cast<size_t>(j)]));
+    }
+  }
   for (int r = 0; r < grad_out.rows(); ++r) {
     const float* g = grad_out.Row(r);
     float* b = bias_.grad.Row(0);

@@ -76,6 +76,21 @@ class Layer {
 };
 
 /// Fully connected: y = x W + b.
+///
+/// The training pass multiplies only the input columns it needs. Forward
+/// keeps K, the ascending columns of every aligned group of
+/// DroppableKGroupWidth() columns that holds a non-zero entry in some row
+/// of x, and computes y = x[:, K] W[K, :] + b; Backward adds
+/// x[:, K]^T g into rows K of the weight gradient. Every term left out is a
+/// zero input times a weight, so both are bit-identical to the full GEMMs
+/// (see "Dropping zero k terms" in matrix.h), and the gradient rows outside
+/// K receive nothing, as the full GEMM would add only +-0 to them. A
+/// query vector (about 10% non-zero) keeps a few hundred of its 711
+/// columns; a dense activation keeps them all, and the pass is then the full
+/// GEMM with no gather. An input with no non-zero column gives y = b and
+/// adds nothing to the weight gradient. The input-gradient GEMM
+/// (dx = g W^T) uses all of W. The one visible difference: a non-finite
+/// weight in a row outside K cannot reach y through 0 * inf.
 class Linear : public Layer {
  public:
   Linear(int in_dim, int out_dim, util::Rng& rng);
@@ -109,12 +124,8 @@ class Linear : public Layer {
   const float* bias_row() const { return bias_.value.Row(0); }
 
  private:
-  /// y = x W + b. `use_packed` selects the pre-packed weight copy (bit-
-  /// identical to the live weight; see PackedB) — only valid while fresh.
-  /// Unpacked GEMMs pack through `scratch` (nullptr: a call-local buffer).
-  Matrix Apply(const Matrix& x, bool use_packed, GemmScratch* scratch) const;
-  void ApplyInto(const Matrix& x, bool use_packed, GemmScratch* scratch,
-                 Matrix* y) const;
+  /// y += b, row by row.
+  void AddBias(Matrix* y) const;
 
   Param weight_;  ///< (in x out)
   Param bias_;    ///< (1 x out)
@@ -123,7 +134,14 @@ class Linear : public Layer {
   /// direct parameter pokes (numeric gradient checks, Adam) stay visible.
   PackedB packed_weight_;
   bool packed_fresh_ = false;
+  /// K of the last training Forward, and x[:, K] (x itself when K holds
+  /// every column) for Backward's weight gradient.
+  std::vector<int> kept_;
   Matrix last_input_;
+  /// Per-column OR of the input's bits (Forward's K scan), and rows K of
+  /// the weight gradient while Backward accumulates into them.
+  std::vector<uint32_t> column_bits_;
+  Matrix grad_rows_;
   /// Cross-call GEMM pack/staging buffers (growth-only) for the training
   /// forward/backward, so steady-state steps make no heap allocations. The
   /// const inference paths never touch it: they pack through caller-owned

@@ -151,6 +151,11 @@ void SetKernelIsa(KernelIsa isa) {
   g_kernel_isa.store(static_cast<int>(isa), std::memory_order_relaxed);
 }
 
+int DroppableKGroupWidth() {
+  // MatMulRowChunk's four interleaved chains; the SIMD arms' single chain.
+  return ActiveSimdKernels() != nullptr ? 1 : 4;
+}
+
 const char* KernelArchString() { return KernelIsaName(ActiveKernelIsa()); }
 
 const char* PortableArmCodegen() {
@@ -370,21 +375,36 @@ float* PreparePack(GemmScratch* scratch, std::vector<float>* local, int k,
 }
 
 /// Shared body of MatMul and MatMulBlock: out = a * b for a raw row-major
-/// (k x m) right-hand side, written into the Reshape'd `out`.
+/// right-hand side of k rows of m floats (row p is row brows[p] of bdata;
+/// nullptr: row p), written into the Reshape'd `out`.
 void MatMulImplInto(const Matrix& a, const int* arows, int nrows,
-                    const float* bdata, int k, int m, Matrix* out,
-                    GemmScratch* scratch) {
+                    const float* bdata, const int* brows, int k, int m,
+                    Matrix* out, GemmScratch* scratch) {
   NEO_CHECK(a.cols() == k);
   const int n = arows != nullptr ? nrows : a.rows();
   out->Reshape(n, m);
+  if (k == 0) {
+    out->Zero();
+    return;
+  }
   const float* adata = a.data();
   float* odata = out->data();
+  std::vector<float> local;
   if (const detail::SimdGemmKernels* simd = ActiveSimdKernels()) {
-    std::vector<float> local;
-    const float* packed = PreparePack(scratch, &local, k, m);
-    detail::PackBPanels(bdata, k, m, const_cast<float*>(packed));
+    float* packed = PreparePack(scratch, &local, k, m);
+    detail::PackBPanelsGathered(bdata, brows, k, m, packed);
     simd->gemm_rows(adata, arows, packed, odata, 0, n, k, m);
     return;
+  }
+  if (brows != nullptr) {
+    // The portable arm reads b in place, so a row gather is copied into the
+    // pack buffer, which it otherwise never uses.
+    float* gathered = PreparePack(scratch, &local, k, m);
+    for (int p = 0; p < k; ++p) {
+      const float* src = bdata + static_cast<size_t>(brows[p]) * m;
+      std::copy(src, src + m, gathered + static_cast<size_t>(p) * m);
+    }
+    bdata = gathered;
   }
   MatMulRows(adata, arows, bdata, odata, 0, n, k, m);
 }
@@ -394,31 +414,40 @@ void MatMulImplInto(const Matrix& a, const int* arows, int nrows,
 Matrix MatMul(const Matrix& a, const Matrix& b) {
   NEO_CHECK(a.cols() == b.rows());
   Matrix out;
-  MatMulImplInto(a, nullptr, 0, b.data(), b.rows(), b.cols(), &out, nullptr);
+  MatMulImplInto(a, nullptr, 0, b.data(), nullptr, b.rows(), b.cols(), &out,
+                 nullptr);
   return out;
 }
 
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
                 GemmScratch* scratch) {
   NEO_CHECK(a.cols() == b.rows());
-  MatMulImplInto(a, nullptr, 0, b.data(), b.rows(), b.cols(), out, scratch);
+  MatMulImplInto(a, nullptr, 0, b.data(), nullptr, b.rows(), b.cols(), out,
+                 scratch);
+}
+
+void MatMulGatherBInto(const Matrix& a, const Matrix& b, const int* brows,
+                       Matrix* out, GemmScratch* scratch) {
+  NEO_CHECK(brows != nullptr || a.cols() == b.rows());
+  MatMulImplInto(a, nullptr, 0, b.data(), brows, a.cols(), b.cols(), out,
+                 scratch);
 }
 
 Matrix MatMulBlock(const Matrix& a, const float* b, int k, int m) {
   Matrix out;
-  MatMulImplInto(a, nullptr, 0, b, k, m, &out, nullptr);
+  MatMulImplInto(a, nullptr, 0, b, nullptr, k, m, &out, nullptr);
   return out;
 }
 
 void MatMulBlockInto(const Matrix& a, const float* b, int k, int m,
                      Matrix* out, GemmScratch* scratch) {
-  MatMulImplInto(a, nullptr, 0, b, k, m, out, scratch);
+  MatMulImplInto(a, nullptr, 0, b, nullptr, k, m, out, scratch);
 }
 
 void MatMulGatherBlockInto(const Matrix& a, const int* rows, int nrows,
                            const float* b, int k, int m, Matrix* out,
                            GemmScratch* scratch) {
-  MatMulImplInto(a, rows, nrows, b, k, m, out, scratch);
+  MatMulImplInto(a, rows, nrows, b, nullptr, k, m, out, scratch);
 }
 
 Matrix MatMulPacked(const Matrix& a, const PackedB& b) {

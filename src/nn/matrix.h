@@ -123,6 +123,16 @@ struct GemmScratch;
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out,
                 GemmScratch* scratch = nullptr);
 
+/// out = a (n x k) * b[brows[0..k)]: row p of the right-hand side is row
+/// brows[p] of b (nullptr: b itself, and this is MatMulInto). The rows are
+/// gathered while packing, never materialized by the caller. With the
+/// columns of an input multiplied by the matching rows of a weight, this is
+/// the input's product with the full weight minus the dropped columns' terms
+/// — bit for bit when those terms are zero and the dropped columns respect
+/// DroppableKGroupWidth(). k = 0 gives a +0 product.
+void MatMulGatherBInto(const Matrix& a, const Matrix& b, const int* brows,
+                       Matrix* out, GemmScratch* scratch = nullptr);
+
 /// out = a (n x k) * b^T where b is (m x k). Blocked kernel.
 Matrix MatMulTransposeB(const Matrix& a, const Matrix& b);
 
@@ -258,6 +268,17 @@ void AdamFusedUpdate(float* w, float* m, float* v, const float* g,
 //    portable) results differ by accumulation-order/FMA-rounding ulps only;
 //    tests assert parity at 1e-5 relative.
 //
+//  * Dropping zero k terms. Adding a +-0 product leaves a chain unchanged
+//    unless it holds -0, which a chain seeded at +0 reaches only through a
+//    product that underflows. Under the SIMD arms a k term whose A entries
+//    are all zero can therefore be left out of the product with no output
+//    bit changed, wherever it falls. The portable arm's chains
+//    take term p in chain p % 4 (the k % 4 tail in chain 0), so leaving out
+//    one term moves every later one into another chain; leaving out a whole
+//    aligned group of four keeps every chain's sequence. DroppableKGroupWidth
+//    reports the active arm's group. Either way the dropped rows of B must be
+//    finite: 0 * inf is NaN, not 0.
+//
 //  * Adding an ISA. Provide a TU exposing a detail::SimdGemmKernels (see
 //    matrix_simd.h) whose kernels read the shared panel layout and keep the
 //    single-ascending-k-chain order, compile it with the ISA's flags in
@@ -292,6 +313,13 @@ std::vector<KernelIsa> AvailableKernelIsas();
 /// from the environment (NEO_FORCE_PORTABLE / NEO_KERNEL_ISA) or
 /// BestKernelIsa().
 KernelIsa ActiveKernelIsa();
+
+/// Width of the aligned k groups the active arm may drop from a product
+/// when every A entry in the group is zero ("Dropping zero k terms" above):
+/// 1 under the SIMD arms, 4 under the portable arm, where the partial last
+/// group of a k that is not a multiple of 4 counts as one group. Groups start
+/// at k index 0.
+int DroppableKGroupWidth();
 
 /// Switches the dispatch arm process-wide. NEO_CHECKs availability. Results
 /// computed under different arms differ by ulps; per-search caches key on the

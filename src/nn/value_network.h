@@ -27,8 +27,8 @@
 //    caller with its own scratch) is race-free.
 //  * Training: TrainBatch packs the minibatch into one forest held in
 //    member-owned buffers and retains all training scratch across steps
-//    (high-water reuse), so a step at or below the batch-size high-water
-//    mark allocates nothing.
+//    (high-water reuse), so a step at or below the high-water marks of batch
+//    size and of the query columns the first Linear keeps allocates nothing.
 //  * Verification: TrainBatch runs inside util::AllocRegionScope (as does
 //    the search's NN-eval section); the bench harnesses report the counted
 //    allocations as steady_state_heap_allocs and CI fails if nonzero after
@@ -188,7 +188,11 @@ class ValueNetwork {
   /// One SGD step over a minibatch; returns mean squared error before the
   /// update. The whole minibatch is packed into one forest (PackPlanBatch)
   /// and the forward/backward run as a handful of large GEMMs; within a
-  /// kernel dispatch arm, the loss curve repeats bit for bit.
+  /// kernel dispatch arm, the loss curve repeats bit for bit. The query
+  /// stack's first Linear multiplies only the query columns that are
+  /// non-zero somewhere in the minibatch, and Adam skips the weight rows of
+  /// the columns no step has touched (see Linear and Adam); both are exact,
+  /// so the loss curve is the one the full GEMMs and a full Adam sweep give.
   float TrainBatch(const std::vector<const PlanSample*>& samples,
                    const std::vector<float>& targets);
 
