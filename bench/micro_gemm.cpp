@@ -12,11 +12,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/json_main.h"
 #include "src/nn/matrix.h"
 #include "src/util/stopwatch.h"
 
@@ -108,7 +108,7 @@ double MeasureGflops(const GemmCase& c) {
   return best;
 }
 
-void WriteGemmJson(const std::string& path) {
+bool WriteGemmJson(const std::string& path) {
   const std::vector<KernelIsa> isas = AvailableKernelIsas();
   // gflops[case][isa].
   std::vector<std::vector<double>> gflops(std::size(kCases));
@@ -122,7 +122,7 @@ void WriteGemmJson(const std::string& path) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "micro_gemm: cannot write %s\n", path.c_str());
-    return;
+    return false;
   }
   std::fprintf(out,
                "{\n"
@@ -197,6 +197,7 @@ void WriteGemmJson(const std::string& path) {
     std::printf(";");
   }
   std::printf(" -> %s\n", path.c_str());
+  return true;
 }
 
 /// google-benchmark arms: the forward row kernel per ISA on the first conv
@@ -227,25 +228,7 @@ BENCHMARK(BM_MatMulConvShape)
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_gemm.json";
-  bool filtered = false;
-  bool json_requested = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json-out=", 0) == 0) {
-      json_requested = true;
-      json_path = arg.substr(std::string("--json-out=").size());
-    } else if (arg == "--json-out") {
-      json_requested = true;
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        json_path = argv[++i];
-      }
-    }
-    if (arg.rfind("--benchmark_filter", 0) == 0) filtered = true;
-  }
-  if (!filtered || json_requested) WriteGemmJson(json_path);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return neo::bench::JsonBenchMain(
+      argc, argv, "BENCH_gemm.json", /*count_flag=*/nullptr, /*count=*/0,
+      [](const std::string& path, int) { return WriteGemmJson(path); });
 }

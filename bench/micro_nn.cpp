@@ -3,21 +3,22 @@
 // (sparse_train: the default widths on dense query vectors; neobench_train:
 // the repository benchmark's retrain shapes, with minibatches drawn over 40
 // JOB-shaped sparse query vectors), the query columns the first Linear
-// keeps per step, per-layer conv flop/byte counters and the steady-state
-// allocation probe — so the training-path perf trajectory stays tracked (the
-// inference counterpart lives in micro_search's BENCH_search.json).
+// keeps per step and per-layer conv flop/byte counters — so the
+// training-path perf trajectory stays tracked (the inference counterpart
+// lives in micro_search's BENCH_search.json). That a warm training step
+// allocates nothing at both shapes is a test:
+// ValueNetworkTest.TrainBatchSteadyStateAllocatesNothing.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/json_main.h"
 #include "src/nn/value_network.h"
-#include "src/util/alloc_counter.h"
 #include "src/util/stopwatch.h"
 
 namespace {
@@ -264,7 +265,6 @@ struct TrainThroughput {
   float first_loss = 0.0f;
   float final_loss = 0.0f;
   size_t peak_scratch_bytes = 0;
-  uint64_t steady_allocs = 0;  ///< Heap allocs in one post-warmup step.
   std::vector<TreeConv::TrainStats> conv_stats;  ///< Per layer, per step.
   std::vector<int> conv_in, conv_out;
 };
@@ -431,14 +431,6 @@ TrainThroughput MeasureTrainThroughput(const TrainShapes& shapes, int steps) {
   out.kept_columns_mean /= minibatches;
   out.first_loss = train(0);  // Warm-up passes (untimed).
   for (int i = 1; i < 2 * minibatches; ++i) out.final_loss = train(i % minibatches);
-  // Steady-state alloc probe: TrainBatch brackets its own work in an
-  // AllocRegionScope, so RegionAllocs() counts exactly the step's heap
-  // traffic. It must be zero once warm.
-  neo::util::ArmAllocCounter(true);
-  neo::util::ResetRegionAllocs();
-  out.final_loss = train(0);
-  out.steady_allocs = neo::util::RegionAllocs();
-  neo::util::ArmAllocCounter(false);
   net.ResetConvTrainStats();
   neo::util::Stopwatch watch;
   for (int i = 0; i < steps; ++i) out.final_loss = train(i % minibatches);
@@ -468,12 +460,10 @@ void PrintTrainArm(std::FILE* out, const char* name, const TrainThroughput& r,
                "  \"%s\": {\"batch_size\": %d, \"samples_per_sec\": %.1f,"
                " \"step_ms_mean\": %.3f, \"query_kept_columns_mean\": %.1f,"
                " \"first_loss\": %.6f, \"final_loss\": %.6f,"
-               " \"peak_train_scratch_bytes\": %zu,"
-               " \"steady_state_heap_allocs\": %llu}%s\n",
+               " \"peak_train_scratch_bytes\": %zu}%s\n",
                name, r.batch, r.samples_per_sec, r.step_ms_mean,
                r.kept_columns_mean, static_cast<double>(r.first_loss),
                static_cast<double>(r.final_loss), r.peak_scratch_bytes,
-               static_cast<unsigned long long>(r.steady_allocs),
                trailing_comma);
 }
 
@@ -497,7 +487,7 @@ void PrintConvLayers(std::FILE* out, const char* name, const TrainThroughput& r,
   std::fprintf(out, "\n  ]%s\n", trailing_comma);
 }
 
-void WriteTrainJson(const std::string& path, int steps) {
+bool WriteTrainJson(const std::string& path, int steps) {
   const TrainThroughput sparse_train =
       MeasureTrainThroughput(SparseTrainShapes(), steps);
   const TrainThroughput neobench_train =
@@ -506,7 +496,7 @@ void WriteTrainJson(const std::string& path, int steps) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "micro_nn: cannot write %s\n", path.c_str());
-    return;
+    return false;
   }
   std::fprintf(out,
                "{\n"
@@ -519,57 +509,22 @@ void WriteTrainJson(const std::string& path, int steps) {
                KernelArchString());
   PrintTrainArm(out, "sparse_train", sparse_train, ",");
   PrintTrainArm(out, "neobench_train", neobench_train, ",");
-  PrintConvLayers(out, "conv_layers", sparse_train, ",");
-  // Zero-alloc gate for the training path, over both arms. When the alloc
-  // counter is compiled out (sanitizer builds) the gate is vacuous.
-  const uint64_t steady_allocs =
-      sparse_train.steady_allocs + neobench_train.steady_allocs;
-  const bool counter_active = neo::util::AllocCounterActive();
-  const bool zero_alloc = !counter_active || steady_allocs == 0;
-  std::fprintf(out, "  \"alloc_counter_active\": %s,\n",
-               counter_active ? "true" : "false");
-  std::fprintf(out, "  \"steady_state_heap_allocs\": %llu,\n",
-               static_cast<unsigned long long>(steady_allocs));
-  std::fprintf(out, "  \"steady_state_zero_alloc\": %s\n}\n",
-               zero_alloc ? "true" : "false");
+  PrintConvLayers(out, "conv_layers", sparse_train, "");
+  std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("TrainBatch throughput: sparse_train (batch %d) %.0f samples/s"
               " (%.3f ms/step), neobench_train (batch %d) %.0f samples/s"
-              " (%.3f ms/step, %.1f query columns kept);"
-              " steady-state allocs/step %llu -> %s\n",
+              " (%.3f ms/step, %.1f query columns kept) -> %s\n",
               sparse_train.batch, sparse_train.samples_per_sec,
               sparse_train.step_ms_mean, neobench_train.batch,
               neobench_train.samples_per_sec, neobench_train.step_ms_mean,
-              neobench_train.kept_columns_mean,
-              static_cast<unsigned long long>(steady_allocs), path.c_str());
+              neobench_train.kept_columns_mean, path.c_str());
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_train.json";
-  bool filtered = false;
-  bool json_requested = false;
-  int steps = 60;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json-out=", 0) == 0) {
-      json_requested = true;
-      json_path = arg.substr(std::string("--json-out=").size());
-    } else if (arg == "--json-out") {
-      json_requested = true;
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        json_path = argv[++i];
-      }
-    } else if (arg.rfind("--json-steps=", 0) == 0) {
-      steps = std::atoi(arg.substr(std::string("--json-steps=").size()).c_str());
-      if (steps < 1) steps = 1;
-    }
-    if (arg.rfind("--benchmark_filter", 0) == 0) filtered = true;
-  }
-  if (!filtered || json_requested) WriteTrainJson(json_path, steps);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return neo::bench::JsonBenchMain(argc, argv, "BENCH_train.json", "--json-steps",
+                                   /*count=*/60, WriteTrainJson);
 }

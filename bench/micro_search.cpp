@@ -1,18 +1,19 @@
 // Micro-benchmarks: plan search (children enumeration, full best-first
 // search, featurization throughput), plus a cold-search scoring-throughput
 // measurement (incremental search) written to BENCH_search.json so the
-// inference-path perf trajectory stays tracked.
+// inference-path perf trajectory stays tracked, with the search's subtree
+// table high-water mark (subtree_table_peak_bytes).
 //
 // The google-benchmark suite runs after the JSON measurement; pass any
-// benchmark flags (e.g. --benchmark_filter) as usual.
+// benchmark flags (e.g. --benchmark_filter) as usual (see bench/json_main.h).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
+#include "bench/json_main.h"
 #include "src/core/neo.h"
 #include "src/datagen/imdb_gen.h"
 #include "src/query/job_workload.h"
@@ -146,6 +147,7 @@ struct ThroughputResult {
   size_t activation_hits = 0;
   size_t rows_recomputed = 0;
   size_t rows_reused = 0;
+  size_t table_peak_bytes = 0;  ///< One search's subtree table high-water mark.
 };
 
 /// Repeatedly runs a cold best-first search (fresh network, construction
@@ -172,6 +174,7 @@ ThroughputResult MeasureSearchThroughput(int reps) {
     out.activation_hits += r.activation_hits;
     out.rows_recomputed += r.rows_recomputed;
     out.rows_reused += r.rows_reused;
+    out.table_peak_bytes = fresh.search().subtree_table_peak_bytes();
   }
   out.plans_per_sec = static_cast<double>(out.evaluations) / total_s;
   out.wall_ms_mean = total_s * 1000.0 / reps;
@@ -187,7 +190,7 @@ void PrintArm(std::FILE* out, const char* name, const ThroughputResult& r,
                trailing_comma);
 }
 
-void WriteSearchJson(const std::string& path, int reps) {
+bool WriteSearchJson(const std::string& path, int reps) {
   // The one search path: batched, incremental scoring, one heap state per
   // round.
   const ThroughputResult incremental = MeasureSearchThroughput(reps);
@@ -197,7 +200,7 @@ void WriteSearchJson(const std::string& path, int reps) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "micro_search: cannot write %s\n", path.c_str());
-    return;
+    return false;
   }
   std::fprintf(out,
                "{\n"
@@ -206,9 +209,10 @@ void WriteSearchJson(const std::string& path, int reps) {
                "  \"max_expansions\": 40,\n"
                "  \"repetitions\": %d,\n"
                "  \"hardware_threads\": %u,\n"
-               "  \"kernel_arch\": \"%s\",\n",
+               "  \"kernel_arch\": \"%s\",\n"
+               "  \"subtree_table_peak_bytes\": %zu,\n",
                q.num_relations(), reps, std::thread::hardware_concurrency(),
-               nn::KernelArchString());
+               nn::KernelArchString(), incremental.table_peak_bytes);
   PrintArm(out, "incremental", incremental, ",");
 
   // Conv-flop reuse of the incremental arm, per layer: a node hit saves its
@@ -248,38 +252,16 @@ void WriteSearchJson(const std::string& path, int reps) {
     std::fprintf(out, "]}\n}\n");
   }
   std::fclose(out);
-  std::printf("search scoring throughput: incremental %.0f plans/s -> %s\n",
-              incremental.plans_per_sec, path.c_str());
+  std::printf("search scoring throughput: incremental %.0f plans/s (subtree"
+              " table peak %zu B) -> %s\n",
+              incremental.plans_per_sec, incremental.table_peak_bytes,
+              path.c_str());
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_search.json";
-  bool filtered = false;
-  bool json_requested = false;
-  int reps = 20;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json-out=", 0) == 0) {
-      json_requested = true;
-      json_path = arg.substr(std::string("--json-out=").size());
-    } else if (arg == "--json-out") {
-      json_requested = true;
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        json_path = argv[++i];
-      }
-    } else if (arg.rfind("--json-reps=", 0) == 0) {
-      reps = std::atoi(arg.substr(std::string("--json-reps=").size()).c_str());
-      if (reps < 1) reps = 1;
-    }
-    if (arg.rfind("--benchmark_filter", 0) == 0) filtered = true;
-  }
-  // Skip the JSON measurement when the caller asked for specific
-  // micro-benchmarks, unless --json-out forces it.
-  if (!filtered || json_requested) WriteSearchJson(json_path, reps);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return neo::bench::JsonBenchMain(argc, argv, "BENCH_search.json", "--json-reps",
+                                   /*count=*/20, WriteSearchJson);
 }

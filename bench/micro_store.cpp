@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/json_main.h"
 #include "src/datagen/imdb_gen.h"
 #include "src/query/builder.h"
 #include "src/store/experience_store.h"
@@ -151,7 +152,7 @@ BENCHMARK(BM_StoreDecidePinned);
 
 // ---- BENCH_store.json ------------------------------------------------------
 
-void WriteStoreJson(const std::string& path) {
+bool WriteStoreJson(const std::string& path) {
   Fixture& f = Fixture::Get();
 
   // 1. WAL append throughput: records round-robin over 16 types, fsync at
@@ -168,7 +169,7 @@ void WriteStoreJson(const std::string& path) {
     ExperienceStore store(opt);
     if (!store.Open().ok()) {
       std::fprintf(stderr, "micro_store: store open failed\n");
-      return;
+      return false;
     }
     util::Stopwatch watch;
     for (int i = 0; i < kAppendRecords; ++i) {
@@ -215,7 +216,7 @@ void WriteStoreJson(const std::string& path) {
     std::FILE* out = std::fopen(path.c_str(), "w");
     if (out == nullptr) {
       std::fprintf(stderr, "micro_store: cannot write %s\n", path.c_str());
-      return;
+      return false;
     }
     std::fprintf(out,
                  "{\n"
@@ -247,30 +248,13 @@ void WriteStoreJson(const std::string& path) {
         recovery_secs * 1e3, replay_rps, snapshot_secs * 1e3,
         snap_recovery_secs * 1e3, path.c_str());
   }
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_store.json";
-  bool filtered = false;
-  bool json_requested = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json-out=", 0) == 0) {
-      json_requested = true;
-      json_path = arg.substr(std::string("--json-out=").size());
-    } else if (arg == "--json-out") {
-      json_requested = true;
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        json_path = argv[++i];
-      }
-    }
-    if (arg.rfind("--benchmark_filter", 0) == 0) filtered = true;
-  }
-  if (!filtered || json_requested) WriteStoreJson(json_path);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return neo::bench::JsonBenchMain(
+      argc, argv, "BENCH_store.json", /*count_flag=*/nullptr, /*count=*/0,
+      [](const std::string& path, int) { return WriteStoreJson(path); });
 }

@@ -25,6 +25,7 @@ Neo::Neo(const featurize::Featurizer* featurizer, engine::ExecutionEngine* engin
   search_ = PlanSearch(featurizer_, net_.get());
   breaker_ = CircuitBreaker(config_.guards.breaker);
   health_ = nn::ModelHealthMonitor(config_.guards.health);
+  health_.Capture(*net_);
 }
 
 double Neo::EffectiveDeadline(const query::Query& query) const {
@@ -65,7 +66,6 @@ double Neo::ServeAndMaybeLearn(const query::Query& query,
       engine_->ExecutePlanGuarded(query, plan, EffectiveDeadline(query));
   if (serve_learned) ++learned_serves_;
   if (result.timed_out) ++timeouts_;
-  if (result.injected_failure) ++injected_failures_;
 
   if (serve_learned && has_fallback) {
     const bool regressed =
@@ -95,13 +95,9 @@ GuardStats Neo::guard_stats() const {
   GuardStats s;
   s.learned_serves = learned_serves_;
   s.timeouts = timeouts_;
-  s.injected_failures = injected_failures_;
   const CircuitBreaker::Stats& b = breaker_.stats();
   s.fallback_serves = static_cast<int64_t>(b.fallback_serves);
   s.breaker_trips = static_cast<int64_t>(b.trips);
-  s.breaker_reopens = static_cast<int64_t>(b.reopens);
-  s.breaker_recoveries = static_cast<int64_t>(b.recoveries);
-  s.breaker_probes = static_cast<int64_t>(b.probes);
   s.health_rollbacks = health_.rollbacks();
   return s;
 }

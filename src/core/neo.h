@@ -35,7 +35,8 @@
 //   3. Model-health monitor (GuardrailConfig::health): after each Retrain,
 //      the network is screened for non-finite loss/weights and loss
 //      divergence; unhealthy retrains roll back to the last-good snapshot
-//      (weights + Adam moments), bumping the weight version so every
+//      (weights + Adam moments; before the first healthy retrain, the
+//      network Neo was built with), bumping the weight version so every
 //      search cache invalidates — see model_health.h.
 //
 // Determinism: guards change only *which* plan executes and *how* its
@@ -45,8 +46,7 @@
 // serve path. With every guard disabled (the default) it runs the learned
 // plan with the latency an unguarded execution reports: the deadline is 0,
 // and a disabled breaker admits every serve and records nothing. The serve
-// counters still count (GuardStats::learned_serves, and injected_failures
-// when the engine has a fault injector).
+// counter still counts (GuardStats::learned_serves).
 #pragma once
 
 #include <memory>
@@ -85,16 +85,13 @@ struct GuardrailConfig {
 };
 
 /// Aggregate guardrail counters (local serve counters + breaker stats +
-/// health-monitor rollbacks), for tests and the micro_guard bench.
+/// health-monitor rollbacks). The breaker's full counts are
+/// CircuitBreaker::stats(); injected faults are counted by the injector.
 struct GuardStats {
   int64_t learned_serves = 0;     ///< Serves that ran the learned plan.
   int64_t fallback_serves = 0;    ///< Serves answered with the expert plan.
   int64_t timeouts = 0;           ///< Serves cut off by the watchdog.
-  int64_t injected_failures = 0;  ///< Serves that died to an injected fault.
   int64_t breaker_trips = 0;
-  int64_t breaker_reopens = 0;
-  int64_t breaker_recoveries = 0;
-  int64_t breaker_probes = 0;
   int64_t health_rollbacks = 0;
 };
 
@@ -277,7 +274,6 @@ class Neo {
   // guard_stats()).
   int64_t learned_serves_ = 0;
   int64_t timeouts_ = 0;
-  int64_t injected_failures_ = 0;
 };
 
 }  // namespace neo::core

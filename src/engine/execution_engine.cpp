@@ -35,8 +35,6 @@ ExecutionResult ExecutionEngine::ExecutePlanGuarded(const query::Query& query,
   if (injector_ != nullptr && injector_->enabled()) {
     ms = injector_->PerturbLatency(key, ms);
     if (injector_->DrawExecutionFailure(key)) {
-      result.injected_failure = true;
-      ++num_injected_failures_;
       result.status = util::Status::Aborted("injected execution failure");
     }
   }

@@ -42,7 +42,6 @@ struct ExecutionResult {
   /// watchdog clip). Equal to latency_ms unless timed_out.
   double model_latency_ms = 0.0;
   bool timed_out = false;          ///< Watchdog killed the execution.
-  bool injected_failure = false;   ///< FaultInjector aborted the execution.
   util::Status status;             ///< Ok / DeadlineExceeded / Aborted.
 };
 
@@ -131,10 +130,6 @@ class ExecutionEngine {
     std::lock_guard<std::mutex> lock(mu_);
     return num_timeouts_;
   }
-  size_t num_injected_failures() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return num_injected_failures_;
-  }
 
  private:
   EngineKind kind_;
@@ -155,7 +150,6 @@ class ExecutionEngine {
   size_t cache_misses_ = 0;
   size_t cache_evictions_ = 0;
   size_t num_timeouts_ = 0;
-  size_t num_injected_failures_ = 0;
 };
 
 }  // namespace neo::engine

@@ -32,12 +32,7 @@ ModelHealthMonitor::Verdict ModelHealthMonitor::Observe(ValueNetwork* net,
   }
 
   if (verdict == Verdict::kHealthy) {
-    ring_.emplace_back();
-    net->CaptureSnapshot(&ring_.back());
-    ++snapshots_taken_;
-    while (static_cast<int>(ring_.size()) > std::max(1, options_.snapshot_ring)) {
-      ring_.pop_front();
-    }
+    Capture(*net);
     recent_losses_.push_back(loss);
     while (static_cast<int>(recent_losses_.size()) > std::max(1, options_.loss_window)) {
       recent_losses_.pop_front();
@@ -45,14 +40,24 @@ ModelHealthMonitor::Verdict ModelHealthMonitor::Observe(ValueNetwork* net,
     return verdict;
   }
 
+  // An empty ring (nothing captured before this retrain) leaves nothing to
+  // roll back to; the verdict still reaches the caller, whose circuit
+  // breaker / watchdog are the remaining lines of defense.
   if (!ring_.empty()) {
     net->RestoreSnapshot(ring_.back());
     ++rollbacks_;
   }
-  // No snapshot yet (first retrain diverged): nothing to roll back to; the
-  // verdict still reaches the caller, whose circuit breaker / watchdog are
-  // the remaining lines of defense.
   return verdict;
+}
+
+void ModelHealthMonitor::Capture(const ValueNetwork& net) {
+  if (!options_.enabled) return;
+  ring_.emplace_back();
+  net.CaptureSnapshot(&ring_.back());
+  ++snapshots_taken_;
+  while (static_cast<int>(ring_.size()) > std::max(1, options_.snapshot_ring)) {
+    ring_.pop_front();
+  }
 }
 
 const char* ModelHealthMonitor::VerdictName(Verdict v) {

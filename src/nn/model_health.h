@@ -57,19 +57,19 @@ class ModelHealthMonitor {
   /// the failing screen. Disabled: always kHealthy, no snapshots.
   Verdict Observe(ValueNetwork* net, double loss);
 
+  /// Pushes `net`'s weights and Adam state onto the ring as the last-good
+  /// state. Observe calls it on every healthy retrain; Neo calls it once on
+  /// the network it was built with, so that an unhealthy first retrain rolls
+  /// back too (with an empty ring every later loss would be NaN and no
+  /// snapshot would ever be taken). No-op when disabled.
+  void Capture(const ValueNetwork& net);
+
   static const char* VerdictName(Verdict v);
 
   int64_t rollbacks() const { return rollbacks_; }
   int64_t snapshots_taken() const { return snapshots_taken_; }
   bool has_snapshot() const { return !ring_.empty(); }
   const ModelHealthOptions& options() const { return options_; }
-
-  void Reset() {
-    ring_.clear();
-    recent_losses_.clear();
-    rollbacks_ = 0;
-    snapshots_taken_ = 0;
-  }
 
  private:
   bool LossDiverged(double loss) const;

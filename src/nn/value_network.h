@@ -30,9 +30,9 @@
 //    (high-water reuse), so a step at or below the high-water marks of batch
 //    size and of the query columns the first Linear keeps allocates nothing.
 //  * Verification: TrainBatch runs inside util::AllocRegionScope (as does
-//    the search's NN-eval section); the bench harnesses report the counted
-//    allocations as steady_state_heap_allocs and CI fails if nonzero after
-//    warmup.
+//    the search's NN-eval section); ctest fails if either counts an
+//    allocation after warmup (ValueNetworkTest.TrainBatchSteadyStateAllocatesNothing,
+//    CoreFixture.WarmSearchScoringAllocatesNothing).
 #pragma once
 
 #include <atomic>

@@ -379,7 +379,6 @@ ServeResult ServingCore::ServeOne(core::PlanSearch& search, const Task& task,
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     total_hist_.Record(out.total_ms);
-    plan_hist_.Record(out.plan_ms);
   }
   return out;
 }
@@ -389,7 +388,6 @@ ServingStats ServingCore::stats() const {
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     s.total_latency = total_hist_;
-    s.plan_latency = plan_hist_;
     s.queue_wait = queue_wait_hist_;
   }
   {
@@ -418,17 +416,7 @@ ServingStats ServingCore::stats() const {
   s.score_cache = score_cache_.TotalStats();
   s.activation_cache.hits = activation_hits_.load(std::memory_order_relaxed);
   s.activation_cache.misses = activation_misses_.load(std::memory_order_relaxed);
-  if (options_.store != nullptr) {
-    const store::StoreStats st = options_.store->stats();
-    s.store_attached = true;
-    s.store_types_tracked = options_.store->NumTypes();
-    s.store_mode_transitions = st.mode_transitions;
-    s.store_exploit_serves = st.exploit_serves;
-    s.store_drift_demotions = st.drift_demotions;
-    s.store_wal_records = st.wal_records;
-    s.store_pinned_serves =
-        store_pinned_serves_.load(std::memory_order_relaxed);
-  }
+  s.store_pinned_serves = store_pinned_serves_.load(std::memory_order_relaxed);
   return s;
 }
 

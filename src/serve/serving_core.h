@@ -83,7 +83,8 @@
 //    queued requests whose deadline expired while waiting (counted as
 //    expired_in_queue, never executed): an admitted-and-served request
 //    therefore has queue_ms <= its deadline STRUCTURALLY, which is the
-//    overload acceptance bound micro_serve verifies.
+//    overload acceptance bound (tested by
+//    OverloadFixture.AcceptanceBurstKeepsAdmittedWithinDeadline).
 //
 // 6. Graceful-degradation ladder (overload.h). A queue-pressure controller
 //    (EWMA of queue depth / cap and queue wait / deadline headroom, folded
@@ -162,7 +163,7 @@ struct ServingOptions {
   /// Disabled by default: serving is then the literal pre-admission path.
   AdmissionOptions admission;
   /// Arms the serving-side chaos sites (kServeStall / kServeException) for
-  /// overload tests and the bench. Not owned; may be null (no injection).
+  /// the overload tests. Not owned; may be null (no injection).
   util::FaultInjector* fault_injector = nullptr;
 };
 
@@ -205,22 +206,15 @@ struct ServeResult {
 
 struct ServingStats {
   util::LatencyHistogram total_latency;  ///< Per-request total_ms.
-  util::LatencyHistogram plan_latency;   ///< Per-request plan_ms.
   uint64_t requests = 0;
   uint64_t generation = 0;
   util::CacheStats score_cache;
   /// Node rows the workers' searches served from their subtree tables
   /// (hits) and computed (misses); the other fields stay 0.
   util::CacheStats activation_cache;
-  // Experience-store counters (zero when no store is attached), so mode
-  // behavior is observable rather than inferred.
-  bool store_attached = false;
-  uint64_t store_types_tracked = 0;
-  uint64_t store_mode_transitions = 0;
-  uint64_t store_exploit_serves = 0;
-  uint64_t store_drift_demotions = 0;
-  uint64_t store_pinned_serves = 0;   ///< Serves this core answered pinned.
-  uint64_t store_wal_records = 0;
+  /// Serves this core answered with the store's pinned plan. The store's
+  /// own counters are ExperienceStore::stats().
+  uint64_t store_pinned_serves = 0;
   // Overload / admission counters. `requests` above counts every Submit;
   // the disjoint outcomes below account for each exactly once:
   //   requests == admitted + shed_admission + shed_queue_full
@@ -343,7 +337,6 @@ class ServingCore {
 
   mutable std::mutex stats_mu_;
   util::LatencyHistogram total_hist_;
-  util::LatencyHistogram plan_hist_;
   util::LatencyHistogram queue_wait_hist_;
   std::atomic<uint64_t> expired_in_queue_{0};
   std::atomic<uint64_t> degraded_budget_serves_{0};

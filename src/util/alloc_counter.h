@@ -2,9 +2,9 @@
 // interposition that counts allocations made inside explicitly marked
 // regions (the NN evaluation path and whole training steps).
 //
-// The benches arm the counter after warmup and assert the marked regions
-// perform ZERO heap allocations — the acceptance probe behind the
-// `steady_state_heap_allocs` field in BENCH_train.json / BENCH_serve.json.
+// Tests arm the counter after warmup and assert the marked regions perform
+// ZERO heap allocations (ValueNetworkTest.TrainBatchSteadyStateAllocatesNothing,
+// CoreFixture.WarmSearchScoringAllocatesNothing).
 //
 // Mechanics: src/util/alloc_counter.cpp replaces the global allocation
 // operators (all C++17 forms) with thin malloc/free forwards that bump a
@@ -17,7 +17,7 @@
 //
 // The interposition is compiled out under AddressSanitizer / ThreadSanitizer
 // (their allocators must own malloc) and under -DNEO_NO_ALLOC_HOOK;
-// AllocCounterActive() reports whether counting is real so the benches can
+// AllocCounterActive() reports whether counting is real so the tests can
 // distinguish "zero allocations" from "counter unavailable".
 #pragma once
 

@@ -314,8 +314,8 @@ TEST_F(CoreFixture, SearchFindsCompleteValidPlan) {
 TEST_F(CoreFixture, WarmSearchScoringAllocatesNothing) {
   // Once warm, a search's scoring rounds (intern, featurize, conv, pool and
   // head, counted inside ScoreAll) make no heap allocation, both unbound and
-  // bound to a score cache under a fresh generation per search, as
-  // micro_serve's steady-state probe runs it.
+  // bound to a score cache under a fresh generation per search, as a serving
+  // worker runs it for a never-seen query after each weight publish.
   if (!util::AllocCounterActive()) {
     GTEST_SKIP() << "allocation counter compiled out (sanitizer build)";
   }

@@ -516,14 +516,35 @@ TEST(ModelHealthTest, DisabledIsNoOp) {
   EXPECT_EQ(monitor.rollbacks(), 0);
 }
 
-TEST(ModelHealthTest, FirstRetrainDivergenceHasNothingToRestore) {
+TEST(ModelHealthTest, FirstRetrainDivergenceRestoresCapturedInitialState) {
+  // Neo captures the network it was built with, so a first retrain that
+  // goes bad rolls back to the initial weights AND Adam state: the restored
+  // network then trains bit for bit like a fresh twin. Without a capture the
+  // ring is empty and there is nothing to roll back to.
+  util::Rng rng(6);
+  const nn::PlanSample s = TinySample(rng);
+  nn::ValueNetwork twin(TinyNetConfig(5));
+  {
+    nn::ValueNetwork net(TinyNetConfig(5));
+    nn::ModelHealthMonitor monitor(HealthOpts());
+    net.DebugPoisonWeights(3);
+    EXPECT_EQ(monitor.Observe(&net, 0.5),
+              nn::ModelHealthMonitor::Verdict::kNonFiniteWeights);
+    EXPECT_EQ(monitor.rollbacks(), 0);
+    EXPECT_TRUE(net.HasNonFiniteParams());
+  }
   nn::ValueNetwork net(TinyNetConfig(5));
   nn::ModelHealthMonitor monitor(HealthOpts());
-  net.DebugPoisonWeights(3);
-  EXPECT_EQ(monitor.Observe(&net, 0.5),
-            nn::ModelHealthMonitor::Verdict::kNonFiniteWeights);
-  EXPECT_EQ(monitor.rollbacks(), 0);  // Ring was empty.
-  EXPECT_TRUE(net.HasNonFiniteParams());
+  monitor.Capture(net);
+  net.TrainBatch({&s}, {0.7f});  // The first retrain's steps...
+  net.DebugPoisonWeights(3);     // ...then its corruption.
+  EXPECT_EQ(monitor.Observe(&net, std::numeric_limits<double>::quiet_NaN()),
+            nn::ModelHealthMonitor::Verdict::kNonFiniteLoss);
+  EXPECT_EQ(monitor.rollbacks(), 1);
+  EXPECT_FALSE(net.HasNonFiniteParams());
+  EXPECT_EQ(net.Predict(s), twin.Predict(s));
+  EXPECT_EQ(net.TrainBatch({&s}, {0.7f}), twin.TrainBatch({&s}, {0.7f}));
+  EXPECT_EQ(net.Predict(s), twin.Predict(s));
 }
 
 TEST_F(GuardFixture, RetrainCorruptionRollsBackAndInvalidatesSearchCache) {
@@ -650,15 +671,20 @@ TEST_F(GuardFixture, GuardedEpisodesBitIdenticalAcrossThreadCounts) {
 // ---- Bounded worst case under fault injection (acceptance) -----------------
 
 TEST_F(GuardFixture, GuardedWorkloadBoundedWhileUnguardedRegresses) {
-  // The PR's acceptance contract. Under injected latency spikes and
-  // execution failures:
+  // The guardrails' acceptance contract. Under injected latency spikes,
+  // execution failures and retrain weight corruption:
   //   - unguarded total workload latency demonstrably regresses vs the
   //     expert baseline (spikes flow straight through), while
   //   - guarded total latency stays within the watchdog factor of the expert
   //     baseline — structurally: every guarded serve (learned or fallback)
-  //     is clipped at baseline_factor x the query's expert baseline.
+  //     is clipped at baseline_factor x the query's expert baseline — and
+  //   - the guarded network holds finite weights after every episode: each
+  //     corrupted retrain rolls back, the first one included (to the
+  //     weights and Adam state Neo was built with).
   // Fault params are fixed; the seed follows NEO_FAULT_SEED when the CI
-  // fault arm sets it, so the matrix exercises several schedules.
+  // fault arm sets it, so the matrix exercises several schedules. The
+  // corruption draws are keyed by retrain index: over six retrains, seeds
+  // 42, 3 and 11 each corrupt at least one, and seed 3 corrupts the first.
   util::FaultInjectorConfig fcfg;
   fcfg.enabled = true;
   fcfg.seed = 42;
@@ -668,12 +694,13 @@ TEST_F(GuardFixture, GuardedWorkloadBoundedWhileUnguardedRegresses) {
   fcfg.latency_spike_p = 0.25;
   fcfg.latency_spike_factor = 40.0;
   fcfg.exec_failure_p = 0.05;
+  fcfg.weight_corruption_p = 0.5;
 
   const auto wl = query::MakeJobWorkload(ds_->schema, *ds_->db);
   std::vector<const Query*> train;
   for (size_t i = 0; i < wl.size(); i += 7) train.push_back(&wl.query(i));
   ASSERT_GE(train.size(), 15u);
-  constexpr int kEpisodes = 3;
+  constexpr int kEpisodes = 6;
   constexpr double kWatchdogFactor = 2.0;
 
   // Clean expert baseline for one pass over the workload.
@@ -689,6 +716,11 @@ TEST_F(GuardFixture, GuardedWorkloadBoundedWhileUnguardedRegresses) {
   ASSERT_GT(expert_pass, 0.0);
   const double expert_total = expert_pass * kEpisodes;
 
+  struct Arm {
+    double total_ms = 0.0;
+    GuardStats guards;
+    size_t corruptions = 0;
+  };
   auto run_arm = [&](bool guarded) {
     engine::ExecutionEngine engine(ds_->schema, *ds_->db, EngineKind::kPostgres);
     auto native =
@@ -709,31 +741,42 @@ TEST_F(GuardFixture, GuardedWorkloadBoundedWhileUnguardedRegresses) {
     neo.Bootstrap(train, native.optimizer.get());
     util::FaultInjector injector(fcfg);
     engine.SetFaultInjector(&injector);
-    double total = 0.0;
+    neo.SetFaultInjector(&injector);
+    Arm arm;
     for (int e = 0; e < kEpisodes; ++e) {
-      total += neo.RunEpisode(train).train_total_latency_ms;
+      arm.total_ms += neo.RunEpisode(train).train_total_latency_ms;
+      if (guarded) {
+        EXPECT_FALSE(neo.net().HasNonFiniteParams())
+            << "episode " << e << ", seed " << fcfg.seed;
+      }
     }
     engine.SetFaultInjector(nullptr);
-    return std::make_pair(total, neo.guard_stats());
+    neo.SetFaultInjector(nullptr);
+    arm.guards = neo.guard_stats();
+    arm.corruptions = injector.weight_corruptions();
+    return arm;
   };
 
-  const auto unguarded = run_arm(false);
-  const auto guarded = run_arm(true);
+  const Arm unguarded = run_arm(false);
+  const Arm guarded = run_arm(true);
 
   // Unguarded: spikes (expected multiplier ~1 + 0.25 * 39) blow the total
   // far past the expert baseline.
-  EXPECT_GT(unguarded.first, 2.5 * expert_total);
-  EXPECT_EQ(unguarded.second.timeouts, 0);
-  EXPECT_EQ(unguarded.second.fallback_serves, 0);
+  EXPECT_GT(unguarded.total_ms, 2.5 * expert_total);
+  EXPECT_EQ(unguarded.guards.timeouts, 0);
+  EXPECT_EQ(unguarded.guards.fallback_serves, 0);
 
   // Guarded: structurally bounded — every serve clipped at
   // kWatchdogFactor x its query's baseline.
-  EXPECT_LE(guarded.first, kWatchdogFactor * expert_total * (1.0 + 1e-9));
-  EXPECT_LT(guarded.first, unguarded.first);
-  // The guardrails actually engaged.
-  EXPECT_GE(guarded.second.timeouts, 1);
-  EXPECT_GE(guarded.second.breaker_trips, 1);
-  EXPECT_GE(guarded.second.fallback_serves, 1);
+  EXPECT_LE(guarded.total_ms, kWatchdogFactor * expert_total * (1.0 + 1e-9));
+  EXPECT_LT(guarded.total_ms, unguarded.total_ms);
+  // The guardrails actually engaged, and every corrupted retrain rolled back.
+  EXPECT_GE(guarded.guards.timeouts, 1);
+  EXPECT_GE(guarded.guards.breaker_trips, 1);
+  EXPECT_GE(guarded.guards.fallback_serves, 1);
+  EXPECT_GE(guarded.corruptions, 1u) << "seed " << fcfg.seed;
+  EXPECT_EQ(guarded.guards.health_rollbacks,
+            static_cast<int64_t>(guarded.corruptions));
 }
 
 }  // namespace

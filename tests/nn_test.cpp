@@ -1303,6 +1303,61 @@ TEST(AdamTest, GradClipBoundsUpdate) {
   }
 }
 
+TEST(AdamTest, GradClipNormFollowsDocumentedLaneOrder) {
+  // A lane order that moved only the last bits of the clip norm would vanish
+  // in the float cast of the clip's scale, so this case puts that cast on a
+  // rounding boundary. Lane 0 gets B^2 from a 1 x 1 parameter; a 1024 x 1
+  // parameter has t in its odd rows and zeros in its even rows, so each t is
+  // a live span of its own at an odd offset. t^2 is under half an ulp of B^2:
+  // in the documented order (element i in lane i % 16) the t^2 add up in
+  // lanes 1..15 before the lanes combine, while a span-relative order
+  // ((i - begin) % 16) puts each span's first element, here every t, in lane
+  // 0, where it vanishes into B^2. The clip (found by a search over floats)
+  // makes float(clip / norm) differ between those two sums, so the first
+  // moment after one step shows which order ran.
+  constexpr int kRows = 1024;
+  const float b = 1.3f;
+  const float t = std::ldexp(0.7f, -26);
+  AdamOptions opt;
+  opt.grad_clip = 0.731250167f;
+  std::vector<Matrix> grads = {Matrix(1, 1), Matrix(kRows, 1)};
+  grads[0].At(0, 0) = b;
+  for (int r = 1; r < kRows; r += 2) grads[1].At(r, 0) = t;
+
+  double lanes[16] = {};
+  double lane_zero = 0.0;  // Every element in lane 0, in order.
+  for (const Matrix& g : grads) {
+    for (size_t i = 0; i < g.Size(); ++i) {
+      const double x = g.data()[i];
+      lanes[i % 16] += x * x;
+      lane_zero += x * x;
+    }
+  }
+  double documented = 0.0;
+  for (const double lane : lanes) documented += lane;
+  ASSERT_NE(static_cast<float>(opt.grad_clip / std::sqrt(documented)),
+            static_cast<float>(opt.grad_clip / std::sqrt(lane_zero)));
+
+  const std::vector<Matrix> values = {Matrix(1, 1), Matrix(kRows, 1)};
+  std::vector<Param> params(values.size());
+  std::vector<Param*> ptrs;
+  for (size_t k = 0; k < values.size(); ++k) {
+    params[k].value = values[k];
+    params[k].grad = grads[k];
+    ptrs.push_back(&params[k]);
+  }
+  Adam adam(ptrs, opt);
+  ReferenceAdam ref(values, opt);
+  adam.Step();
+  EXPECT_LT(ref.Step(&grads), 1.0);
+  std::vector<Matrix> m, v;
+  int64_t steps = 0;
+  adam.CaptureState(&m, &v, &steps);
+  for (size_t k = 0; k < values.size(); ++k) {
+    EXPECT_EQ(FirstBitDifference(m[k], ref.m[k]), -1) << "param " << k;
+  }
+}
+
 TEST(AdamTest, WeightDecayMovesZeroGradientRows) {
   // With weight_decay > 0 a row's effective gradient is wd * w, so a row
   // with a zero gradient and zero moments still moves: Adam must not skip

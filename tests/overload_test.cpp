@@ -680,85 +680,110 @@ TEST_F(OverloadFixture, StopUnderOverloadResolvesEveryFutureExactly) {
 // ---- Acceptance: deadline bound under a 10x arrival burst ------------------
 
 TEST_F(OverloadFixture, AcceptanceBurstKeepsAdmittedWithinDeadline) {
-  // THE overload acceptance bound: under a bursty 10x-overload arrival
-  // trace with injected slow-serve stalls, every admitted-and-served
-  // request's queue wait stays within its deadline (structural: expired
-  // requests are dropped at pickup), no future is ever abandoned, and the
-  // bounded queue never exceeds its cap. The overload CI arm re-runs this
-  // at two seeds with the burst/stall knobs set in the environment.
+  // THE overload acceptance bound: under a 10x-overload arrival trace with
+  // injected slow-serve stalls, every admitted-and-served request's queue
+  // wait stays within its deadline (structural: expired requests are
+  // dropped at pickup), no future is ever abandoned, and the bounded queue
+  // never exceeds its cap. Two traces:
+  //   bursty clients - 4 open-loop clients whose arrivals the injector
+  //       amplifies into bursts, against two stall-prone workers. The
+  //       overload CI arm re-runs it at two seeds with the burst/stall knobs
+  //       set in the environment.
+  //   flood - one client submits 10x the cap at once against one worker
+  //       that stalls on every serve.
   const std::vector<const Query*> train = TrainSet();
   Rig rig = MakeRig(train, SmallConfig());
 
   // Chaos shape: from the NEO_FAULT_* environment when the harness armed
   // the overload knobs (the overload CI arm), else fixed local defaults so
   // the test is a real burst test in every configuration.
-  FaultInjectorConfig fcfg = FaultInjectorConfig::FromEnv();
-  if (!fcfg.enabled) {
-    fcfg.enabled = true;
-    fcfg.seed = 17;
+  FaultInjectorConfig bursty = FaultInjectorConfig::FromEnv();
+  if (!bursty.enabled) {
+    bursty.enabled = true;
+    bursty.seed = 17;
   }
-  if (fcfg.arrival_burst_p <= 0.0) {
-    fcfg.arrival_burst_p = 0.2;
-    fcfg.arrival_burst_len = 8;
+  if (bursty.arrival_burst_p <= 0.0) {
+    bursty.arrival_burst_p = 0.2;
+    bursty.arrival_burst_len = 8;
   }
-  if (fcfg.serve_stall_p <= 0.0) {
-    fcfg.serve_stall_p = 0.5;
-    fcfg.serve_stall_ms = 1.0;
+  if (bursty.serve_stall_p <= 0.0) {
+    bursty.serve_stall_p = 0.5;
+    bursty.serve_stall_ms = 1.0;
   }
-  FaultInjector chaos(fcfg);
+  FaultInjectorConfig flood;
+  flood.enabled = true;
+  flood.seed = 29;
+  flood.serve_stall_p = 1.0;
+  flood.serve_stall_ms = 1.0;
 
-  constexpr double kDeadlineMs = 150.0;
-  ServingOptions sopt;
-  sopt.workers = 2;
-  sopt.search = SmallConfig().search;
-  sopt.fault_injector = &chaos;
-  sopt.admission.enabled = true;
-  sopt.admission.queue_cap = 64;
-  sopt.admission.policy = ShedPolicy::kEvictExpiredFirst;
-  sopt.admission.default_deadline_ms = kDeadlineMs;
-  ServingCore core(rig.neo.get(), sopt);
+  struct Trace {
+    const char* name;
+    FaultInjectorConfig chaos;
+    int workers;
+    size_t queue_cap;
+    double deadline_ms;
+    int clients;
+    int arrivals_per_client;
+  };
+  const Trace traces[] = {
+      {"bursty clients", bursty, 2, 64, 150.0, 4, 64},
+      {"flood", flood, 1, 32, 250.0, 1, 320},
+  };
+  for (const Trace& trace : traces) {
+    SCOPED_TRACE(trace.name);
+    FaultInjector chaos(trace.chaos);
+    ServingOptions sopt;
+    sopt.workers = trace.workers;
+    sopt.search = SmallConfig().search;
+    sopt.fault_injector = &chaos;
+    sopt.admission.enabled = true;
+    sopt.admission.queue_cap = trace.queue_cap;
+    sopt.admission.policy = ShedPolicy::kEvictExpiredFirst;
+    sopt.admission.default_deadline_ms = trace.deadline_ms;
+    ServingCore core(rig.neo.get(), sopt);
 
-  // 4 clients, each an open-loop arrival process whose arrivals the
-  // injector amplifies into bursts (kArrivalBurst): the aggregate is a
-  // far-over-capacity trace against two stall-prone workers.
-  constexpr int kClients = 4;
-  constexpr int kArrivalsPerClient = 64;
-  std::vector<std::vector<std::future<ServeResult>>> per_client(kClients);
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      for (int i = 0; i < kArrivalsPerClient; ++i) {
-        const int burst = chaos.DrawArrivalBurst(static_cast<uint64_t>(c));
-        for (int b = 0; b <= burst; ++b) {
-          const size_t qi = static_cast<size_t>(i + b) % train.size();
-          per_client[static_cast<size_t>(c)].push_back(
-              core.Submit(*train[qi], /*learn=*/false));
+    // Each client is an open-loop arrival process; the injector amplifies
+    // its arrivals into bursts (kArrivalBurst) where the trace arms them.
+    std::vector<std::vector<std::future<ServeResult>>> per_client(
+        static_cast<size_t>(trace.clients));
+    std::vector<std::thread> clients;
+    for (int c = 0; c < trace.clients; ++c) {
+      clients.emplace_back([&, c] {
+        for (int i = 0; i < trace.arrivals_per_client; ++i) {
+          const int burst = chaos.DrawArrivalBurst(static_cast<uint64_t>(c));
+          for (int b = 0; b <= burst; ++b) {
+            const size_t qi = static_cast<size_t>(i + b) % train.size();
+            per_client[static_cast<size_t>(c)].push_back(
+                core.Submit(*train[qi], /*learn=*/false));
+          }
         }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+
+    std::vector<std::future<ServeResult>> futures;
+    for (auto& v : per_client)
+      for (auto& f : v) futures.push_back(std::move(f));
+    Outcomes o = Collect(futures);
+    core.Drain();
+
+    const ServingStats s = core.stats();
+    if (trace.chaos.arrival_burst_p > 0.0) {
+      EXPECT_GT(chaos.arrival_bursts(), 0u);  // The burst injector fired.
+    }
+    EXPECT_EQ(s.requests, futures.size());
+    ExpectExactAccounting(s);
+    EXPECT_LE(s.queue_depth_hwm, sopt.admission.queue_cap);
+    EXPECT_EQ(o.ok, s.total_latency.count());
+    EXPECT_GT(o.ok, 0u);
+    // The acceptance bound: every served request's queue wait is within its
+    // deadline — exactly, not statistically, because expiry-at-pickup makes
+    // the bound structural.
+    for (const ServeResult& r : o.results) {
+      if (r.status.ok()) {
+        EXPECT_LE(r.queue_ms, trace.deadline_ms)
+            << "served past its deadline headroom";
       }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-
-  std::vector<std::future<ServeResult>> futures;
-  for (auto& v : per_client)
-    for (auto& f : v) futures.push_back(std::move(f));
-  Outcomes o = Collect(futures);
-  core.Drain();
-
-  const ServingStats s = core.stats();
-  EXPECT_GT(chaos.arrival_bursts(), 0u);  // The burst injector actually fired.
-  EXPECT_EQ(s.requests, futures.size());
-  ExpectExactAccounting(s);
-  EXPECT_LE(s.queue_depth_hwm, sopt.admission.queue_cap);
-  EXPECT_EQ(o.ok, s.total_latency.count());
-  EXPECT_GT(o.ok, 0u);
-  // The acceptance bound: every served request's queue wait is within its
-  // deadline — exactly, not statistically, because expiry-at-pickup makes
-  // the bound structural.
-  for (const ServeResult& r : o.results) {
-    if (r.status.ok()) {
-      EXPECT_LE(r.queue_ms, kDeadlineMs)
-          << "served past its deadline headroom";
     }
   }
 }
