@@ -73,7 +73,7 @@ void BM_DpOptimize(benchmark::State& state) {
   }
   state.SetLabel(std::to_string(q.num_relations()) + " relations");
 }
-BENCHMARK(BM_DpOptimize)->Arg(0)->Arg(60)->Arg(131);
+BENCHMARK(BM_DpOptimize)->Arg(0)->Arg(56)->Arg(60)->Arg(131);
 
 void BM_HistogramEstimate(benchmark::State& state) {
   Fixture& f = Fixture::Get();

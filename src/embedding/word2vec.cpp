@@ -1,6 +1,8 @@
 #include "src/embedding/word2vec.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/util/status.h"
 
@@ -15,6 +17,27 @@ inline float Sigmoid(float x) {
 }
 
 }  // namespace
+
+namespace detail {
+
+CdfSampler::CdfSampler(std::vector<double> cdf) : cdf_(std::move(cdf)) {
+  NEO_CHECK(!cdf_.empty() && cdf_.back() > 0);
+  NEO_CHECK(cdf_.size() <= UINT32_MAX);
+  const size_t n = cdf_.size();
+  scale_ = static_cast<double>(n) / cdf_.back();
+  last_bucket_ = static_cast<double>(n - 1);
+  // cdf is non-decreasing and Bucket monotone, so one sweep fills the table.
+  // A bucket no entry reaches (only draws past cdf.back() land there) points
+  // at the last index, the binary search's answer for such a draw.
+  guide_.resize(n);
+  size_t i = 0;
+  for (size_t g = 0; g < n; ++g) {
+    while (i < n && Bucket(cdf_[i]) < g) ++i;
+    guide_[g] = static_cast<uint32_t>(std::min(i, n - 1));
+  }
+}
+
+}  // namespace detail
 
 void Word2Vec::Train(const std::vector<std::vector<int>>& sentences, int vocab_size) {
   NEO_CHECK(vocab_size > 0);
@@ -46,26 +69,17 @@ void Word2Vec::Train(const std::vector<std::vector<int>>& sentences, int vocab_s
         std::pow(static_cast<double>(counts_[static_cast<size_t>(t)]),
                  options_.unigram_power);
   }
-  // Alias-free sampling via cumulative table.
+  // Alias-free sampling via cumulative table, drawn through a guide table
+  // (the index a binary search would find, see detail::CdfSampler).
   std::vector<double> cdf(weights.size());
   double acc = 0;
   for (size_t i = 0; i < weights.size(); ++i) {
     acc += weights[i];
     cdf[i] = acc;
   }
-  NEO_CHECK(acc > 0);
+  const detail::CdfSampler negatives(std::move(cdf));
   auto sample_negative = [&]() {
-    const double r = rng.NextDouble() * acc;
-    size_t lo = 0, hi = cdf.size() - 1;
-    while (lo < hi) {
-      const size_t mid = (lo + hi) / 2;
-      if (cdf[mid] < r) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return static_cast<int>(lo);
+    return static_cast<int>(negatives.Index(rng.NextDouble() * acc));
   };
 
   // Frequent-token keep probabilities (subsampling).

@@ -14,6 +14,48 @@
 
 namespace neo::embedding {
 
+namespace detail {
+
+/// Draws an index from a cumulative weight table `cdf` (non-decreasing, last
+/// entry > 0): `Index(r)` returns the first i with cdf[i] >= r, or the last
+/// index if there is none, which is exactly what a binary search over `cdf`
+/// returns. Word2vec's negative sampler draws through it.
+///
+/// It finds that index through a guide table instead of a binary search.
+/// With G = cdf.size() buckets and one monotone bucket function
+/// b(x) = min(G - 1, floor(x * (G / cdf.back()))), guide[g] is the first i
+/// with b(cdf[i]) >= g. A draw walks forward from guide[b(r)] while
+/// cdf[i] < r. That is exact: every i before guide[b(r)] has
+/// b(cdf[i]) < b(r), so cdf[i] < r, because b is monotone in floating point
+/// too (a rounded product and floor are each monotone); the walk then stops
+/// at the first cdf[i] >= r. Zero weights (flat runs of `cdf`) are never
+/// returned for r > 0, as with the binary search. A uniform draw lands in
+/// every bucket alike, so its walk passes G entries / G buckets = about one
+/// entry on average, against log2(G) probes of the binary search.
+class CdfSampler {
+ public:
+  explicit CdfSampler(std::vector<double> cdf);
+
+  size_t Index(double r) const {
+    size_t i = guide_[Bucket(r)];
+    while (i + 1 < cdf_.size() && cdf_[i] < r) ++i;
+    return i;
+  }
+
+ private:
+  size_t Bucket(double x) const {
+    const double t = x * scale_;
+    return t < last_bucket_ ? static_cast<size_t>(t) : cdf_.size() - 1;
+  }
+
+  std::vector<double> cdf_;
+  std::vector<uint32_t> guide_;
+  double scale_ = 0.0;        ///< G / cdf.back().
+  double last_bucket_ = 0.0;  ///< G - 1.
+};
+
+}  // namespace detail
+
 struct Word2VecOptions {
   int dim = 16;
   int epochs = 4;

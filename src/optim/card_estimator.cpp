@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_set>
+#include <vector>
 
 #include "src/engine/predicate_eval.h"
 #include "src/util/rng.h"
@@ -113,18 +115,23 @@ double SamplingEstimator::EstimateBase(const query::Query& query, int table_id) 
   const auto preds = query.PredicatesOn(table_id);
   if (preds.empty() || sample.empty()) return std::max(rows, 1e-3);
 
+  // Each predicate's column, and each LIKE's matching codes, once per call
+  // rather than once per sample row.
+  std::vector<const storage::Column*> cols(preds.size());
+  std::vector<std::unordered_set<int64_t>> contains(preds.size());
+  for (size_t i = 0; i < preds.size(); ++i) {
+    cols[i] = &table.column(static_cast<size_t>(preds[i].column_idx));
+    if (preds[i].op == query::PredOp::kContains) {
+      contains[i] = engine::ContainsCodeSet(*cols[i], preds[i].value_str);
+    }
+  }
   size_t hits = 0;
   for (uint32_t row : sample) {
     bool all = true;
-    for (const query::Predicate& p : preds) {
-      const storage::Column& col = table.column(static_cast<size_t>(p.column_idx));
-      std::unordered_set<int64_t> contains;
-      const std::unordered_set<int64_t>* contains_ptr = nullptr;
-      if (p.op == query::PredOp::kContains) {
-        contains = engine::ContainsCodeSet(col, p.value_str);
-        contains_ptr = &contains;
-      }
-      if (!engine::MatchesPredicate(p, col.CodeAt(row), contains_ptr)) {
+    for (size_t i = 0; i < preds.size(); ++i) {
+      const std::unordered_set<int64_t>* contains_ptr =
+          preds[i].op == query::PredOp::kContains ? &contains[i] : nullptr;
+      if (!engine::MatchesPredicate(preds[i], cols[i]->CodeAt(row), contains_ptr)) {
         all = false;
         break;
       }

@@ -9,6 +9,9 @@ namespace neo::optim {
 
 namespace {
 
+/// Fixed work every operator pays before its first row.
+constexpr double kStartup = 50.0;
+
 double Log2Safe(double x) { return std::log2(std::max(2.0, x)); }
 
 bool IndexSupported(query::PredOp op) {
@@ -22,7 +25,6 @@ bool IndexSupported(query::PredOp op) {
 CostModel::NodeCost CostModel::CostNode(const query::Query& query,
                                         const plan::PlanNode& node) const {
   NodeCost result;
-  constexpr double kStartup = 50.0;
 
   if (!node.is_join) {
     const int table_id = node.table_id;
@@ -66,10 +68,18 @@ CostModel::NodeCost CostModel::CostNode(const query::Query& query,
     return result;
   }
 
-  // ---- Join -------------------------------------------------------------
   const NodeCost left = CostNode(query, *node.left);
-  result.out_card =
-      std::max(1.0, estimator_->EstimateSubset(query, node.rel_mask));
+  const NodeCost right = CostNode(query, *node.right);
+  return CostJoin(query, node, left, right,
+                  std::max(1.0, estimator_->EstimateSubset(query, node.rel_mask)));
+}
+
+CostModel::NodeCost CostModel::CostJoin(const query::Query& query,
+                                        const plan::PlanNode& node,
+                                        const NodeCost& left, const NodeCost& right,
+                                        double out_card) const {
+  NodeCost result;
+  result.out_card = out_card;
   const double out = result.out_card;
 
   // Canonical join edge for sortedness decisions.
@@ -106,8 +116,8 @@ CostModel::NodeCost CostModel::CostNode(const query::Query& query,
       const catalog::TableInfo& rinfo = schema_.table(right_leaf_table);
       const auto& col = rinfo.columns[static_cast<size_t>(right_key_col)];
       if (col.indexed || rinfo.primary_key == right_key_col) {
-        const double inner_rows =
-            std::max(1.0, estimator_->EstimateBase(query, right_leaf_table));
+        // A scan's out_card is max(1, its base estimate): the inner's size.
+        const double inner_rows = right.out_card;
         const double fetched = std::max(out, left.out_card);
         result.work = left.work + kStartup +
                       left.out_card * profile_.btree_depth * Log2Safe(inner_rows) +
@@ -116,15 +126,12 @@ CostModel::NodeCost CostModel::CostNode(const query::Query& query,
         return result;
       }
     }
-    const NodeCost right = CostNode(query, *node.right);
     result.work = left.work + right.work + kStartup +
                   left.out_card * right.out_card * profile_.loop_tuple +
                   out * profile_.output_tuple;
     result.sorted_gid = left.sorted_gid;
     return result;
   }
-
-  const NodeCost right = CostNode(query, *node.right);
 
   if (node.join_op == plan::JoinOp::kHash) {
     double join_work =

@@ -21,6 +21,30 @@ class CostModel {
             CardinalityEstimator* estimator)
       : schema_(schema), profile_(profile), estimator_(estimator) {}
 
+  /// What a subtree's parent needs to cost itself: the subtree's estimated
+  /// output rows, its total work (the subtree's cost) and the global id of
+  /// the column its output is sorted on (-1 = unsorted).
+  struct NodeCost {
+    double out_card = 0.0;
+    double work = 0.0;
+    int sorted_gid = -1;
+  };
+
+  /// The cost of `node`'s subtree, recursively: a scan is costed from its
+  /// base estimate, a join by `CostJoin` over its children's `CostNode`s.
+  NodeCost CostNode(const query::Query& query, const plan::PlanNode& node) const;
+
+  /// Costs the join `node` from its children's costs alone: `left` and
+  /// `right` must be `CostNode` of `node.left` and `node.right`, and
+  /// `out_card` must be max(1, EstimateSubset(query, node.rel_mask)). Then
+  /// the result equals `CostNode(query, node)` bit for bit, without walking
+  /// the subtrees again (its time does not grow with their size). The
+  /// optimizers keep each candidate's `NodeCost` and estimate each relation
+  /// subset once, so every candidate costs one call.
+  NodeCost CostJoin(const query::Query& query, const plan::PlanNode& node,
+                    const NodeCost& left, const NodeCost& right,
+                    double out_card) const;
+
   /// Estimated cost (work units) of a complete or partial plan tree.
   double CostTree(const query::Query& query, const plan::PlanNode& node) const;
 
@@ -30,13 +54,6 @@ class CostModel {
   CardinalityEstimator* estimator() const { return estimator_; }
 
  private:
-  struct NodeCost {
-    double out_card = 0.0;
-    double work = 0.0;
-    int sorted_gid = -1;
-  };
-  NodeCost CostNode(const query::Query& query, const plan::PlanNode& node) const;
-
   const catalog::Schema& schema_;
   const engine::EngineProfile& profile_;
   CardinalityEstimator* estimator_;

@@ -27,14 +27,18 @@ std::vector<plan::NodeRef> ScanCandidates(const catalog::Schema& schema,
 constexpr plan::JoinOp kAllJoinOps[] = {plan::JoinOp::kHash, plan::JoinOp::kMerge,
                                         plan::JoinOp::kLoop};
 
+/// A subplan with its cost, kept so a join over it is costed by one
+/// `CostJoin` call instead of a walk of the subplan.
 struct Candidate {
-  double cost;
+  CostModel::NodeCost cost;
   plan::NodeRef node;
 };
 
 void KeepTopK(std::vector<Candidate>& cands, size_t k) {
   std::sort(cands.begin(), cands.end(),
-            [](const Candidate& a, const Candidate& b) { return a.cost < b.cost; });
+            [](const Candidate& a, const Candidate& b) {
+              return a.cost.work < b.cost.work;
+            });
   // Drop structural duplicates (same hash) keeping the cheapest.
   std::vector<Candidate> unique;
   for (const auto& c : cands) {
@@ -63,7 +67,7 @@ plan::PartialPlan DpOptimizer::Optimize(const query::Query& query) {
   for (size_t i = 0; i < n; ++i) {
     std::vector<Candidate> cands;
     for (auto& scan : ScanCandidates(schema_, query, static_cast<int>(i))) {
-      cands.push_back({cost_->CostTree(query, *scan), scan});
+      cands.push_back({cost_->CostNode(query, *scan), scan});
     }
     KeepTopK(cands, static_cast<size_t>(plans_per_subset_));
     dp[1ULL << i] = std::move(cands);
@@ -83,6 +87,9 @@ plan::PartialPlan DpOptimizer::Optimize(const query::Query& query) {
   });
 
   for (uint64_t mask : masks) {
+    // Every candidate for `mask` has the same output estimate.
+    const double out_card =
+        std::max(1.0, cost_->estimator()->EstimateSubset(query, mask));
     std::vector<Candidate> cands;
     // All ordered partitions (left, right): orientation matters (probe/build,
     // outer/inner).
@@ -96,7 +103,8 @@ plan::PartialPlan DpOptimizer::Optimize(const query::Query& query) {
         for (const Candidate& rc : rit->second) {
           for (plan::JoinOp op : kAllJoinOps) {
             plan::NodeRef joined = plan::MakeJoin(op, lc.node, rc.node);
-            cands.push_back({cost_->CostTree(query, *joined), joined});
+            cands.push_back(
+                {cost_->CostJoin(query, *joined, lc.cost, rc.cost, out_card), joined});
           }
         }
       }
@@ -125,48 +133,46 @@ plan::PartialPlan GreedyOptimizer::Optimize(const query::Query& query) {
     }
   }
   auto pick_scan = [&](int rel_pos) {
-    plan::NodeRef best;
-    double best_cost = 1e300;
+    Candidate best;
+    best.cost.work = 1e300;
     for (auto& scan : ScanCandidates(schema_, query, rel_pos)) {
-      const double c = cost_->CostTree(query, *scan);
-      if (c < best_cost) {
-        best_cost = c;
-        best = scan;
-      }
+      const CostModel::NodeCost c = cost_->CostNode(query, *scan);
+      if (c.work < best.cost.work) best = {c, scan};
     }
     return best;
   };
 
-  plan::NodeRef current = pick_scan(start);
+  Candidate current = pick_scan(start);
   uint64_t mask = 1ULL << start;
   const uint64_t full = (n == 64) ? ~0ULL : ((1ULL << n) - 1);
 
   while (mask != full) {
-    plan::NodeRef best;
-    double best_cost = 1e300;
+    Candidate best;
+    best.cost.work = 1e300;
     for (size_t i = 0; i < n; ++i) {
       const uint64_t bit = 1ULL << i;
       if (mask & bit) continue;
       if (!query.MasksJoinable(mask, bit)) continue;
+      const double out_card =
+          std::max(1.0, cost_->estimator()->EstimateSubset(query, mask | bit));
       for (auto& scan : ScanCandidates(schema_, query, static_cast<int>(i))) {
+        const CostModel::NodeCost scan_cost = cost_->CostNode(query, *scan);
         for (plan::JoinOp op : kAllJoinOps) {
-          plan::NodeRef joined = plan::MakeJoin(op, current, scan);
-          const double c = cost_->CostTree(query, *joined);
-          if (c < best_cost) {
-            best_cost = c;
-            best = joined;
-          }
+          plan::NodeRef joined = plan::MakeJoin(op, current.node, scan);
+          const CostModel::NodeCost c =
+              cost_->CostJoin(query, *joined, current.cost, scan_cost, out_card);
+          if (c.work < best.cost.work) best = {c, std::move(joined)};
         }
       }
     }
-    NEO_CHECK_MSG(best != nullptr, "greedy: stuck (disconnected?)");
-    current = best;
-    mask = current->rel_mask;
+    NEO_CHECK_MSG(best.node != nullptr, "greedy: stuck (disconnected?)");
+    current = std::move(best);
+    mask = current.node->rel_mask;
   }
 
   plan::PartialPlan result;
   result.query = &query;
-  result.roots.push_back(current);
+  result.roots.push_back(current.node);
   return result;
 }
 

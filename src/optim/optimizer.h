@@ -30,7 +30,11 @@ class Optimizer {
 
 /// Selinger-style dynamic programming over connected subgraphs with physical
 /// operator + access path selection. Keeps the top-K plans per relation
-/// subset to approximate "interesting orders".
+/// subset to approximate "interesting orders". Each kept plan carries its
+/// `CostModel::NodeCost`, and each connected subset is estimated once
+/// (`EstimateSubset`), so a candidate join costs one `CostJoin` call instead
+/// of a walk of its subtree; the costs, and so the plans, equal costing
+/// every candidate with `CostTree`.
 class DpOptimizer : public Optimizer {
  public:
   DpOptimizer(const catalog::Schema& schema, const CostModel* cost_model,
@@ -48,7 +52,9 @@ class DpOptimizer : public Optimizer {
 
 /// SQLite-style greedy left-deep planner: start from the smallest estimated
 /// relation, repeatedly add the join (relation, operator, access path) with
-/// the lowest incremental cost.
+/// the lowest incremental cost. Like the DP, it keeps the current tree's
+/// `NodeCost`, estimates each extended subset once and costs each candidate
+/// with one `CostJoin` call.
 class GreedyOptimizer : public Optimizer {
  public:
   GreedyOptimizer(const catalog::Schema& schema, const CostModel* cost_model)

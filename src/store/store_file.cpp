@@ -278,7 +278,6 @@ util::Status WalWriter::InjectedWrite(const void* data, size_t n) {
     return util::Status::FailedPrecondition("WAL writer is not open");
   }
   size_t landing = n;
-  bool crashed = false;
   if (injector_ != nullptr && injector_->enabled()) {
     if (injector_->DrawIoFailure(file_key_)) {
       failed_ = true;

@@ -2,6 +2,10 @@
 // correlated (keyword, genre) pairs get higher cosine similarity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "src/datagen/imdb_gen.h"
 #include "src/embedding/row_embedding.h"
 
@@ -39,6 +43,46 @@ TEST(Word2VecTest, DeterministicTraining) {
   a.Train(sentences, 3);
   b.Train(sentences, 3);
   for (int d = 0; d < 4; ++d) EXPECT_FLOAT_EQ(a.Vector(1)[d], b.Vector(1)[d]);
+}
+
+TEST(CdfSamplerTest, GuideTableReturnsTheBinarySearchIndex) {
+  // Weights as Word2Vec::Train builds them, count^0.75: one vocabulary with
+  // zero-count tokens (flat runs in the CDF, at its start, middle and end),
+  // one with a dominant token, and a one-token vocabulary.
+  std::vector<double> zero_runs;
+  for (int t = 0; t < 500; ++t) {
+    const bool unseen = t % 7 == 0 || (t >= 100 && t < 180) || t >= 490;
+    zero_runs.push_back(unseen ? 0.0 : std::pow(1.0 + (t * 37) % 23, 0.75));
+  }
+  std::vector<double> dominant(300, 1.0);
+  dominant[123] = std::pow(1e7, 0.75);
+  const std::vector<double> single = {std::pow(42.0, 0.75)};
+
+  util::Rng rng(5);
+  for (const std::vector<double>& weights : {zero_runs, dominant, single}) {
+    std::vector<double> cdf;
+    double acc = 0;
+    for (double w : weights) {
+      acc += w;
+      cdf.push_back(acc);
+    }
+    const detail::CdfSampler sampler(cdf);
+    auto expect_binary_search = [&](double r) {
+      const size_t first_at_least =
+          static_cast<size_t>(std::lower_bound(cdf.begin(), cdf.end(), r) - cdf.begin());
+      EXPECT_EQ(sampler.Index(r), std::min(first_at_least, cdf.size() - 1))
+          << "r = " << r << " over " << cdf.size() << " tokens";
+    };
+    const double inf = std::numeric_limits<double>::infinity();
+    expect_binary_search(0.0);
+    expect_binary_search(acc);
+    for (double c : cdf) {
+      expect_binary_search(c);
+      if (c > 0) expect_binary_search(std::nextafter(c, -inf));
+      expect_binary_search(std::nextafter(c, inf));
+    }
+    for (int i = 0; i < 2000; ++i) expect_binary_search(rng.NextDouble() * acc);
+  }
 }
 
 TEST(Word2VecTest, MeanVector) {

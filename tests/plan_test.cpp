@@ -216,7 +216,9 @@ TEST_F(PlanFixture, QueryMasksJoinable) {
   // title and keyword are not directly joinable.
   const uint64_t t_bit = others & (others - 1) ? (others & ~(others & (others - 1))) : others;
   const uint64_t k_bit = others & ~t_bit;
-  if (t_bit && k_bit) EXPECT_FALSE(q.MasksJoinable(t_bit, k_bit));
+  if (t_bit && k_bit) {
+    EXPECT_FALSE(q.MasksJoinable(t_bit, k_bit));
+  }
 }
 
 TEST_F(PlanFixture, QuerySqlRendering) {

@@ -179,7 +179,9 @@ TEST_P(WorkloadPropertyTest, SearchChildrenPreserveSubplanRelation) {
       EXPECT_TRUE(plan::IsSubplanOf(initial, kids[i]));
       EXPECT_EQ(kids[i].CoveredMask(), initial.CoveredMask());
       const auto grandkids = neo.search().Children(*q, kids[i]);
-      if (!kids[i].IsComplete()) ASSERT_FALSE(grandkids.empty());
+      if (!kids[i].IsComplete()) {
+        ASSERT_FALSE(grandkids.empty());
+      }
       for (size_t g = 0; g < grandkids.size(); g += 5) {
         EXPECT_TRUE(plan::IsSubplanOf(kids[i], grandkids[g]));
       }

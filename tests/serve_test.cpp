@@ -339,6 +339,9 @@ TEST_F(ServeFixture, RetrainRunsConcurrentlyWithServing) {
   }
   // Two background retrain+publish cycles while the clients hammer away.
   // The tsan CI arm turns any serving/retraining race into a failure here.
+  // Wait for the first serve, so the retrains cannot finish before a client
+  // thread has even started (on a busy host they did, and no serve ran).
+  while (served.load() == 0) std::this_thread::yield();
   for (int r = 0; r < 2; ++r) core.RetrainAndPublish();
   stop.store(true);
   for (std::thread& t : clients) t.join();
